@@ -7,10 +7,14 @@
    and flush counts show what the weak search pays for that coverage.
    Rows land in the --json results file (BENCH_<sha>.json).
 
-   Both weak configurations run at preemption bound 1 with --por, the
-   same budget the test suite uses: the seeded bug needs exactly one
-   preemption, and exhausting the fenced protocol at the default bound
-   takes minutes (every spin iteration is a choice point). *)
+   Both weak configurations run at preemption bound 1 with --por, a
+   budget the test suite also uses: the seeded bug shows at any bound
+   (even 0), while exhausting the fenced protocol at the default bound
+   takes ~20 s under tso (619k executions; every spin iteration is a
+   choice point). Under a bound, --por explores flush placement lazily —
+   a thread step sleeps across the flushes it commutes with — so the
+   fenced weak rows take ~17.5x the sc row's executions (113k); CI
+   asserts at most 25x. *)
 
 open Bench_common
 module Explore = Lineup_scheduler.Explore

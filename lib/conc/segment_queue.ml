@@ -108,9 +108,17 @@ let adapter =
         Value.int (Var_array.read s.values i)
       end
     in
+    (* Read [low] before [high]: both only grow and [low <= high], so
+       [low >= high] then means the segment was empty when [low] was read.
+       The reverse order (what OCaml's right-to-left evaluation of
+       [Var.read s.low >= Var.read s.high] does) can see a [high] older than
+       a [low] that has since caught up with it, and report an empty queue
+       that never was. *)
     let is_empty () =
       let s = Var.read head in
-      Var.read s.low >= Var.read s.high && Option.is_none (Var.read s.next)
+      let low = Var.read s.low in
+      let high = Var.read s.high in
+      low >= high && Option.is_none (Var.read s.next)
     in
     let invoke (i : Invocation.t) =
       match i.name, i.arg with

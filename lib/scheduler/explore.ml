@@ -118,6 +118,12 @@ let merge_stats a b =
 (* Decision traces                                                     *)
 (* ------------------------------------------------------------------ *)
 
+(* How far an explored sibling's coverage reaches once it sleeps (see the
+   soundness note at {!por}): [Always] until a conflicting step runs;
+   [Across_flushes] only over consecutive non-conflicting flush steps — it
+   wakes at the first thread step. *)
+type scope = Always | Across_flushes
+
 (* Decision records are shared between the replay prefix and the trace being
    built, so mutating them during backtracking persists into the next
    execution. A [Thread] decision is a full choice point: besides the chosen
@@ -129,16 +135,19 @@ type decision =
   | Thread of {
       mutable chosen : int;
       mutable untried : int list;
-      mutable explored : int list;  (** siblings already fully explored *)
-      mutable sleep : int list;  (** sleep set on entry, refreshed on replay *)
+      mutable explored : (int * scope) list;
+          (** siblings already fully explored, with the scope each sleeps with *)
+      mutable sleep : (int * scope) list;  (** sleep set on entry, refreshed on replay *)
       mutable candidates : int list;  (** all schedulable choices here *)
       mutable free : int list;  (** the non-preempting subset *)
       mutable fp : Footprint.t;  (** footprint of the executed step *)
-      mutable sleep_ok : bool;
-          (** may [chosen] enter sibling sleep sets once flipped past?
-              Always under no bound; under a finite preemption bound only
-              when [chosen] was a free choice whose step ended at a
-              voluntary suspension (see the soundness note at {!por}). *)
+      mutable scope : scope option;
+          (** the scope with which [chosen] enters sibling sleep sets once
+              flipped past, if any. [Always] under no bound; under a finite
+              preemption bound [Always] only when [chosen] was a free choice
+              whose step ended at a voluntary suspension, else
+              [Across_flushes] unless its step left it yielded (see the
+              soundness note at {!por}). *)
       frozen : bool;  (** thawed frontier prefix: never backtracked *)
     }
   | Value of { mutable chosen : int; mutable untried : int list; arity : int }
@@ -153,7 +162,7 @@ let thread_decision chosen ~untried ~sleep ~candidates ~free =
       candidates;
       free;
       fp = Footprint.pure;
-      sleep_ok = false;
+      scope = None;
       frozen = false;
     }
 
@@ -168,15 +177,21 @@ exception Sleep_blocked
 (* The per-execution decision callbacks. [free]/[costly] partition the
    schedulable threads: picking a costly one consumes a preemption.
    [pending t] is the access footprint of thread [t]'s next step (the
-   suspension it would resume from). [note_end ~voluntary] is called by the
-   engine right after each chosen step runs to its next suspension,
-   reporting whether that suspension is voluntary — the reduction needs the
-   end kind of a step to decide whether it may enter sleep sets under a
-   preemption bound. *)
+   suspension it would resume from); [flusher t] tells a virtual flusher id
+   from a thread id. [note_end ~voluntary ~yielded] is called by the engine
+   right after each chosen step runs to its next suspension, reporting
+   whether that suspension is voluntary and whether the step's thread is
+   left yielded — the reduction needs the end of a step to decide with
+   which scope it may enter sleep sets under a preemption bound. *)
 type decider = {
-  decide_thread : free:int list -> costly:int list -> pending:(int -> Footprint.t) -> int;
+  decide_thread :
+    free:int list ->
+    costly:int list ->
+    pending:(int -> Footprint.t) ->
+    flusher:(int -> bool) ->
+    int;
   decide_value : arity:int -> int;
-  note_end : voluntary:bool -> unit;
+  note_end : voluntary:bool -> yielded:bool -> unit;
 }
 
 type thread_state =
@@ -401,6 +416,7 @@ let run_one cfg ~(decider : decider) ~pruned ~setup =
       | Ready { fp; _ } | Blocked { fp; _ } -> fp
       | Finished -> Footprint.pure
   in
+  let flusher t = t >= n in
   let resume_thread i =
     match status.(i) with
     | Ready { resume; _ } | Blocked { resume; _ } ->
@@ -484,7 +500,7 @@ let run_one cfg ~(decider : decider) ~pruned ~setup =
            schedulable. Counted outside the decider so replayed prefixes and
            fresh decisions weigh the same. *)
         if List.compare_length_with free 1 > 0 || costly <> [] then incr choice_points;
-        match decider.decide_thread ~free ~costly ~pending with
+        match decider.decide_thread ~free ~costly ~pending ~flusher with
         | exception Sleep_blocked ->
           (* The reduction proved the continuation redundant; abandon the
              execution. The driver counts it and drops its history. *)
@@ -503,7 +519,7 @@ let run_one cfg ~(decider : decider) ~pruned ~setup =
           incr steps;
           incr flushes;
           Exec_ctx.flush_one (chosen - n);
-          decider.note_end ~voluntary:true;
+          decider.note_end ~voluntary:true ~yielded:false;
           loop ()
         | chosen ->
           if not (List.mem chosen free || List.mem chosen costly) then
@@ -512,7 +528,7 @@ let run_one cfg ~(decider : decider) ~pruned ~setup =
           Array.iteri (fun j flag -> if flag && j <> chosen then yielded.(j) <- false) yielded;
           incr steps;
           resume_thread chosen;
-          decider.note_end ~voluntary:!last_voluntary;
+          decider.note_end ~voluntary:!last_voluntary ~yielded:yielded.(chosen);
           if
             cfg.mode = Serial
             && (match status.(chosen) with Blocked { wake; _ } -> not (wake ()) | _ -> false)
@@ -574,15 +590,28 @@ let run_one cfg ~(decider : decider) ~pruned ~setup =
    deterministically (same state, same step), so (b) — observed when the
    sibling executed — is a property of the node, not of one execution.
 
+   Flushes need neither condition. A flush is always free and leaves
+   [last_running]/[last_voluntary] untouched, so moving [x] back past
+   adjacent flushes it does not conflict with changes the cost of no
+   context switch. An explored sibling failing (a)/(b) therefore still
+   sleeps in a later flush sibling, with scope [Across_flushes]: it stays
+   asleep over consecutive non-conflicting flushes and wakes at the first
+   thread step. The pruned order [f1 .. fk x] and the witness [x f1 .. fk]
+   then reach the same state, fairness flags included — the flushes clear
+   every [yielded] flag in both orders — provided [x]'s step does not leave
+   [x] yielded; a step that does gets no scope (DESIGN.md §7).
+
    Without a bound every schedule is affordable, the cost argument is
    vacuous, and the full lazy DPOR (persistent/backtrack sets + unrestricted
    sleep sets) applies. *)
 type por = {
   bounded : bool;
   mutable path : (int * Footprint.t * decision) list;
-  mutable sleep : int list;
+  mutable sleep : (int * scope) list;
   backtracks : int ref;
 }
+
+let asleep q sleep = List.mem_assoc q sleep
 
 let por_fresh ~bounded ~backtracks = { bounded; path = []; sleep = []; backtracks }
 
@@ -594,9 +623,9 @@ let por_request por d q =
   | Thread t when not t.frozen ->
     if
       q <> t.chosen
-      && (not (List.mem q t.explored))
+      && (not (List.mem_assoc q t.explored))
       && (not (List.mem q t.untried))
-      && not (List.mem q t.sleep)
+      && not (asleep q t.sleep)
     then begin
       t.untried <- t.untried @ [ q ];
       incr por.backtracks
@@ -630,17 +659,27 @@ let por_analyze por ~candidates ~pending =
 
 (* Commit the choice of [c] at decision [d]: record the executed step's
    footprint, push it on the path, and propagate the sleep set — explored
-   siblings join it, and every member whose pending step conflicts with the
-   chosen step wakes up. *)
-let por_after_choice por d ~pending c =
+   siblings join it, every member whose pending step conflicts with the
+   chosen step wakes up, and a thread step also wakes every member that only
+   sleeps across flushes. *)
+let por_after_choice por d ~pending ~flusher c =
   let fc = pending c in
   (match d with
    | Thread t -> t.fp <- fc
    | Value _ -> ());
   let seed = match d with Thread t -> t.explored @ por.sleep | Value _ -> por.sleep in
-  por.sleep <-
-    List.sort_uniq compare
-      (List.filter (fun t -> t <> c && not (Footprint.conflicts (pending t) fc)) seed);
+  (* Nothing sleeps at most decisions; skip the filter's allocation there. *)
+  (match seed with
+   | [] -> ()
+   | _ :: _ ->
+     por.sleep <-
+       List.sort_uniq compare
+         (List.filter
+            (fun (t, scope) ->
+              t <> c
+              && (scope = Always || flusher c)
+              && not (Footprint.conflicts (pending t) fc))
+            seed));
   por.path <- (c, fc, d) :: por.path
 
 (* ------------------------------------------------------------------ *)
@@ -665,7 +704,11 @@ let dfs_decider ?por ~replay ~trace ~last_running () =
       Some d
   in
   let record d = trace := d :: !trace in
-  let decide_thread ~free ~costly ~pending =
+  (* The scope [chosen] would sleep with, before its step's end is known. *)
+  let initial_scope p ~free chosen =
+    if (not p.bounded) || List.mem chosen free then Some Always else Some Across_flushes
+  in
+  let decide_thread ~free ~costly ~pending ~flusher =
     match pop_replayed () with
     | Some (Thread t as d) ->
       record d;
@@ -680,9 +723,9 @@ let dfs_decider ?por ~replay ~trace ~last_running () =
            t.candidates <- candidates;
            t.free <- free;
            t.sleep <- p.sleep;
-           t.sleep_ok <- (not p.bounded) || List.mem t.chosen free
+           t.scope <- initial_scope p ~free t.chosen
          end;
-         por_after_choice p d ~pending t.chosen
+         por_after_choice p d ~pending ~flusher t.chosen
        | None -> ());
       t.chosen
     | Some (Value _) -> invalid_arg "Explore: replay mismatch (expected thread decision)"
@@ -701,7 +744,7 @@ let dfs_decider ?por ~replay ~trace ~last_running () =
        | Some p ->
          if not p.bounded then por_analyze p ~candidates:all ~pending;
          let sleep = p.sleep in
-         let awake = List.filter (fun c -> not (List.mem c sleep)) all in
+         let awake = List.filter (fun c -> not (asleep c sleep)) all in
          (match awake with
           | [] -> raise Sleep_blocked
           | _ :: _ ->
@@ -714,15 +757,15 @@ let dfs_decider ?por ~replay ~trace ~last_running () =
                under a bound every alternative is eager (like the unreduced
                explorer) and the cost-aware sleep sets do the pruning. *)
             let untried =
-              if p.bounded then List.filter (fun c -> c <> chosen && not (List.mem c sleep)) all
+              if p.bounded then List.filter (fun c -> c <> chosen && not (asleep c sleep)) all
               else []
             in
             let d = thread_decision chosen ~untried ~sleep ~candidates:all ~free in
             record d;
             (match d with
-             | Thread t -> t.sleep_ok <- (not p.bounded) || List.mem chosen free
+             | Thread t -> t.scope <- initial_scope p ~free chosen
              | Value _ -> ());
-            por_after_choice p d ~pending chosen;
+            por_after_choice p d ~pending ~flusher chosen;
             chosen))
   in
   let decide_value ~arity =
@@ -737,15 +780,21 @@ let dfs_decider ?por ~replay ~trace ~last_running () =
       record d;
       0
   in
-  (* Observe each step's end kind as it suspends: under a bound, a chosen
-     step that ends involuntarily loses its sleep eligibility (condition (b)
-     of the cost argument at {!por}). The head of the path is the decision
-     whose step just ran. *)
-  let note_end ~voluntary =
+  (* Observe each step's end as it suspends: under a bound, a chosen step
+     that ends involuntarily fails condition (b) of the cost argument at
+     {!por} and only sleeps across flushes; one that failed (a) or (b) and
+     leaves its thread yielded does not sleep at all. The head of the path
+     is the decision whose step just ran. *)
+  let note_end ~voluntary ~yielded =
     match por with
     | Some p when p.bounded -> (
       match p.path with
-      | (_, _, Thread t) :: _ -> t.sleep_ok <- t.sleep_ok && voluntary
+      | (_, _, Thread t) :: _ ->
+        t.scope <-
+          (match t.scope with
+           | Some Always when not voluntary -> Some Across_flushes
+           | Some Across_flushes when yielded -> None
+           | s -> s)
       | (_, _, Value _) :: _ | [] -> ())
     | Some _ | None -> ()
   in
@@ -763,7 +812,7 @@ let next_prefix trace_rev =
       | Thread t -> (
         let rec pick = function
           | [] -> None
-          | x :: xs when List.mem x t.sleep -> pick xs
+          | x :: xs when asleep x t.sleep -> pick xs
           | x :: xs -> Some (x, xs)
         in
         match pick t.untried with
@@ -771,8 +820,10 @@ let next_prefix trace_rev =
           t.untried <- [];
           go rest
         | Some (x, xs) ->
-          if t.sleep_ok then t.explored <- t.chosen :: t.explored;
-          t.sleep_ok <- false;
+          (match t.scope with
+           | Some scope -> t.explored <- (t.chosen, scope) :: t.explored
+           | None -> ());
+          t.scope <- None;
           t.chosen <- x;
           t.untried <- xs;
           Some (List.rev (d :: rest)))
@@ -859,8 +910,8 @@ let explore_replay cfg ?(admit = never_filtered) ~replay0 ~setup ~on_execution (
       {
         base with
         decide_thread =
-          (fun ~free ~costly ~pending ->
-            let c = base.decide_thread ~free ~costly ~pending in
+          (fun ~free ~costly ~pending ~flusher ->
+            let c = base.decide_thread ~free ~costly ~pending ~flusher in
             last_running := Some c;
             c);
       }
@@ -1019,7 +1070,7 @@ let thaw_prefix p =
             candidates = [];
             free = [];
             fp = Footprint.pure;
-            sleep_ok = false;
+            scope = None;
             frozen = true;
           }
       | Value_choice { chosen; arity } -> Value { chosen; untried = []; arity })
@@ -1075,8 +1126,8 @@ let split cfg ~depth ~setup ~on_execution =
       {
         base with
         decide_thread =
-          (fun ~free ~costly ~pending ->
-            let c = base.decide_thread ~free ~costly ~pending in
+          (fun ~free ~costly ~pending ~flusher ->
+            let c = base.decide_thread ~free ~costly ~pending ~flusher in
             last_running := Some c;
             c);
       }
@@ -1189,11 +1240,11 @@ let random_walk cfg ~rng ~executions:target ~setup ~on_execution =
     let decider =
       {
         decide_thread =
-          (fun ~free ~costly ~pending:_ ->
+          (fun ~free ~costly ~pending:_ ~flusher:_ ->
             let all = Array.of_list (free @ costly) in
             all.(Random.State.int rng (Array.length all)));
         decide_value = (fun ~arity -> Random.State.int rng arity);
-        note_end = (fun ~voluntary:_ -> ());
+        note_end = (fun ~voluntary:_ ~yielded:_ -> ());
       }
     in
     let outcome = run_one cfg ~decider ~pruned ~setup in

@@ -63,7 +63,12 @@
     and carry a write footprint on the committed location so the reduction
     orders them against conflicting accesses. They are always {e free} under
     preemption bounding (a flush runs no thread, so it cannot preempt one),
-    which makes flush placement exhaustively explored at every bound.
+    which keeps every flush placement reachable at every bound. With [por]
+    under a bound, placements are explored lazily: moving a thread step past
+    a flush changes the cost of no context switch, so an explored thread
+    step that fails the cost-aware rule still sleeps in a later flush
+    sibling, across the flushes it commutes with, until the next thread
+    step.
 
     Drain obligations keep executions well-formed: a thread at an RMW
     scheduling point, an [Rt.Fence], or an operation-return marker with a

@@ -7,8 +7,10 @@ module Invocation = Lineup_history.Invocation
    resume from an SC checkpoint or vice versa) and [Explore.stats] grew the
    [flushes] counter, changing the marshaled payload shape. Version 3: the
    phase-2 dedup table inside a partition's state became a fingerprint-keyed
-   table of histories, changing the marshaled type again. *)
-let format_version = 3
+   table of histories, changing the marshaled type again. Version 4: bounded
+   weak-memory [--por] partitions sleep across flushes, so a partition
+   records different execution counts than a version-3 one. *)
+let format_version = 4
 
 (* Same shape as Obs_cache's key: every knob that shapes the frontier, a
    partition's exploration, or the membership decisions. [phase2_domains]

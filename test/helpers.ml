@@ -33,6 +33,18 @@ let serial_t : Serial_history.t Alcotest.testable =
 
 let test name f = Alcotest.test_case name `Quick f
 
+(* The distinct histories of one whole exploration under [config] (it does
+   not stop at a violation, unlike [Check.run]), sorted, and its
+   statistics. *)
+let history_set ?admit config ~adapter ~test =
+  let seen = Hashtbl.create 64 in
+  let stats =
+    Lineup.Harness.run_phase ?admit config ~adapter ~test ~on_history:(fun r ->
+        Hashtbl.replace seen (History.events r.history, History.is_stuck r.history) ();
+        `Continue)
+  in
+  List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) seen []), stats
+
 (* Value generator for qcheck. *)
 let value_gen =
   let open QCheck.Gen in

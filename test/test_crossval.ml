@@ -213,4 +213,20 @@ let completeness_tests =
           | Check.Pass | Check.Cancelled -> Alcotest.fail "expected a violation"))
     buggy_pairs
 
-let tests = correctness_props @ agreement_props @ completeness_tests
+(* SegmentQueue.IsEmpty once read [high] before [low] (OCaml evaluates the
+   operands of [>=] right to left), so it could report an empty queue that
+   never was: here IsEmpty runs after Enqueue(1), and the other thread's
+   Enqueue(2) precedes its only TryDequeue, so the queue is never empty.
+   The correctness property above found it under QCHECK_SEED=637050644. *)
+let regression_tests =
+  [
+    test "SegmentQueue: IsEmpty never reports a queue that was not empty" (fun () ->
+        let t =
+          Test_matrix.make
+            [ [ inv_int "Enqueue" 1; inv "IsEmpty" ]; [ inv_int "Enqueue" 2; inv "TryDequeue" ] ]
+        in
+        let r = Check.run Conc.Segment_queue.adapter t in
+        Alcotest.(check bool) (Report.summary r) true (Check.passed r));
+  ]
+
+let tests = correctness_props @ agreement_props @ completeness_tests @ regression_tests

@@ -15,7 +15,11 @@
      tso`, and the adapter it passes genuinely survives it;
    - Shared_var.peek forwards from the blocked thread's own store buffer
      (a thread that buffered a write and then blocks on peeking it must
-     wake, not deadlock). *)
+     wake, not deadlock);
+   - bounded --por, which lets a thread step sleep across the flushes it
+     commutes with, keeps the verdict, distinct histories and fingerprint
+     of the unreduced weak explorer (qcheck over random matrices), while
+     the fence-free litmus still fails within a handful of executions. *)
 
 open Helpers
 module Explore = Lineup_scheduler.Explore
@@ -29,12 +33,14 @@ open Lineup
 
 let dekker_test = Test_matrix.make [ [ inv "Inc"; inv "Get" ]; [ inv "Inc" ] ]
 
-let run_with ?phase2_domains ?(por = false) ?pb ~memory adapter test =
+let run_with ?phase2_domains ?max_executions ?(por = false) ?pb ~memory adapter test =
   let m = Metrics.create () in
   let config =
     match pb with
-    | None -> Check.config_with ?phase2_domains ~por ~memory ()
-    | Some b -> Check.config_with ~preemption_bound:(Some b) ?phase2_domains ~por ~memory ()
+    | None -> Check.config_with ?phase2_domains ?max_executions ~por ~memory ()
+    | Some b ->
+      Check.config_with ~preemption_bound:(Some b) ?phase2_domains ?max_executions ~por ~memory
+        ()
   in
   let r = Check.run ~config ~metrics:m adapter test in
   r, m
@@ -100,6 +106,88 @@ let peek_forwards_adapter =
 
 let counter_test_matrix = Test_matrix.make [ [ inv "Inc"; inv "Get" ]; [ inv "Inc" ] ]
 
+(* ------------------------------------------------------------------ *)
+(* Bounded --por under weak memory                                      *)
+(* ------------------------------------------------------------------ *)
+
+let phase2_executions m = Metrics.get m "explore.phase2.executions"
+let distinct m = Metrics.get m "check.phase2.histories_distinct"
+let fingerprint m = Metrics.get m "check.phase2.histories_fingerprint"
+let weak_models = [ Memory_model.Tso; Memory_model.Pso ]
+
+let weak_adapters =
+  [|
+    Conc.Counters.correct;
+    Conc.Concurrent_queue.correct;
+    Conc.Segment_queue.adapter;
+    Conc.Concurrent_stack.correct;
+  |]
+
+(* Executions allowed to the unreduced side of one case: ~0.5 s here. A
+   case the cap cuts covers only part of its tree, so it is discarded
+   rather than compared. *)
+let unreduced_cap = 20_000
+
+let weak_history_set ?(por = false) ~pb ~memory adapter test =
+  history_set
+    {
+      Explore.default_config with
+      preemption_bound = Some pb;
+      max_executions = Some unreduced_cap;
+      por;
+      memory;
+    }
+    ~adapter ~test
+
+(* Two threads of one or two operations each. *)
+let weak_case_gen =
+  let open QCheck.Gen in
+  map
+    (fun ((a, tso, pb), (rows, seed)) ->
+      let adapter = weak_adapters.(a) in
+      let memory = if tso then Memory_model.Tso else Memory_model.Pso in
+      let test =
+        Test_matrix.random ~rng:(Random.State.make [| seed |])
+          ~invocations:adapter.Adapter.universe ~rows ~cols:2 ()
+      in
+      adapter, memory, pb, test)
+    (pair
+       (triple (int_bound (Array.length weak_adapters - 1)) bool (int_bound 1))
+       (pair (int_range 1 2) small_nat))
+
+let print_weak_case (adapter, memory, pb, test) =
+  Fmt.str "%s --memory %s -p %d@.%a" adapter.Adapter.name (Memory_model.to_string memory) pb
+    Test_matrix.pp test
+
+let qcheck_weak_por_equivalence =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make
+       ~name:"weak --por = unreduced: verdict, distinct histories, fingerprint" ~count:40
+       (QCheck.make ~print:print_weak_case weak_case_gen)
+       (fun (adapter, memory, pb, test) ->
+         let r_off, m_off =
+           run_with ~max_executions:(Some unreduced_cap) ~pb ~memory adapter test
+         in
+         QCheck.assume (phase2_executions m_off < unreduced_cap);
+         let r_on, m_on = run_with ~por:true ~pb ~memory adapter test in
+         let same_histories =
+           if Check.passed r_off then
+             distinct m_on = distinct m_off
+             && fingerprint m_on = fingerprint m_off
+             && phase2_executions m_on <= phase2_executions m_off
+           else begin
+             (* A failing check stops at its first violation, and the
+                reduced DFS, which never picks a sleeping thread, may visit
+                the remaining siblings of a node in another order — so the
+                two stop at different points. Compare whole explorations. *)
+             let set_off, st_off = weak_history_set ~pb ~memory adapter test in
+             QCheck.assume (st_off.Explore.executions < unreduced_cap);
+             let set_on, st_on = weak_history_set ~por:true ~pb ~memory adapter test in
+             set_on = set_off && st_on.Explore.executions <= st_off.Explore.executions
+           end
+         in
+         Check.failed r_on = Check.failed r_off && same_histories))
+
 let suite =
   [
     test "sc identity: correct counter" (sc_identity Conc.Counters.correct counter_test_matrix);
@@ -119,21 +207,44 @@ let suite =
         Alcotest.(check bool) "pso fails" true (Check.failed r));
     test "the fences restore correctness under tso and pso" (fun () ->
         (* exhausting the fenced protocol at the default preemption bound
-           takes minutes (every spin iteration is a choice point); bound 1
-           with por keeps the run ~20s while preserving the contrast — the
-           seeded bug needs exactly one preemption, so it is found at this
-           bound (asserted below on the fence-free variant). *)
+           takes ~20 s under tso (every spin iteration is a choice point);
+           bounds 0 and 1 with por keep each run to seconds while
+           preserving the contrast — the fence-free variant fails at both
+           (asserted below). Each run keeps the unreduced explorer's
+           distinct histories and fingerprint, in ~10.6k (pb=0) and
+           ~113k (pb=1) executions since thread steps sleep across the
+           flushes they commute with. *)
+        List.iter
+          (fun (pb, histories, fp, max_executions) ->
+            List.iter
+              (fun memory ->
+                let r, m = run_with ~por:true ~pb ~memory fenced dekker_test in
+                let what = Fmt.str "%s pb=%d" (Memory_model.to_string memory) pb in
+                if not (Check.passed r) then Alcotest.failf "%s: %s" what (Report.summary r);
+                Alcotest.(check int) (what ^ " distinct histories") histories (distinct m);
+                Alcotest.(check int) (what ^ " fingerprint") fp (fingerprint m);
+                if phase2_executions m > max_executions then
+                  Alcotest.failf "%s: %d executions, expected at most %d" what
+                    (phase2_executions m) max_executions)
+              weak_models)
+          [ 0, 21, 10919306494, 15_000; 1, 23, 11896227140, 150_000 ]);
+    test "fence-free litmus: --por fails within 15 executions" (fun () ->
+        (* Pins the thread-first DFS order: trying flushes first, so that
+           the flushes sleep instead, finds no violation under tso at pb=1
+           within minutes. *)
         List.iter
           (fun memory ->
-            let r, _ = run_with ~por:true ~pb:1 ~memory fenced dekker_test in
-            if not (Check.passed r) then
-              Alcotest.failf "fenced dekker under %s: %s" (Memory_model.to_string memory)
-                (Report.summary r);
-            let r, _ = run_with ~por:true ~pb:1 ~memory fence_free dekker_test in
-            if not (Check.failed r) then
-              Alcotest.failf "fence-free dekker under %s at bound 1: %s"
-                (Memory_model.to_string memory) (Report.summary r))
-          [ Memory_model.Tso; Memory_model.Pso ]);
+            List.iter
+              (fun pb ->
+                let r, m = run_with ~por:true ~pb ~memory fence_free dekker_test in
+                let what = Fmt.str "%s pb=%d" (Memory_model.to_string memory) pb in
+                if not (Check.failed r) then Alcotest.failf "%s: %s" what (Report.summary r);
+                if phase2_executions m > 15 then
+                  Alcotest.failf "%s: failed after %d executions, expected at most 15" what
+                    (phase2_executions m))
+              [ 0; 1 ])
+          weak_models);
+    qcheck_weak_por_equivalence;
     test "weak runs count their flushes" (fun () ->
         let _, m =
           run_with ~memory:Memory_model.Tso peek_forwards_adapter

@@ -154,15 +154,7 @@ let serial_noop =
 
 let histories ?admit ?(por = false) ?(pb = Explore.default_config.Explore.preemption_bound)
     ~adapter ~test () =
-  let config = { Explore.default_config with por; preemption_bound = pb } in
-  let seen = Hashtbl.create 64 in
-  let stats =
-    Harness.run_phase ?admit config ~adapter ~test ~on_history:(fun r ->
-        Hashtbl.replace seen (History.events r.history, History.is_stuck r.history) ();
-        `Continue)
-  in
-  let set = Hashtbl.fold (fun k () acc -> k :: acc) seen [] |> List.sort compare in
-  set, stats
+  history_set ?admit { Explore.default_config with por; preemption_bound = pb } ~adapter ~test
 
 let history_set_case ~name ~adapter ~test:t =
   test name (fun () ->

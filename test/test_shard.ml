@@ -54,6 +54,31 @@ let stats_t : Explore.stats Alcotest.testable = Alcotest.testable Explore.pp_sta
 
 (* ---------------- checkpoint store ---------------- *)
 
+(* Plant every partition of a fresh sweep under a [stale] format-version
+   header; none of them may load. *)
+let stale_version_skipped stale =
+  Alcotest.(check int) "current format version" 4 Store.format_version;
+  with_temp_dir (fun dir ->
+      let adapter = Conc.Counters.correct in
+      let fingerprint =
+        Store.fingerprint ~config ~adapter:adapter.Adapter.name ~test:counter_test
+      in
+      Store.init_dir ~dir ~fingerprint;
+      let _, _, _, parts = shard_run ~order:Fun.id adapter counter_test in
+      List.iter
+        (fun part ->
+          let path =
+            Filename.concat (Filename.concat dir "parts")
+              (Fmt.str "%04d.part" (Check.partition_index part))
+          in
+          Out_channel.with_open_bin path (fun oc ->
+              Out_channel.output_string oc
+                (Fmt.str "lineup-shard/%d\n%s\n%s" stale fingerprint (Marshal.to_string part []))))
+        parts;
+      Alcotest.(check bool) "parts were planted" true (parts <> []);
+      Alcotest.(check int) "no stale part loads" 0
+        (List.length (Store.load_parts ~dir ~fingerprint)))
+
 let store_suite =
   [
     test "fingerprint keys the sweep, not the domain count" (fun () ->
@@ -160,32 +185,16 @@ let store_suite =
             let loaded = Store.load_parts ~dir ~fingerprint in
             Alcotest.(check int) "only the valid checkpoints load" (List.length parts)
               (List.length loaded)));
-    test "checkpoints stamped with format version 2 are skipped" (fun () ->
-        (* Version 3 changed the marshaled partition type (the dedup table);
-           a version-2 part must read as stale, never be unmarshaled as the
-           new type. *)
-        Alcotest.(check int) "current format version" 3 Store.format_version;
-        with_temp_dir (fun dir ->
-            let adapter = Conc.Counters.correct in
-            let fingerprint =
-              Store.fingerprint ~config ~adapter:adapter.Adapter.name ~test:counter_test
-            in
-            Store.init_dir ~dir ~fingerprint;
-            let _, _, _, parts = shard_run ~order:Fun.id adapter counter_test in
-            List.iter
-              (fun part ->
-                let path =
-                  Filename.concat (Filename.concat dir "parts")
-                    (Fmt.str "%04d.part" (Check.partition_index part))
-                in
-                Out_channel.with_open_bin path (fun oc ->
-                    Out_channel.output_string oc
-                      (Fmt.str "lineup-shard/2\n%s\n%s" fingerprint (Marshal.to_string part []))))
-              parts;
-            Alcotest.(check bool) "parts were planted" true (parts <> []);
-            Alcotest.(check int) "no version-2 part loads" 0
-              (List.length (Store.load_parts ~dir ~fingerprint))));
   ]
+  @ List.map
+      (fun stale ->
+        test (Fmt.str "checkpoints stamped with format version %d are skipped" stale) (fun () ->
+            (* Version 3 changed the marshaled partition type (the dedup
+               table); version 4 changed the execution counts of bounded
+               weak-memory --por partitions. An older part must read as
+               stale, never be unmarshaled or merged into a newer sweep. *)
+            stale_version_skipped stale))
+      [ 2; 3 ]
 
 (* ---------------- wire protocol ---------------- *)
 
