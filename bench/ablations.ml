@@ -262,8 +262,8 @@ let dedup opts =
       (match bench_metrics () with
        | Some agg -> Metrics.merge_into ~into:agg m
        | None -> ());
-      let distinct = Metrics.get m "check.phase2.histories_distinct" in
-      let hits = Metrics.get m "check.phase2.dedup_hits" in
+      let distinct = Metrics.get m "analyze.lineup.histories_distinct" in
+      let hits = Metrics.get m "analyze.lineup.dedup_hits" in
       let total = distinct + hits in
       Fmt.pr "%-50s %9d %9d %8.1f%%@." name distinct hits
         (if total = 0 then 0.0 else 100.0 *. float hits /. float total))

@@ -400,8 +400,8 @@ let membership_arg =
            they do not apply), $(b,generic) (always the generic search), or $(b,monitor) \
            (force the spec path, including the direct Wing-Gong search, with generic only as \
            a last resort). Every mode consumes the same enumerated histories: the verdict, \
-           the distinct-history count and $(b,check.phase2.histories_fingerprint) are \
-           identical — only wall-clock time changes.")
+           the distinct-history count and $(b,analyze.lineup.histories_fingerprint) \
+           are identical — only wall-clock time changes.")
 
 let memory_conv =
   let parse s =
@@ -459,9 +459,9 @@ let check_jobs_arg =
            schedule tree, and each prefix subtree is explored as an independent partition. \
            The verdict, report and metrics are identical for every value of $(docv) (the \
            partition set and its merge order are fixed by the frontier, not the domain \
-           count). When omitted, phase 2 runs the legacy single-domain exploration, whose \
-           metrics differ slightly from $(b,-j 1): dedup tables are per partition under \
-           $(b,-j).")
+           count). When omitted, phase 2 runs as one partition (a depth-0 frontier) on the \
+           calling domain, whose metrics differ slightly from $(b,-j 1), which splits at \
+           $(b,--frontier-depth): dedup tables are per partition.")
 
 let frontier_depth_arg =
   Arg.(

@@ -11,13 +11,12 @@
 
     An analyzer is a first-class module with:
     - a mutable [state], stepped once per explored execution;
-    - a [merge] on states, used by the frontier-split parallel path
-      ([check -j]): each partition accumulates into a fresh state and the
-      per-partition states are merged {e in frontier order} on the calling
-      domain. Pure accumulators (sets of findings, counters) must make
-      [merge] order-insensitive; verdict-carrying analyzers may resolve
-      ties left-to-first, which the fixed frontier order makes
-      deterministic;
+    - a [merge] on states: each frontier partition accumulates into a
+      fresh state and the per-partition states are merged {e in frontier
+      order} on the calling domain. Pure accumulators (sets of findings,
+      counters) must make [merge] order-insensitive; verdict-carrying
+      analyzers may resolve ties left-to-first, which the fixed frontier
+      order makes deterministic;
     - a deterministic [render] and [metrics]: both must be functions of
       the merged state only (no wall-clock, no hash-order dependence), so
       the output is byte-identical for every domain count;
@@ -37,7 +36,9 @@ module type S = sig
   (** Identity witness for [state] — lets the pipeline re-pair partition
       states of the same analyzer across the existential boundary
       ({!project}, {!merge}). Create one per analyzer value with
-      [Stdlib.Type.Id.make ()]. *)
+      [Stdlib.Type.Id.make ()]; analyzers that share a state type and its
+      [merge] may share one (every Line-Up analyzer does, so a shard merge
+      can repack marshaled states). *)
 
   val name : string
   (** Short stable identifier; keys the [analyze.<name>.*] metrics. *)

@@ -136,7 +136,6 @@ let never_cancelled () = false
 (* Counter ingestion. All values are sums of ints over a deterministic job
    set, so per-job registries merge to -j-independent totals; wall-clock
    stays out of the metrics and goes to the trace stream instead. *)
-let add_explore_stats = Pipeline.add_explore_stats
 let mincr metrics k = match metrics with Some m -> Metrics.incr m k | None -> ()
 
 let trace_phase phase (report : phase_report) =
@@ -147,6 +146,26 @@ let trace_phase phase (report : phase_report) =
         "executions", Trace.Int report.stats.Explore.executions;
         "dt", Trace.Float report.time;
       ]
+
+let ingest_phase1 ?metrics (phase1 : phase_report) =
+  (match metrics with
+   | Some m ->
+     Pipeline.add_explore_stats m ~prefix:"phase1" phase1.stats;
+     Metrics.add m "check.phase1.histories" phase1.histories
+   | None -> ());
+  trace_phase "phase1" phase1
+
+(* Every check ends by counting itself and its verdict. *)
+let count_run metrics verdict =
+  mincr metrics "check.runs";
+  match verdict with
+  | Pass -> mincr metrics "check.passes"
+  | Fail _ -> mincr metrics "check.violations"
+  | Cancelled -> mincr metrics "check.cancelled"
+
+let phase1_failed ?metrics verdict phase1 =
+  count_run metrics verdict;
+  { verdict; observation = Observation.create (); phase1; phase2 = None; analyses = [] }
 
 (* Phase 1: enumerate serial executions, synthesize the specification. *)
 let synthesize ?(config = default_config) ?(cancelled = never_cancelled) ?metrics adapter test =
@@ -186,12 +205,7 @@ let synthesize ?(config = default_config) ?(cancelled = never_cancelled) ?metric
       time = now () -. p1_start;
     }
   in
-  (match metrics with
-   | Some m ->
-     add_explore_stats m ~prefix:"phase1" p1_stats;
-     Metrics.add m "check.phase1.histories" phase1.histories
-   | None -> ());
-  trace_phase "phase1" phase1;
+  ingest_phase1 ?metrics phase1;
   match !p1_violation with
   | Some v -> Error (Fail v, phase1)
   | None ->
@@ -235,10 +249,9 @@ end
 (* The Line-Up phase-2 history check, expressed as an analyzer so that the
    pipeline can drive it — alone (a plain [run]) or alongside the §5.6
    comparison checkers ([compare]) — over a single exploration. One state
-   exists per exploration: a single one on the monolithic path, one per
-   frontier partition on the parallel path (each partition job runs on its
-   own domain, so the cells and the dedup table are never shared; states
-   merge in frontier order, first violation winning). *)
+   exists per frontier partition (each partition job runs on its own
+   domain or process, so the cells and the dedup table are never shared;
+   states merge in frontier order, first violation winning). *)
 type p2_state = {
   mutable found : violation option;
   mutable histories : int;
@@ -414,35 +427,41 @@ let p2_counters st =
     "violation", (if st.found = None then 0 else 1);
   ]
 
-let lineup_analyzer config ~observation ~spec ~init:init_seq =
-  let sid = Stdlib.Type.Id.make () in
+(* One identity for every Line-Up state: the pipeline merges and projects
+   states by it, and a shard merge repacks marshaled states under it. *)
+let lineup_id : p2_state Stdlib.Type.Id.t = Stdlib.Type.Id.make ()
+
+(* The Line-Up analyzer over states already stepped elsewhere: what a shard
+   merge repacks partition states as. Only [lineup_analyzer] steps. *)
+module Lineup_state = struct
+  type state = p2_state
+
+  let id = lineup_id
+  let name = "lineup"
+  let needs_log = false
+  let init = p2_init
+  let step _ _ = invalid_arg "Check: a merged Line-Up state is not stepped"
+  let merge = p2_merge
+  let metrics = p2_counters
+
+  let render st =
+    match st.found with
+    | None -> Fmt.str "line-up: no violation in %d distinct histories\n" st.histories
+    | Some v -> Fmt.str "line-up: %a\n" pp_violation v
+
+  let violation st = st.found <> None
+end
+
+let lineup_analyzer config ~observation ~(adapter : Adapter.t) ~(test : Test_matrix.t) =
   let module A = struct
-    type state = p2_state
+    include Lineup_state
 
-    let id = sid
-    let name = "lineup"
-    let needs_log = false
-    let init = p2_init
-    let step st r = p2_step config ~observation ~spec ~init:init_seq st r
-    let merge = p2_merge
-    let metrics = p2_counters
-
-    let render st =
-      match st.found with
-      | None -> Fmt.str "line-up: no violation in %d distinct histories\n" st.histories
-      | Some v -> Fmt.str "line-up: %a\n" pp_violation v
-
-    let violation st = st.found <> None
+    let step st r = p2_step config ~observation ~spec:adapter.spec ~init:test.init st r
   end in
-  (Analyzer.T (module A), sid)
+  Analyzer.T (module A)
 
-(* The legacy metric keys of the phase-2 checker, kept alongside the
-   pipeline's [analyze.lineup.*] projection of the same counters. *)
-let add_checker_counters m (st : p2_state) =
-  List.iter
-    (fun (k, v) ->
-      if k <> "violation" then Metrics.add m ("check.phase2." ^ k) v)
-    (p2_counters st)
+(* The Line-Up analyzer is always attached first. *)
+let lineup_state packs = Option.get (Analyzer.project (List.hd packs) lineup_id)
 
 let analysis_of pack =
   {
@@ -452,11 +471,24 @@ let analysis_of pack =
     a_metrics = Analyzer.metrics pack;
   }
 
-(* One pipeline run over the concurrent schedules of [test]. *)
-let run_pipeline config ~cancelled ~metrics ~analyzers ~adapter ~test =
-  Pipeline.run ?domains:config.phase2_domains
-    ~frontier_depth:config.phase2_frontier_depth ~cancelled ?metrics config.phase2 ~analyzers
-    ~adapter ~test ()
+(* The tail of every completed phase 2, local run and shard merge alike. *)
+let finish ?metrics ~observation ~phase1 ~p2_start (rep : Pipeline.report) =
+  let st = lineup_state rep.packs in
+  let phase2 = { stats = rep.stats; histories = st.histories; time = now () -. p2_start } in
+  trace_phase "phase2" phase2;
+  let verdict =
+    match st.found with
+    | Some v -> Fail v
+    | None -> if rep.interrupted then Cancelled else Pass
+  in
+  count_run metrics verdict;
+  {
+    verdict;
+    observation;
+    phase1;
+    phase2 = Some phase2;
+    analyses = List.map analysis_of (List.tl rep.packs);
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Multi-process sharding: serializable phase-2 partitions              *)
@@ -478,127 +510,43 @@ type p2_partition = {
 let partition_index p = p.pp_index
 let partition_stop p = p.pp_done || p.pp_interrupted
 let partition_executions p = p.pp_stats.Explore.executions
-let partition_distinct p = p.pp_state.histories
 
-let split_frontier ?(config = default_config) ?(cancelled = never_cancelled) adapter test =
-  let interrupted = ref false in
-  let frontier =
-    Harness.split_phase config.phase2 ~depth:config.phase2_frontier_depth ~adapter ~test
-      ~on_history:(fun _ ->
-        if cancelled () then begin
-          interrupted := true;
-          `Stop
-        end
-        else `Continue)
-  in
-  (frontier, !interrupted)
+let split_frontier ?(config = default_config) ?cancelled adapter test =
+  Pipeline.frontier ?cancelled config.phase2 ~depth:config.phase2_frontier_depth ~adapter ~test
 
-(* Exactly the per-partition job of [Pipeline.run_frontier] specialized to
-   the Line-Up analyzer (the only analyzer of a plain [run], so access
-   logging is off): replay [prefix] frozen, enumerate its subtree, step the
-   phase-2 state on each history, stop at the first violation. Running this
-   in another process against the same adapter, test, observation and
-   config produces the same [p2_partition] the in-process [-j] path feeds
-   its merge — that is the sharding determinism contract. *)
-let run_partition ?(config = default_config) ?(cancelled = never_cancelled) ~observation ~index
-    ~prefix adapter test =
-  let st = p2_init () in
-  let done_ = ref false in
-  let interrupted = ref false in
-  let stats =
-    Harness.run_phase_from ~log:false config.phase2 ~prefix ~adapter ~test
-      ~on_history:(fun r ->
-        if cancelled () then begin
-          interrupted := true;
-          `Stop
-        end
-        else
-          match
-            p2_step config ~observation ~spec:adapter.Adapter.spec ~init:test.Test_matrix.init
-              st r
-          with
-          | `Done ->
-            done_ := true;
-            `Stop
-          | `Continue -> `Continue)
+let run_partition ?(config = default_config) ?cancelled ~observation ~index ~prefix adapter test =
+  let p =
+    Pipeline.run_partition ?cancelled config.phase2
+      ~analyzers:[ lineup_analyzer config ~observation ~adapter ~test ]
+      ~adapter ~test ~index ~prefix
   in
   {
     pp_index = index;
-    pp_state = { st with seen = Distinct.create 1 };
-    pp_stats = stats;
-    pp_done = !done_;
-    pp_interrupted = !interrupted;
+    pp_state = { (lineup_state p.pt_packs) with seen = Distinct.create 1 };
+    pp_stats = p.pt_stats;
+    pp_done = p.pt_all_done;
+    pp_interrupted = p.pt_interrupted;
   }
 
-let ingest_phase1 ?metrics (phase1 : phase_report) =
-  (match metrics with
-   | Some m ->
-     add_explore_stats m ~prefix:"phase1" phase1.stats;
-     Metrics.add m "check.phase1.histories" phase1.histories
-   | None -> ());
-  trace_phase "phase1" phase1
-
-(* Resume-aware frontier-order merge: [partitions] is whatever completed —
-   any order, possibly more than needed (checkpoints past an early
-   violation are ignored, not trusted). The deterministic prefix rule of
-   [Pool.map_seq] is re-applied here: keep partitions up to and including
-   the earliest one that stopped (violation or interruption), which makes
-   the merged verdict, report and metrics a function of the frontier alone
-   — byte-identical to the single-process [-j] run, and independent of
-   completion order, retries, or how many runs it took to gather the
-   checkpoints. *)
 let merge_partitions ?metrics ?(warmup_interrupted = false) ~observation ~phase1
     ~(frontier : Explore.frontier) partitions =
-  mincr metrics "check.runs";
   let p2_start = now () in
-  let sorted = List.sort (fun a b -> Int.compare a.pp_index b.pp_index) partitions in
-  let cut =
-    List.fold_left
-      (fun acc p -> if partition_stop p && p.pp_index < acc then p.pp_index else acc)
-      max_int sorted
+  let repack p =
+    {
+      Pipeline.pt_index = p.pp_index;
+      pt_stats = p.pp_stats;
+      pt_packs = [ Analyzer.Packed ((module Lineup_state), p.pp_state) ];
+      pt_all_done = p.pp_done;
+      pt_interrupted = p.pp_interrupted;
+    }
   in
-  let kept = if warmup_interrupted then [] else List.filter (fun p -> p.pp_index <= cut) sorted in
-  let st =
-    match kept with
-    | [] -> p2_init ()
-    | p0 :: rest -> List.fold_left (fun acc p -> p2_merge acc p.pp_state) p0.pp_state rest
-  in
-  let stats =
-    List.fold_left (fun acc p -> Explore.merge_stats acc p.pp_stats) frontier.Explore.warmup kept
-  in
-  let interrupted = warmup_interrupted || List.exists (fun p -> p.pp_interrupted) kept in
-  (match metrics with
-   | Some m ->
-     add_explore_stats m ~prefix:"phase2" frontier.Explore.warmup;
-     Metrics.add m "explore.phase2.partitions" (List.length frontier.Explore.prefixes);
-     Metrics.add m "explore.phase2.warmup_executions"
-       frontier.Explore.warmup.Explore.executions;
-     List.iteri
-       (fun i p ->
-         add_explore_stats m ~prefix:"phase2" p.pp_stats;
-         Metrics.add m
-           (Fmt.str "explore.phase2.partition.%03d.executions" i)
-           p.pp_stats.Explore.executions)
-       kept;
-     List.iter (fun (k, v) -> Metrics.add m ("analyze.lineup." ^ k) v) (p2_counters st);
-     add_checker_counters m st
-   | None -> ());
-  let phase2 = { stats; histories = st.histories; time = now () -. p2_start } in
-  trace_phase "phase2" phase2;
-  let verdict =
-    match st.found with
-    | Some v -> Fail v
-    | None -> if interrupted then Cancelled else Pass
-  in
-  (match verdict with
-   | Pass -> mincr metrics "check.passes"
-   | Fail _ -> mincr metrics "check.violations"
-   | Cancelled -> mincr metrics "check.cancelled");
-  { verdict; observation; phase1; phase2 = Some phase2; analyses = [] }
+  Pipeline.merge ?metrics ~warmup_interrupted
+    ~analyzers:[ Analyzer.T (module Lineup_state) ]
+    frontier (List.map repack partitions)
+  |> finish ?metrics ~observation ~phase1 ~p2_start
 
 let run ?(config = default_config) ?(cancelled = never_cancelled) ?metrics ?observation
     ?(analyzers = []) adapter test =
-  mincr metrics "check.runs";
   let phase1_result =
     match observation with
     | Some obs ->
@@ -607,51 +555,22 @@ let run ?(config = default_config) ?(cancelled = never_cancelled) ?metrics ?obse
       Ok (obs, { stats = Explore.empty_stats; histories; time = 0.0 })
     | None -> synthesize ~config ~cancelled ?metrics adapter test
   in
+  let run_pipeline analyzers =
+    Pipeline.run ?domains:config.phase2_domains ~frontier_depth:config.phase2_frontier_depth
+      ~cancelled ?metrics config.phase2 ~analyzers ~adapter ~test ()
+  in
   match phase1_result with
   | Error (verdict, phase1) ->
-    (match verdict with
-     | Fail _ -> mincr metrics "check.violations"
-     | Cancelled -> mincr metrics "check.cancelled"
-     | Pass -> ());
     (* Attached analyzers still get their single exploration of the
        concurrent schedules: a failed synthesis is a Line-Up verdict, not a
        reason to drop the race/serializability findings of [compare]. *)
     let analyses =
-      if analyzers = [] then []
-      else
-        let rep = run_pipeline config ~cancelled ~metrics ~analyzers ~adapter ~test in
-        List.map analysis_of rep.Pipeline.packs
+      if analyzers = [] then [] else List.map analysis_of (run_pipeline analyzers).packs
     in
-    { verdict; observation = Observation.create (); phase1; phase2 = None; analyses }
+    { (phase1_failed ?metrics verdict phase1) with analyses }
   | Ok (observation, phase1) ->
     (* Phase 2: enumerate concurrent executions once, drive the Line-Up
        analyzer — plus any attached extra analyzers — over each. *)
     let p2_start = now () in
-    let lineup, lineup_id =
-      lineup_analyzer config ~observation ~spec:adapter.Adapter.spec
-        ~init:test.Test_matrix.init
-    in
-    let rep =
-      run_pipeline config ~cancelled ~metrics ~analyzers:(lineup :: analyzers) ~adapter ~test
-    in
-    let st =
-      match rep.Pipeline.packs with
-      | lineup_pack :: _ -> Option.get (Analyzer.project lineup_pack lineup_id)
-      | [] -> assert false
-    in
-    (match metrics with Some m -> add_checker_counters m st | None -> ());
-    let phase2 =
-      { stats = rep.Pipeline.stats; histories = st.histories; time = now () -. p2_start }
-    in
-    trace_phase "phase2" phase2;
-    let verdict =
-      match st.found with
-      | Some v -> Fail v
-      | None -> if rep.Pipeline.interrupted then Cancelled else Pass
-    in
-    (match verdict with
-     | Pass -> mincr metrics "check.passes"
-     | Fail _ -> mincr metrics "check.violations"
-     | Cancelled -> mincr metrics "check.cancelled");
-    let analyses = List.map analysis_of (List.tl rep.Pipeline.packs) in
-    { verdict; observation; phase1; phase2 = Some phase2; analyses }
+    run_pipeline (lineup_analyzer config ~observation ~adapter ~test :: analyzers)
+    |> finish ?metrics ~observation ~phase1 ~p2_start

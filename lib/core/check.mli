@@ -53,11 +53,12 @@ type config = {
       (** [Some d]: fan phase 2 out over [d] domains by frontier splitting —
           a sequential warm-up enumerates the decision prefixes of length
           [phase2_frontier_depth], then each prefix subtree is explored as an
-          independent partition with its own adapter instances, dedup table
-          and metrics registry, merged deterministically in frontier order
-          (the verdict, statistics and metrics are independent of [d]; see
-          DESIGN.md). [None] (default): the single-domain exploration.
-          Note [Some 1] still uses the frontier path — per-partition dedup
+          independent partition with its own adapter instances and dedup
+          table, merged deterministically in frontier order (the verdict,
+          statistics and metrics are independent of [d]; see DESIGN.md).
+          [None] (default): the same path at frontier depth 0 — one
+          partition, the whole tree, on the calling domain. Note [Some 1]
+          still splits at [phase2_frontier_depth] — per-partition dedup
           tables make its metrics differ slightly from [None]. *)
   phase2_frontier_depth : int;
       (** decision-prefix length of the frontier warm-up (default 4); only
@@ -161,13 +162,14 @@ val pp_violation : Format.formatter -> violation -> unit
 
     [metrics], here and in {!run}, receives the structured counters of the
     observability layer (see README.md for the key schema): exploration
-    totals per phase under [explore.phase1.*] / [explore.phase2.*], and
-    checker-level counters under [check.*] (distinct histories, dedup hits,
-    witness-search probes, stuck-justification checks, verdicts). Counters
-    are plain increments outside the modeled runtime, so collection never
-    perturbs schedule enumeration; wall-clock timings are excluded (they
-    would break [-j] determinism) and are emitted on the opt-in
-    {!Lineup_observe.Trace} stream instead. *)
+    totals per phase under [explore.phase1.*] / [explore.phase2.*], the
+    phase-2 Line-Up counters under [analyze.lineup.*] (distinct histories,
+    dedup hits, witness-search probes, stuck-justification checks), and
+    run and verdict counts under [check.*]. Counters are plain increments
+    outside the modeled runtime, so collection never perturbs schedule
+    enumeration; wall-clock timings are excluded (they would break [-j]
+    determinism) and are emitted on the opt-in {!Lineup_observe.Trace}
+    stream instead. *)
 val synthesize :
   ?config:config ->
   ?cancelled:(unit -> bool) ->
@@ -190,9 +192,10 @@ val synthesize :
     stop condition; callers that surface the result must treat [Cancelled]
     as "no verdict", never as a pass.
 
-    When [config.phase2_domains] is [Some d], phase 2 runs the frontier
-    path (see {!config}); the verdict, report and metrics are identical
-    for every [d].
+    Phase 2 is one {!Pipeline.run}: a frontier of depth
+    [config.phase2_frontier_depth] when [config.phase2_domains] is
+    [Some d], depth 0 otherwise (see {!config}); the verdict, report and
+    metrics are identical for every [d].
 
     [analyzers] attaches extra per-execution analyzers (the §5.6/§5.7
     comparison checkers) to the phase-2 exploration: the pipeline drives
@@ -216,6 +219,11 @@ val run :
   Test_matrix.t ->
   result
 
+(** [phase1_failed ?metrics verdict phase1] is the result of a check that
+    stopped in phase 1 — the [Error] of {!synthesize} — with the run and
+    its verdict counted into [metrics] as {!run} counts them. *)
+val phase1_failed : ?metrics:Lineup_observe.Metrics.t -> verdict -> phase_report -> result
+
 (** {1 Phase-2 dedup}
 
     The table of distinct histories one phase-2 exploration has checked
@@ -238,13 +246,13 @@ end
 (** {1 Multi-process sharding}
 
     The building blocks of [lineup shard-server]/[shard-worker]
-    (lib/shard): phase 2 split into self-contained partition jobs whose
-    results are pure data — marshalable across a process boundary or to a
-    checkpoint file — and a resume-aware merge that reproduces the
-    in-process frontier path ({!run} with [phase2_domains = Some j])
-    byte-for-byte: same verdict, same report, same metrics registry, for
-    any assignment of partitions to workers, any completion order, and any
-    number of crash/resume cycles. *)
+    (lib/shard): the three steps of {!Pipeline.run} with the Line-Up
+    analyzer's state as data, so that a partition result can be marshaled
+    across a process boundary or to a checkpoint file. The merge
+    reproduces the in-process frontier path ({!run} with
+    [phase2_domains = Some j]) byte-for-byte: same verdict, same report,
+    same metrics registry, for any assignment of partitions to workers,
+    any completion order, and any number of crash/resume cycles. *)
 
 (** One frontier partition's completed phase-2 result. Contains no
     closures, channels or adapter state: safe to [Marshal]. *)
@@ -255,13 +263,10 @@ val partition_stop : p2_partition -> bool
 (** the partition stopped the sweep: violation found or interrupted *)
 
 val partition_executions : p2_partition -> int
-val partition_distinct : p2_partition -> int
-(** distinct histories checked within the partition (pre-merge) *)
 
-(** [split_frontier ?config ?cancelled adapter test] runs the phase-2
-    frontier warm-up exactly as the in-process frontier path does (depth
-    [config.phase2_frontier_depth], analyzers not stepped) and returns the
-    frontier plus whether the warm-up was interrupted. *)
+(** [split_frontier ?config ?cancelled adapter test] is {!Pipeline.frontier}
+    at depth [config.phase2_frontier_depth]: the frontier plus whether the
+    warm-up was interrupted. *)
 val split_frontier :
   ?config:config ->
   ?cancelled:(unit -> bool) ->
@@ -270,9 +275,8 @@ val split_frontier :
   Lineup_scheduler.Explore.frontier * bool
 
 (** [run_partition ?config ?cancelled ~observation ~index ~prefix adapter
-    test] explores one partition subtree — the per-partition job of the
-    in-process frontier path specialized to the Line-Up analyzer — and
-    returns its serializable result. Deterministic given ([config],
+    test] is {!Pipeline.run_partition} with the Line-Up analyzer alone,
+    returning its state as data. Deterministic given ([config],
     [observation], [test], [prefix]): a worker process computing this
     remotely produces the same value as the local domain would. *)
 val run_partition :
@@ -285,19 +289,18 @@ val run_partition :
   Test_matrix.t ->
   p2_partition
 
-(** [ingest_phase1 ?metrics phase1] re-emits the phase-1 counters of a
-    checkpointed {!phase_report} into [metrics] exactly as {!synthesize}
-    would have — used by [--resume] so the final registry is byte-identical
-    to an uninterrupted run. *)
+(** [ingest_phase1 ?metrics phase1] emits the phase-1 counters and trace
+    event of a {!phase_report} — what {!synthesize} emits, re-emitted from
+    a checkpoint by [--resume] so the final registry is byte-identical to
+    an uninterrupted run. *)
 val ingest_phase1 : ?metrics:Lineup_observe.Metrics.t -> phase_report -> unit
 
-(** [merge_partitions ?config ?metrics ?warmup_interrupted ~observation
-    ~phase1 ~frontier partitions] merges completed partitions in canonical
-    frontier order into a {!result}, re-applying the deterministic prefix
-    rule of the in-process pool (partitions past the earliest stopping one
-    are ignored even if checkpointed). Emits the same metric keys and
-    values as {!run} on the frontier path. [partitions] may arrive in any
-    order; duplicates must not be passed. *)
+(** [merge_partitions ?metrics ?warmup_interrupted ~observation ~phase1
+    ~frontier partitions] repacks the partition states for {!Pipeline.merge}
+    and finishes the check exactly as {!run} does: same result, same
+    metric keys and values as the frontier path. [partitions] may arrive
+    in any order and may include partitions past the earliest stopping
+    one (they are ignored, not trusted); duplicates must not be passed. *)
 val merge_partitions :
   ?metrics:Lineup_observe.Metrics.t ->
   ?warmup_interrupted:bool ->

@@ -78,9 +78,9 @@ let run_phase ?log ?admit cfg ~adapter ~test ~on_history =
   let setup, on_execution = callbacks ~adapter ~test ~on_history in
   scoped_log log (fun () -> Explore.explore cfg ?admit ~setup ~on_execution ())
 
-let split_phase ?log cfg ~depth ~adapter ~test ~on_history =
+let split_phase cfg ~depth ~adapter ~test ~on_history =
   let setup, on_execution = callbacks ~adapter ~test ~on_history in
-  scoped_log log (fun () -> Explore.split cfg ~depth ~setup ~on_execution)
+  Explore.split cfg ~depth ~setup ~on_execution
 
 let run_phase_from ?log ?admit cfg ~prefix ~adapter ~test ~on_history =
   let setup, on_execution = callbacks ~adapter ~test ~on_history in

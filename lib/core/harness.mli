@@ -20,13 +20,13 @@ type run_result = {
     [test] under [cfg] and reports each execution's history. Returning
     [`Stop] aborts the exploration.
 
-    [log] (here and in the variants below): scope the shared-access
-    logging flag of {!Lineup_runtime.Exec_ctx} around the exploration —
-    [~log:true] enables it, [~log:false] disables it, and either way the
-    previous setting is restored on return {e and} on exception. When
-    omitted the flag is left untouched. The analysis pipeline passes
-    [~log:true] exactly when some attached analyzer reads the access
-    log.
+    [log] (here, in {!run_phase_from} and in {!run_phase_random}): scope
+    the shared-access logging flag of {!Lineup_runtime.Exec_ctx} around
+    the exploration — [~log:true] enables it, [~log:false] disables it,
+    and either way the previous setting is restored on return {e and} on
+    exception. When omitted the flag is left untouched. The analysis
+    pipeline passes [~log:true] exactly when some attached analyzer reads
+    the access log.
 
     [admit] (here and in {!run_phase_from}): forwarded to the explorer's
     admission filter — executions it rejects are counted in
@@ -48,7 +48,6 @@ val run_phase :
     is meant to be explored by {!run_phase_from}, possibly on another
     domain with its own adapter instances. *)
 val split_phase :
-  ?log:bool ->
   Lineup_scheduler.Explore.config ->
   depth:int ->
   adapter:Adapter.t ->

@@ -1,5 +1,4 @@
 module Explore = Lineup_scheduler.Explore
-module Exec_ctx = Lineup_runtime.Exec_ctx
 module Metrics = Lineup_observe.Metrics
 module Trace = Lineup_observe.Trace
 module Pool = Lineup_parallel.Pool
@@ -8,6 +7,14 @@ type report = {
   packs : Analyzer.packed list;
   stats : Explore.stats;
   interrupted : bool;
+}
+
+type partition = {
+  pt_index : int;
+  pt_stats : Explore.stats;
+  pt_packs : Analyzer.packed list;
+  pt_all_done : bool;
+  pt_interrupted : bool;
 }
 
 let add_explore_stats m ~prefix (s : Explore.stats) =
@@ -35,157 +42,118 @@ let add_analyzer_metrics m pack =
     (Analyzer.metrics pack)
 
 let never_cancelled () = false
+let stopped p = p.pt_all_done || p.pt_interrupted
 
-(* One fleet of running analyzers: the packed states plus a done-latch per
-   analyzer. A done analyzer is never stepped again; the exploration stops
-   once every latch is set. *)
-type fleet = {
-  fl_packs : Analyzer.packed array;
-  fl_done : bool array;
-}
-
-let fleet_make analyzers =
-  {
-    fl_packs = Array.of_list (List.map Analyzer.fresh analyzers);
-    fl_done = Array.make (List.length analyzers) false;
-  }
-
-let fleet_step fl r =
-  Array.iteri
-    (fun i p ->
-      if not fl.fl_done.(i) then
-        match Analyzer.step p r with `Done -> fl.fl_done.(i) <- true | `Continue -> ())
-    fl.fl_packs
-
-let fleet_all_done fl = Array.for_all Fun.id fl.fl_done
-
-(* The single-domain path: one exploration, one fleet. *)
-let run_monolithic config ~log ~cancelled ~analyzers ~adapter ~test =
-  let fl = fleet_make analyzers in
+(* The warm-up runs on the calling domain and steps no analyzer: each
+   warm-up execution is re-executed as the leftmost leaf of its partition,
+   where it is consumed in canonical order. *)
+let frontier ?(cancelled = never_cancelled) config ~depth ~adapter ~test =
   let interrupted = ref false in
+  let frontier =
+    Harness.split_phase config ~depth ~adapter ~test ~on_history:(fun _ ->
+        if cancelled () then begin
+          interrupted := true;
+          `Stop
+        end
+        else `Continue)
+  in
+  (frontier, !interrupted)
+
+(* One partition job: fresh analyzer states, a done-latch per analyzer (a
+   done analyzer is never stepped again; the partition stops once every
+   latch is set). The job wraps its exploration in [with_logging] because
+   the flag is domain-local. *)
+let run_partition ?(cancelled = never_cancelled) config ~analyzers ~adapter ~test ~index ~prefix =
+  let t0 = Lineup_observe.Monotonic.now () in
+  let packs = Array.of_list (List.map Analyzer.fresh analyzers) in
+  let done_ = Array.make (Array.length packs) false in
+  let all_done () = Array.for_all Fun.id done_ in
+  let interrupted = ref false in
+  let log = List.exists Analyzer.needs_log analyzers in
   let stats =
-    Harness.run_phase ~log config ~adapter ~test ~on_history:(fun r ->
+    Harness.run_phase_from ~log config ~prefix ~adapter ~test ~on_history:(fun r ->
         if cancelled () then begin
           interrupted := true;
           `Stop
         end
         else begin
-          fleet_step fl r;
-          if fleet_all_done fl then `Stop else `Continue
+          Array.iteri
+            (fun i p ->
+              if not done_.(i) then
+                match Analyzer.step p r with `Done -> done_.(i) <- true | `Continue -> ())
+            packs;
+          if all_done () then `Stop else `Continue
         end)
   in
-  (Array.to_list fl.fl_packs, stats, !interrupted, [])
+  if Trace.enabled () then
+    Trace.emit "pipeline.partition"
+      [
+        "index", Trace.Int index;
+        "executions", Trace.Int stats.Explore.executions;
+        "dt", Trace.Float (Lineup_observe.Monotonic.now () -. t0);
+      ];
+  {
+    pt_index = index;
+    pt_stats = stats;
+    pt_packs = Array.to_list packs;
+    pt_all_done = all_done ();
+    pt_interrupted = !interrupted;
+  }
 
-type partition_result = {
-  pt_stats : Explore.stats;
-  pt_packs : Analyzer.packed array;
-  pt_all_done : bool;
-  pt_interrupted : bool;
-}
-
-(* The frontier path. The warm-up runs on the calling domain with logging
-   off (analyzers do not step on warm-up executions — each is re-executed
-   as the leftmost leaf of its partition, where it is consumed in canonical
-   order); every partition job wraps its own exploration in [with_logging]
-   because the flag is domain-local. Determinism: the frontier is fixed
-   before any partition runs, [Pool.map_seq] returns the submission-order
-   prefix of partition results up to the earliest stopping one regardless
-   of [domains], and the fold below merges analyzer states in frontier
-   order — so the merged states are a function of the frontier alone. *)
-let run_frontier config ~domains ~depth ~log ~cancelled ~analyzers ~adapter ~test =
-  let warmup_interrupted = ref false in
-  let frontier =
-    Harness.split_phase config ~depth ~adapter ~test ~on_history:(fun _r ->
-        if cancelled () then begin
-          warmup_interrupted := true;
-          `Stop
-        end
-        else `Continue)
+(* Determinism: the kept partitions are the contiguous frontier prefix up
+   to the earliest stopping one — [Pool.map_seq]'s rule, re-applied here so
+   that checkpoints gathered in any order, or past an early stop, merge
+   like an in-process run — and analyzer states fold in frontier order. So
+   the report and metrics are a function of the frontier alone. *)
+let merge ?metrics ~warmup_interrupted ~analyzers (frontier : Explore.frontier) partitions =
+  let sorted = List.sort (fun a b -> Int.compare a.pt_index b.pt_index) partitions in
+  let cut =
+    List.fold_left
+      (fun acc p -> if stopped p && p.pt_index < acc then p.pt_index else acc)
+      max_int sorted
   in
-  let run_partition ~cancelled:pool_cancelled (i, prefix) =
-    let t0 = Lineup_observe.Monotonic.now () in
-    let fl = fleet_make analyzers in
-    let interrupted = ref false in
-    let stats =
-      Harness.run_phase_from ~log config ~prefix ~adapter ~test ~on_history:(fun r ->
-          if pool_cancelled () || cancelled () then begin
-            interrupted := true;
-            `Stop
-          end
-          else begin
-            fleet_step fl r;
-            if fleet_all_done fl then `Stop else `Continue
-          end)
-    in
-    if Trace.enabled () then
-      Trace.emit "pipeline.partition"
-        [
-          "index", Trace.Int i;
-          "executions", Trace.Int stats.Explore.executions;
-          "dt", Trace.Float (Lineup_observe.Monotonic.now () -. t0);
-        ];
-    {
-      pt_stats = stats;
-      pt_packs = fl.fl_packs;
-      pt_all_done = fleet_all_done fl;
-      pt_interrupted = !interrupted;
-    }
-  in
-  let results =
-    if !warmup_interrupted then []
-    else
-      Pool.map_seq ~domains
-        ~stop:(fun p -> p.pt_all_done || p.pt_interrupted)
-        ~f:run_partition
-        (List.to_seq (List.mapi (fun i prefix -> i, prefix) frontier.Explore.prefixes))
-  in
+  let kept = if warmup_interrupted then [] else List.filter (fun p -> p.pt_index <= cut) sorted in
   let packs =
-    match results with
+    match kept with
     | [] -> List.map Analyzer.fresh analyzers
     | p0 :: rest ->
-      Array.to_list
-        (List.fold_left
-           (fun acc p -> Array.map2 Analyzer.merge acc p.pt_packs)
-           p0.pt_packs rest)
+      List.fold_left (fun acc p -> List.map2 Analyzer.merge acc p.pt_packs) p0.pt_packs rest
   in
   let stats =
-    List.fold_left
-      (fun acc p -> Explore.merge_stats acc p.pt_stats)
-      frontier.Explore.warmup results
-  in
-  let interrupted = !warmup_interrupted || List.exists (fun p -> p.pt_interrupted) results in
-  (packs, stats, interrupted, [ `Frontier (frontier, results) ])
-
-let run ?domains ?(frontier_depth = 4) ?(cancelled = never_cancelled) ?metrics
-    ?(metrics_prefix = "phase2") config ~analyzers ~adapter ~test () =
-  if analyzers = [] then invalid_arg "Pipeline.run: no analyzers attached";
-  let log = List.exists Analyzer.needs_log analyzers in
-  let packs, stats, interrupted, extra =
-    match domains with
-    | None -> run_monolithic config ~log ~cancelled ~analyzers ~adapter ~test
-    | Some domains ->
-      run_frontier config ~domains ~depth:frontier_depth ~log ~cancelled ~analyzers ~adapter
-        ~test
+    List.fold_left (fun acc p -> Explore.merge_stats acc p.pt_stats) frontier.Explore.warmup kept
   in
   (match metrics with
    | Some m ->
-     (match extra with
-      | [ `Frontier (frontier, results) ] ->
-        add_explore_stats m ~prefix:metrics_prefix frontier.Explore.warmup;
-        Metrics.add m
-          (Fmt.str "explore.%s.partitions" metrics_prefix)
-          (List.length frontier.Explore.prefixes);
-        Metrics.add m
-          (Fmt.str "explore.%s.warmup_executions" metrics_prefix)
-          frontier.Explore.warmup.Explore.executions;
-        List.iteri
-          (fun i p ->
-            add_explore_stats m ~prefix:metrics_prefix p.pt_stats;
-            Metrics.add m
-              (Fmt.str "explore.%s.partition.%03d.executions" metrics_prefix i)
-              p.pt_stats.Explore.executions)
-          results
-      | _ -> add_explore_stats m ~prefix:metrics_prefix stats);
+     let c k v = Metrics.add m ("explore.phase2." ^ k) v in
+     add_explore_stats m ~prefix:"phase2" frontier.Explore.warmup;
+     c "partitions" (List.length frontier.Explore.prefixes);
+     c "warmup_executions" frontier.Explore.warmup.Explore.executions;
+     List.iter
+       (fun p ->
+         add_explore_stats m ~prefix:"phase2" p.pt_stats;
+         c (Fmt.str "partition.%03d.executions" p.pt_index) p.pt_stats.Explore.executions)
+       kept;
      List.iter (add_analyzer_metrics m) packs
    | None -> ());
-  { packs; stats; interrupted }
+  {
+    packs;
+    stats;
+    interrupted = warmup_interrupted || List.exists (fun p -> p.pt_interrupted) kept;
+  }
+
+let run ?domains ?(frontier_depth = 4) ?(cancelled = never_cancelled) ?metrics config
+    ~analyzers ~adapter ~test () =
+  if analyzers = [] then invalid_arg "Pipeline.run: no analyzers attached";
+  let depth = match domains with None -> 0 | Some _ -> frontier_depth in
+  let frontier, warmup_interrupted = frontier ~cancelled config ~depth ~adapter ~test in
+  let partitions =
+    if warmup_interrupted then []
+    else
+      Pool.map_seq ?domains ~stop:stopped
+        ~f:(fun ~cancelled:pool_cancelled (index, prefix) ->
+          run_partition
+            ~cancelled:(fun () -> pool_cancelled () || cancelled ())
+            config ~analyzers ~adapter ~test ~index ~prefix)
+        (List.to_seq (List.mapi (fun i prefix -> i, prefix) frontier.Explore.prefixes))
+  in
+  merge ?metrics ~warmup_interrupted ~analyzers frontier partitions

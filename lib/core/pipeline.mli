@@ -7,15 +7,21 @@
     executions" Line-Up explores — and it is what makes [compare] pay one
     exploration instead of one per checker.
 
-    Determinism contract (same argument as the frontier-split checker):
+    Phase 2 has one path in three steps: {!frontier} splits the schedule
+    tree into decision-prefix partitions, {!run_partition} explores one of
+    them into fresh analyzer states, and {!merge} folds the results in
+    frontier order. {!run} chains them in process; the shard server chains
+    them across processes (through {!Check}'s sharding functions).
+
+    Determinism contract:
     - the exploration is the canonical enumeration, independent of the
       analyzer set (analyzers run between executions, outside the modeled
       runtime — they cannot perturb the schedule enumeration);
-    - with [domains] set, the tree is partitioned by the decision-prefix
-      frontier; each partition accumulates into fresh analyzer states on
-      its worker domain and the per-partition states are merged in
-      frontier order on the calling domain — so renders, violations and
-      metrics are identical for every domain count;
+    - the partitions' union is the schedule set
+      ({!Lineup_scheduler.Explore.split}), and {!merge} folds their states
+      in frontier order — so renders, violations and metrics depend on the
+      frontier depth, never on the domain count, completion order or
+      process layout;
     - access logging is enabled iff some attached analyzer [needs_log],
       scoped exception-safely per exploring domain
       ({!Lineup_runtime.Exec_ctx.with_logging}). *)
@@ -23,26 +29,73 @@
 type report = {
   packs : Analyzer.packed list;
       (** final (merged) analyzer states, in attachment order *)
-  stats : Lineup_scheduler.Explore.stats;
-      (** exploration totals (warm-up included on the frontier path) *)
+  stats : Lineup_scheduler.Explore.stats;  (** exploration totals, warm-up included *)
   interrupted : bool;  (** the [cancelled] token fired before completion *)
 }
 
-(** [run config ~analyzers ~adapter ~test ()] explores [test] once under
-    [config] and steps every analyzer on each execution. The exploration
-    stops early only when every analyzer reports [`Done] (or on
-    cancellation / the config's execution budget).
+(** One explored partition. *)
+type partition = {
+  pt_index : int;  (** position of the partition's prefix in the frontier *)
+  pt_stats : Lineup_scheduler.Explore.stats;
+  pt_packs : Analyzer.packed list;  (** its analyzer states, in attachment order *)
+  pt_all_done : bool;  (** every analyzer reported [`Done] *)
+  pt_interrupted : bool;  (** the [cancelled] token fired *)
+}
 
-    [domains]: fan the exploration out by frontier splitting (a
-    sequential depth-[frontier_depth] warm-up enumerates the decision
-    prefixes; each prefix subtree is one partition job). Analyzer states
-    are per partition and merged in frontier order; a partition where
-    every analyzer is done cancels later partitions ([Pool.map_seq]'s
-    deterministic prefix rule keeps the result independent of [domains]).
+(** [frontier ?cancelled config ~depth ~adapter ~test] runs the
+    depth-[depth] warm-up and returns the frontier plus whether
+    [cancelled] interrupted it. Depth 0 runs nothing: one empty prefix. *)
+val frontier :
+  ?cancelled:(unit -> bool) ->
+  Lineup_scheduler.Explore.config ->
+  depth:int ->
+  adapter:Adapter.t ->
+  test:Test_matrix.t ->
+  Lineup_scheduler.Explore.frontier * bool
 
-    [metrics] receives [explore.<metrics_prefix>.*] exploration counters
-    (default prefix ["phase2"], matching {!Check}) and, for each analyzer,
-    its own counters under [analyze.<name>.*].
+(** [run_partition ?cancelled config ~analyzers ~adapter ~test ~index
+    ~prefix] explores the subtree below [prefix], stepping fresh states of
+    every analyzer, until every analyzer is done, the subtree is exhausted
+    or [cancelled] fires. Deterministic given its arguments: a worker
+    process computes the states a local domain would. Emits one
+    [pipeline.partition] trace event. *)
+val run_partition :
+  ?cancelled:(unit -> bool) ->
+  Lineup_scheduler.Explore.config ->
+  analyzers:Analyzer.t list ->
+  adapter:Adapter.t ->
+  test:Test_matrix.t ->
+  index:int ->
+  prefix:Lineup_scheduler.Explore.prefix ->
+  partition
+
+(** [merge ?metrics ~warmup_interrupted ~analyzers frontier partitions]
+    sorts [partitions] by index, keeps those up to and including the
+    earliest stopping one ([Pool.map_seq]'s prefix rule), and folds their
+    states in frontier order — fresh [analyzers] states when none is kept,
+    as when the warm-up was interrupted. Any order and any superset of the
+    kept partitions merge identically; duplicates must not be passed.
+
+    [metrics] receives [explore.phase2.*] (the warm-up, [partitions],
+    [warmup_executions], then each kept partition and its
+    [partition.NNN.executions]) and each analyzer's [analyze.<name>.*]
+    counters. Nothing else emits these keys. *)
+val merge :
+  ?metrics:Lineup_observe.Metrics.t ->
+  warmup_interrupted:bool ->
+  analyzers:Analyzer.t list ->
+  Lineup_scheduler.Explore.frontier ->
+  partition list ->
+  report
+
+(** [run config ~analyzers ~adapter ~test ()] is {!frontier}, one
+    {!run_partition} per prefix through [Pool.map_seq] (a partition that
+    stops cancels later ones), then {!merge}. The config's execution
+    budget applies per partition.
+
+    [domains]: fan the partitions out over that many domains, splitting at
+    depth [frontier_depth] (default 4). Without [domains] the frontier has
+    depth 0: one partition, the whole tree, on the calling domain.
 
     Raises [Invalid_argument] when [analyzers] is empty. *)
 val run :
@@ -50,7 +103,6 @@ val run :
   ?frontier_depth:int ->
   ?cancelled:(unit -> bool) ->
   ?metrics:Lineup_observe.Metrics.t ->
-  ?metrics_prefix:string ->
   Lineup_scheduler.Explore.config ->
   analyzers:Analyzer.t list ->
   adapter:Adapter.t ->
@@ -61,7 +113,4 @@ val run :
 val add_explore_stats :
   Lineup_observe.Metrics.t -> prefix:string -> Lineup_scheduler.Explore.stats -> unit
 (** Ingest exploration statistics as [explore.<prefix>.*] counters —
-    shared with {!Check}'s phase reporting. *)
-
-val add_analyzer_metrics : Lineup_observe.Metrics.t -> Analyzer.packed -> unit
-(** Ingest one analyzer's counters as [analyze.<name>.*]. *)
+    shared with {!Check}'s phase-1 reporting. *)

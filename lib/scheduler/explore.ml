@@ -1087,8 +1087,8 @@ let take_at_most n l =
 let explore_from cfg ?admit ~prefix ~setup ~on_execution () =
   explore_replay cfg ?admit ~replay0:(thaw_prefix prefix) ~setup ~on_execution ()
 
-let split cfg ~depth ~setup ~on_execution =
-  if depth < 1 then invalid_arg "Explore.split: depth must be >= 1";
+(* The warm-up of {!split} at [depth >= 1]. *)
+let warm_up cfg ~depth ~setup ~on_execution =
   (* The warm-up is the DFS of {!explore} with backtracking restricted to
      the first [depth] decisions: each execution realizes exactly one
      depth-<=[depth] decision prefix, and mutating only those decisions
@@ -1189,6 +1189,13 @@ let split cfg ~depth ~setup ~on_execution =
         complete = !complete;
       };
   }
+
+let split cfg ~depth ~setup ~on_execution =
+  if depth < 0 then invalid_arg "Explore.split: depth must be >= 0";
+  (* Depth 0 is the trivial frontier: the empty prefix pins nothing, so its
+     one partition is the whole tree and no warm-up execution is needed. *)
+  if depth = 0 then { prefixes = [ [] ]; warmup = empty_stats }
+  else warm_up cfg ~depth ~setup ~on_execution
 
 let explore_iterative cfg ~max_bound ~setup ~on_execution =
   let stopped_at = ref None in

@@ -251,7 +251,10 @@ type frontier = {
     abandon the warm-up (e.g. on cancellation). Executions whose full
     decision trace is shorter than [depth] form singleton partitions.
     [cfg.max_executions] caps the number of partitions. [cfg.por] is
-    ignored: the warm-up runs unreduced (see above). *)
+    ignored: the warm-up runs unreduced (see above). Depth 0 executes
+    nothing and returns the trivial frontier, [{prefixes = [[]]; warmup =
+    empty_stats}]: one partition, which {!explore_from} explores exactly
+    as {!explore} does. Raises [Invalid_argument] when [depth < 0]. *)
 val split :
   config ->
   depth:int ->

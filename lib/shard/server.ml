@@ -1,9 +1,7 @@
 module Check = Lineup.Check
 module Adapter = Lineup.Adapter
-module Observation = Lineup.Observation
 module Observation_file = Lineup.Observation_file
 module Explore = Lineup_scheduler.Explore
-module Metrics = Lineup_observe.Metrics
 
 type stats = {
   mutable s_partitions : int;
@@ -20,7 +18,6 @@ type outcome =
   | Failed_run of string
 
 let epr fmt = Fmt.epr ("shard-server: " ^^ fmt ^^ "@.")
-let mincr metrics k = match metrics with Some m -> Metrics.incr m k | None -> ()
 
 let write_stats ~dir ~halted (st : stats) =
   let oc = open_out (Store.stats_path ~dir) in
@@ -235,22 +232,7 @@ let run ?(config = Check.default_config) ?metrics ?listen ?(local = 0) ?(resume 
     else begin
       Store.init_dir ~dir ~fingerprint;
       match Check.synthesize ~config ?metrics adapter test with
-      | Error (verdict, phase1) ->
-        (* Replicates Check.run's phase-1 failure path, counters included. *)
-        mincr metrics "check.runs";
-        (match verdict with
-         | Check.Fail _ -> mincr metrics "check.violations"
-         | Check.Cancelled -> mincr metrics "check.cancelled"
-         | Check.Pass -> ());
-        Ok
-          (`Phase1_failed
-            {
-              Check.verdict;
-              observation = Observation.create ();
-              phase1;
-              phase2 = None;
-              analyses = [];
-            })
+      | Error (verdict, phase1) -> Ok (`Phase1_failed (Check.phase1_failed ?metrics verdict phase1))
       | Ok (observation, phase1) ->
         let xml = Observation_file.to_string observation in
         Store.save_phase1 ~dir ~fingerprint ~observation_xml:xml phase1;

@@ -199,9 +199,9 @@ let dedup_case name ?(pb = 2) ?cap ?(por = false) class_name columns =
       let distinct, fp = naive_phase2 config adapter test in
       Alcotest.(check bool) "some history was checked" true (distinct > 0);
       Alcotest.(check int) "histories_distinct" distinct
-        (Metrics.get m "check.phase2.histories_distinct");
+        (Metrics.get m "analyze.lineup.histories_distinct");
       Alcotest.(check int) "histories_fingerprint" fp
-        (Metrics.get m "check.phase2.histories_fingerprint"))
+        (Metrics.get m "analyze.lineup.histories_fingerprint"))
 
 let dedup_suite =
   [

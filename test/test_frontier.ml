@@ -203,11 +203,26 @@ let suite =
     union_case ~config:Explore.default_config
       ~name:"frontier union survives preemption bounding (pb=2)"
       (accesses_program ~threads:3 ~accesses:2);
-    test "split rejects depth < 1" (fun () ->
+    test "split at depth 0 is one empty prefix, with no warm-up execution" (fun () ->
+        let ran = ref 0 in
+        let setup () =
+          incr ran;
+          accesses_program ~threads:2 ~accesses:1 ()
+        in
+        let f =
+          Explore.split unbounded ~depth:0 ~setup ~on_execution:(fun _ ->
+              incr ran;
+              `Continue)
+        in
+        Alcotest.(check int) "one partition" 1 (List.length f.Explore.prefixes);
+        Alcotest.(check bool) "its prefix is empty" true (f.Explore.prefixes = [ [] ]);
+        Alcotest.(check bool) "empty warm-up stats" true (f.Explore.warmup = Explore.empty_stats);
+        Alcotest.(check int) "nothing executed" 0 !ran);
+    test "split rejects a negative depth" (fun () ->
         Alcotest.check_raises "invalid depth"
-          (Invalid_argument "Explore.split: depth must be >= 1") (fun () ->
+          (Invalid_argument "Explore.split: depth must be >= 0") (fun () ->
             ignore
-              (Explore.split unbounded ~depth:0
+              (Explore.split unbounded ~depth:(-1)
                  ~setup:(accesses_program ~threads:2 ~accesses:1)
                  ~on_execution:(fun _ -> `Continue))));
     history_union_prop;

@@ -1,11 +1,13 @@
-(* Byte-identity goldens: the report and --metrics file of `lineup check`
-   on three classes, recorded before the phase-2 dedup table and witness
-   search were optimized. They pin every counter those optimizations must
-   leave alone — dedup_hits, witness_probes, stuck_probes and
-   histories_fingerprint among them. A golden changes only with a
-   deliberate, documented output change; regenerate one with
+(* Byte-identity goldens: the report, --metrics file and exit code of a
+   CLI run. The check cases pin every counter the phase-2 optimizations
+   must leave alone — dedup_hits, witness_probes, stuck_probes and
+   histories_fingerprint among them; the others pin the paths that share
+   the phase-2 pipeline: a cancelled run, a weak-memory reduced run, and
+   [compare] with attached analyzers, including a class whose phase 1
+   fails. A golden changes only with a deliberate, documented output
+   change; regenerate one with
 
-     lineup_cli check -v --metrics goldens/NAME.metrics.json ARGS... > goldens/NAME.report *)
+     lineup_cli SUBCOMMAND --metrics goldens/NAME.metrics.json ARGS... > goldens/NAME.report *)
 
 open Helpers
 
@@ -19,28 +21,49 @@ let stack_3x3 =
     "Push(1),TryPop,Push(2)"; "Push(3),TryPop,TryPop"; "Push(4),TryPop,Push(5)";
   ]
 
-(* name, expected exit code, arguments after [check -v --metrics FILE] *)
+(* name, expected exit code, subcommand, arguments after
+   [SUBCOMMAND --metrics FILE] *)
 let cases =
   [
     ( "fig1-queue",
       1,
+      "check",
       [
-        "--membership"; "generic"; "ConcurrentQueue (Pre: timed lock in TryDequeue)";
+        "-v"; "--membership"; "generic"; "ConcurrentQueue (Pre: timed lock in TryDequeue)";
         "Enqueue(200),Enqueue(400)"; "TryDequeue,TryDequeue";
       ] );
-    "stack-3x3-por", 0, stack_3x3;
-    "stack-3x3-por-j4", 0, "-j" :: "4" :: stack_3x3;
-    "mre-cas-typo", 1, [ "ManualResetEvent (Pre: CAS typo)"; "Wait,IsSet"; "Set,Reset" ];
+    "stack-3x3-por", 0, "check", "-v" :: stack_3x3;
+    "stack-3x3-por-j4", 0, "check", "-v" :: "-j" :: "4" :: stack_3x3;
+    ( "mre-cas-typo",
+      1,
+      "check",
+      [ "-v"; "ManualResetEvent (Pre: CAS typo)"; "Wait,IsSet"; "Set,Reset" ] );
+    ( "counter-cancel-after",
+      2,
+      "check",
+      [ "-v"; "--cancel-after"; "5"; "Counter"; "Inc,Get"; "Inc" ] );
+    ( "dekker-tso-por",
+      0,
+      "check",
+      [ "-v"; "--memory"; "tso"; "--por"; "-p"; "0"; "DekkerCounter"; "Inc,Get"; "Inc" ] );
+    ( "compare-counter1-tso",
+      1,
+      "compare",
+      [ "--tso"; "Counter1 (unlocked inc)"; "Inc,Get"; "Inc" ] );
+    ( "compare-cts-phase1",
+      1,
+      "compare",
+      [ "CancellationTokenSource"; "Cancel"; "IsCancellationRequested" ] );
   ]
 
-let run_check args =
+let run_cli subcommand args =
   let report = Filename.temp_file "lineup-golden" ".report" in
   let metrics = Filename.temp_file "lineup-golden" ".json" in
   Fun.protect
     ~finally:(fun () -> List.iter Sys.remove [ report; metrics ])
     (fun () ->
       let out = Unix.openfile report [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o644 in
-      let argv = cli :: "check" :: "-v" :: "--metrics" :: metrics :: args in
+      let argv = cli :: subcommand :: "--metrics" :: metrics :: args in
       let pid =
         Fun.protect
           ~finally:(fun () -> Unix.close out)
@@ -55,9 +78,9 @@ let run_check args =
 
 let tests =
   List.map
-    (fun (name, want_code, args) ->
-      test ("check output is byte-identical to the golden: " ^ name) (fun () ->
-          let code, report, metrics = run_check args in
+    (fun (name, want_code, subcommand, args) ->
+      test (subcommand ^ " output is byte-identical to the golden: " ^ name) (fun () ->
+          let code, report, metrics = run_cli subcommand args in
           Alcotest.(check int) "exit code" want_code code;
           Alcotest.(check string) "report" (read (golden name ".report")) report;
           Alcotest.(check string) "metrics" (read (golden name ".metrics.json")) metrics))

@@ -111,8 +111,8 @@ let counter_test_matrix = Test_matrix.make [ [ inv "Inc"; inv "Get" ]; [ inv "In
 (* ------------------------------------------------------------------ *)
 
 let phase2_executions m = Metrics.get m "explore.phase2.executions"
-let distinct m = Metrics.get m "check.phase2.histories_distinct"
-let fingerprint m = Metrics.get m "check.phase2.histories_fingerprint"
+let distinct m = Metrics.get m "analyze.lineup.histories_distinct"
+let fingerprint m = Metrics.get m "analyze.lineup.histories_fingerprint"
 let weak_models = [ Memory_model.Tso; Memory_model.Pso ]
 
 let weak_adapters =

@@ -88,10 +88,10 @@ let suite =
           r.Check.phase1.Check.stats.Lineup_scheduler.Explore.executions
           (Metrics.get m "explore.phase1.executions");
         Alcotest.(check bool) "witness searches happened" true
-          (Metrics.get m "check.phase2.witness_searches" > 0);
+          (Metrics.get m "analyze.lineup.witness_searches" > 0);
         Alcotest.(check bool) "probes >= searches" true
-          (Metrics.get m "check.phase2.witness_probes"
-           >= Metrics.get m "check.phase2.witness_searches"));
+          (Metrics.get m "analyze.lineup.witness_probes"
+           >= Metrics.get m "analyze.lineup.witness_searches"));
     test "metrics file parses and carries the schema marker" (fun () ->
         with_temp_file (fun path ->
             let m = Metrics.create () in
@@ -105,7 +105,7 @@ let suite =
             in
             Alcotest.(check string) "file equals to_json" (Metrics.to_json m) content;
             Alcotest.(check bool) "schema marker" true
-              (contains ~sub:"lineup-metrics/1" content)));
+              (contains ~sub:"lineup-metrics/2" content)));
     test "trace: emits one well-formed NDJSON line per event" (fun () ->
         with_temp_file (fun path ->
             Trace.with_trace ~path:(Some path) (fun () ->

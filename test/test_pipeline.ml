@@ -9,7 +9,7 @@
      counter accumulators (qcheck), so the frontier-split path cannot
      depend on partition completion order;
    - `phase2_domains = Some j` gives byte-identical renders and verdicts
-     for every j, and matches the monolithic path;
+     for every j, and matches the run without it (the depth-0 frontier);
    - one pipeline run is ONE exploration: the per-analyzer execution
      counters all equal `explore.phase2.executions`;
    - the shared-access logging flag is scoped exception-safely. *)
