@@ -4,8 +4,10 @@ module Metrics = Lineup_observe.Metrics
 
 (* Bumped whenever the on-disk format or the key scheme changes; stamped
    into both the file name and the root element, so files written by an
-   older scheme are never silently reused. *)
-let format_version = 2
+   older scheme are never silently reused. Version 3: each group lists its
+   histories in first-added order rather than sorted, so a cache hit
+   probes the witness candidates in the same order as a fresh run. *)
+let format_version = 3
 
 let test_key (test : Test_matrix.t) =
   let col invs = String.concat ";" (List.map Invocation.to_string invs) in

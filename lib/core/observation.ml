@@ -13,69 +13,75 @@ module Witness = Lineup_history.Witness
    either a unique response (with a child node) or "blocked". A second
    distinct continuation for the same invocation is exactly the paper's
    nondeterminism: two histories whose longest common prefix ends in a
-   call. *)
+   call.
 
-type cont =
-  | Responded of Value.t
-  | Went_stuck
+   Within one test a node has at most one edge per thread, since the prefix
+   fixes each thread's next invocation: the edges are a short list, matched
+   on the thread id, then on the typed invocation.
 
-type node = { edges : (int * string, slot) Hashtbl.t }
+   The trie is also the duplicate set of the histories it accepted: a full
+   history is its path plus the [full_end] flag of the node it reaches, a
+   stuck history its path plus the [Went_stuck] edge that ends it. *)
 
-and slot = {
-  mutable cont : cont;
-  mutable rep : Serial_history.t;  (* a representative history, for reports *)
-  mutable child : node option;
+type node = {
+  mutable edges : slot list;
+  mutable full_end : bool;  (* a recorded full history ends here *)
 }
 
-let new_node () = { edges = Hashtbl.create 4 }
+and slot = {
+  tid : int;
+  inv : Invocation.t;
+  rep : Serial_history.t;  (* the history that created the slot, for reports *)
+  cont : cont;
+}
 
-let edge_key tid (inv : Invocation.t) = tid, Invocation.to_string inv
+and cont =
+  | Responded of Value.t * node
+  | Went_stuck
 
-let cont_equal c1 c2 =
-  match c1, c2 with
-  | Responded v1, Responded v2 -> Value.equal v1 v2
-  | Went_stuck, Went_stuck -> true
-  | (Responded _ | Went_stuck), _ -> false
+let new_node () = { edges = []; full_end = false }
 
-(* Insert a serial history; return the nondeterminism witness pair if the
-   trie already committed to a different continuation somewhere along it. *)
+let rec find_slot tid inv = function
+  | [] -> None
+  | slot :: rest ->
+    if slot.tid = tid && Invocation.equal slot.inv inv then Some slot else find_slot tid inv rest
+
+type walk =
+  | Fresh
+  | Seen
+  | Conflict of Serial_history.t  (* the conflicting slot's [rep] *)
+
+(* Follow [s] from the root, creating the slots it lacks. The walk stops at
+   the first slot committed to a different continuation; it creates no slot
+   before that, since a fresh slot's node is empty. *)
 let trie_insert root (s : Serial_history.t) =
-  let conflict = ref None in
-  let visit node tid inv cont =
-    let key = edge_key tid inv in
-    match Hashtbl.find_opt node.edges key with
-    | None ->
-      let slot = { cont; rep = s; child = None } in
-      Hashtbl.replace node.edges key slot;
-      Some slot
-    | Some slot ->
-      if cont_equal slot.cont cont then Some slot
-      else begin
-        conflict := Some (slot.rep, s);
-        None
-      end
-  in
   let rec go node = function
     | [] -> (
-      match s.Serial_history.stuck with
-      | None -> ()
-      | Some (tid, inv) -> ignore (visit node tid inv Went_stuck))
+      match s.stuck with
+      | None ->
+        if node.full_end then Seen
+        else begin
+          node.full_end <- true;
+          Fresh
+        end
+      | Some (tid, inv) -> (
+        match find_slot tid inv node.edges with
+        | None ->
+          node.edges <- { tid; inv; rep = s; cont = Went_stuck } :: node.edges;
+          Fresh
+        | Some { cont = Went_stuck; _ } -> Seen
+        | Some { rep; cont = Responded _; _ } -> Conflict rep))
     | (e : Serial_history.entry) :: rest -> (
-      match visit node e.tid e.inv (Responded e.resp) with
-      | None -> ()
-      | Some slot ->
-        let child =
-          match slot.child with
-          | Some c -> c
-          | None ->
-            let c = new_node () in
-            slot.child <- Some c;
-            c
-        in
-        go child rest)
+      match find_slot e.tid e.inv node.edges with
+      | None ->
+        let child = new_node () in
+        let slot = { tid = e.tid; inv = e.inv; rep = s; cont = Responded (e.resp, child) } in
+        node.edges <- slot :: node.edges;
+        go child rest
+      | Some { cont = Responded (v, child); _ } when Value.equal v e.resp -> go child rest
+      | Some { rep; _ } -> Conflict rep)
   in
-  go root s.Serial_history.entries;
-  !conflict
+  go root s.entries
 
 (* ------------------------------------------------------------------ *)
 (* Observation sets                                                    *)
@@ -83,58 +89,77 @@ let trie_insert root (s : Serial_history.t) =
 
 type key = (int * (Invocation.t * Value.t option) list) list
 
-(* Each indexed serial history carries its witness positions, computed once
-   here rather than on every probe. *)
-type t = {
-  mutable full : Serial_history.Set.t;
-  mutable stuck : Serial_history.Set.t;
-  full_index : (key, (Serial_history.t * Witness.positions) list ref) Hashtbl.t;
-  stuck_index : (key, (Serial_history.t * Witness.positions) list ref) Hashtbl.t;
-  trie : node;
+(* The hash reads the whole key: a test's keys share their leading words,
+   which is all the default [Hashtbl.hash] would read. *)
+module Key = Hashtbl.Make (struct
+  type t = key
+
+  let equal : t -> t -> bool = ( = )
+  let hash k = Hashtbl.hash_param 256 256 k
+end)
+
+(* One kind of history (full or stuck). Each indexed serial history carries
+   its witness positions, computed once here rather than on every probe;
+   each key's candidates are most recently added first. *)
+type group = {
+  mutable count : int;
+  mutable recorded : Serial_history.t list;  (* most recent first *)
+  index : (Serial_history.t * Witness.positions) list ref Key.t;
 }
+
+type t = {
+  trie : node;
+  full : group;
+  stuck : group;
+  mutable conflicted : Serial_history.Set.t;
+      (* histories recorded with an [Error]: the trie never holds them *)
+}
+
+let new_group () = { count = 0; recorded = []; index = Key.create 64 }
 
 let create () =
   {
-    full = Serial_history.Set.empty;
-    stuck = Serial_history.Set.empty;
-    full_index = Hashtbl.create 64;
-    stuck_index = Hashtbl.create 16;
     trie = new_node ();
+    full = new_group ();
+    stuck = new_group ();
+    conflicted = Serial_history.Set.empty;
   }
 
-let index_add index s =
+let record obs s =
+  let g = if Serial_history.is_stuck s then obs.stuck else obs.full in
+  g.count <- g.count + 1;
+  g.recorded <- s :: g.recorded;
   let key = Serial_history.thread_key s in
   let entry = s, Witness.positions s in
-  match Hashtbl.find_opt index key with
+  match Key.find_opt g.index key with
   | Some l -> l := entry :: !l
-  | None -> Hashtbl.replace index key (ref [ entry ])
+  | None -> Key.replace g.index key (ref [ entry ])
 
+(* A conflicting history is recorded too, once, as a duplicate set would:
+   its re-add walks into the same conflict and must read as seen. *)
 let add obs s =
-  let set = if Serial_history.is_stuck s then obs.stuck else obs.full in
-  if Serial_history.Set.mem s set then Ok ()
-  else begin
-    if Serial_history.is_stuck s then begin
-      obs.stuck <- Serial_history.Set.add s obs.stuck;
-      index_add obs.stuck_index s
-    end
+  match trie_insert obs.trie s with
+  | Seen -> Ok ()
+  | Fresh ->
+    record obs s;
+    Ok ()
+  | Conflict rep ->
+    if Serial_history.Set.mem s obs.conflicted then Ok ()
     else begin
-      obs.full <- Serial_history.Set.add s obs.full;
-      index_add obs.full_index s
-    end;
-    match trie_insert obs.trie s with
-    | None -> Ok ()
-    | Some pair -> Error pair
-  end
+      obs.conflicted <- Serial_history.Set.add s obs.conflicted;
+      record obs s;
+      Error (rep, s)
+    end
 
-let num_full obs = Serial_history.Set.cardinal obs.full
-let num_stuck obs = Serial_history.Set.cardinal obs.stuck
-let full_histories obs = Serial_history.Set.elements obs.full
-let stuck_histories obs = Serial_history.Set.elements obs.stuck
+let num_full obs = obs.full.count
+let num_stuck obs = obs.stuck.count
+let full_histories obs = List.rev obs.full.recorded
+let stuck_histories obs = List.rev obs.stuck.recorded
 
 (* The index lookup settles condition 2 (equal thread keys), so a probe is
    condition 3 alone, on [h] prepared once. *)
-let find_in ?probes index h =
-  match Hashtbl.find_opt index (History.thread_key h) with
+let find_in ?probes g h =
+  match Key.find_opt g.index (History.thread_key h) with
   | None -> None
   | Some candidates ->
     let events = Witness.prepare h in
@@ -144,8 +169,8 @@ let find_in ?probes index h =
         if Witness.preserves_order pos events then Some serial else None)
       !candidates
 
-let find_witness_full ?probes obs h = find_in ?probes obs.full_index h
-let find_witness_stuck ?probes obs he = find_in ?probes obs.stuck_index he
+let find_witness_full ?probes obs h = find_in ?probes obs.full h
+let find_witness_stuck ?probes obs he = find_in ?probes obs.stuck he
 
 let linearizable_stuck ?probes obs h =
   let justified e =

@@ -5,27 +5,42 @@
     organized two ways:
 
     - an incremental {e determinism trie} detecting, as histories are added,
-      any pair whose longest common prefix ends in a call (Fig. 5, line 4);
+      any pair whose longest common prefix ends in a call (Fig. 5, line 4).
+      Its edges are keyed by thread and typed invocation, and it doubles
+      as the duplicate set: a full history ends at a marked node, a stuck
+      one in its blocked edge, so one walk per history both checks
+      determinism and recognizes a duplicate;
     - indexes keyed by per-thread operation sequences — the grouping of the
       observation-file format (Fig. 7) — so that the phase-2 witness search
       only examines serial histories whose thread subhistories already match
-      the concurrent history. *)
+      the concurrent history. Each key's candidates are probed most recently
+      added first. *)
 
 type t
 
 val create : unit -> t
 
-(** [add obs s] inserts serial history [s] (full or stuck — determined by
+(** [add obs s] records serial history [s] (full or stuck — determined by
     [Serial_history.is_stuck]). Duplicates are ignored. [Error (s1, s2)]
-    reports nondeterminism: two recorded histories diverging right after a
-    shared invocation prefix. *)
+    reports nondeterminism: [s2] is [s], and [s1] an earlier history that
+    diverges from it right after a shared invocation prefix. [s] is
+    recorded even then, so adding it again is a duplicate. *)
 val add :
   t -> Lineup_history.Serial_history.t ->
   (unit, Lineup_history.Serial_history.t * Lineup_history.Serial_history.t) result
 
 val num_full : t -> int
 val num_stuck : t -> int
+
+(** [full_histories obs] lists [A] in the order its histories were first
+    added. Re-adding them in any order that keeps this relative order
+    within each thread key rebuilds every key's candidate list, and so
+    every probe count, exactly; the observation file (Fig. 7) writes each
+    group in this order. *)
 val full_histories : t -> Lineup_history.Serial_history.t list
+
+(** [stuck_histories obs] lists [B] in first-added order, as
+    {!full_histories}. *)
 val stuck_histories : t -> Lineup_history.Serial_history.t list
 
 (** [find_witness_full ?probes obs h] searches [A] for a serial witness of

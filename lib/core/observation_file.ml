@@ -91,6 +91,9 @@ let interleaving_tokens_keyed ids h =
 
 let interleaving_tokens h = interleaving_tokens_keyed (id_map (History.thread_key h)) h
 
+(* Each group lists its histories in the order they were first added, so
+   [observation_of_histories] on the parsed file rebuilds every candidate
+   list of the witness index, and with it every probe count. *)
 let to_xml ?(root_attrs = []) obs =
   let groups : (key, Serial_history.t list ref) Hashtbl.t = Hashtbl.create 64 in
   let insert s =

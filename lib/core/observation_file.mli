@@ -6,7 +6,11 @@
     id="A">1 2</thread>], a blocked final operation carrying a [B] suffix),
     its operations ([<op id="1" name="Add" value="200" result="unit"/>]; a
     blocking operation has no [result]) and one [<history>] element per
-    interleaving ([1[ ]1 2[ ]2], stuck histories ending in [#]).
+    interleaving ([1[ ]1 2[ ]2], stuck histories ending in [#]). Sections
+    are sorted by their thread sequences; within a section the histories
+    keep the order in which the observation set first recorded them, so
+    {!observation_of_histories} over a parsed file rebuilds the witness
+    index exactly, probe order included.
 
     One deliberate deviation from Fig. 7: operation arguments and results
     are XML attributes rather than element text (the paper's

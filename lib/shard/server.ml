@@ -62,7 +62,11 @@ let serve ~config ~listen ~local ~halt_after ~max_retries ~dir ~fingerprint ~(st
   (match sockaddr with
    | Unix.ADDR_UNIX p when Sys.file_exists p -> ( try Unix.unlink p with Unix.Unix_error _ -> ())
    | _ -> ());
-  let lsock = Unix.socket (Unix.domain_of_sockaddr sockaddr) Unix.SOCK_STREAM 0 in
+  (* Close-on-exec, or every local worker inherits the listening socket
+     and keeps it open: a worker that connects after the sweep's last
+     accept then waits for an Init that never comes, while the server
+     waits for it to exit. *)
+  let lsock = Unix.socket ~cloexec:true (Unix.domain_of_sockaddr sockaddr) Unix.SOCK_STREAM 0 in
   Unix.setsockopt lsock Unix.SO_REUSEADDR true;
   Unix.bind lsock sockaddr;
   Unix.listen lsock 64;

@@ -9,8 +9,11 @@ module Invocation = Lineup_history.Invocation
    phase-2 dedup table inside a partition's state became a fingerprint-keyed
    table of histories, changing the marshaled type again. Version 4: bounded
    weak-memory [--por] partitions sleep across flushes, so a partition
-   records different execution counts than a version-3 one. *)
-let format_version = 4
+   records different execution counts than a version-3 one. Version 5: the
+   checkpointed observation XML lists each group in first-added order, which
+   the witness search's probe counts depend on; a version-4 file's sorted
+   groups would rebuild a differently ordered index. *)
+let format_version = 5
 
 (* Same shape as Obs_cache's key: every knob that shapes the frontier, a
    partition's exploration, or the membership decisions. [phase2_domains]

@@ -98,4 +98,101 @@ let suite =
         | Ok () -> Alcotest.fail "expected unjustified");
   ]
 
-let tests = suite
+(* ---------------- add against a naive model ---------------- *)
+
+(* A random sequence of adds over one test: every thread runs a fixed column
+   of operations, a serial history interleaves them, and each response is
+   the number of operations completed before it, mod 2 — a deterministic
+   object — except for a rare deviant response or a thread blocking early.
+   Drawing the adds from a small pool gives duplicates, nondeterministic
+   variants and re-adds after an [Error]. *)
+let gen_adds rng =
+  let threads = 2 + Random.State.int rng 2 in
+  let op () =
+    match Random.State.int rng 4 with
+    | 0 -> inv "Inc"
+    | 1 -> inv "Get"
+    | n -> inv ~arg:(Value.int (n - 1)) "Add"
+  in
+  let column _ = List.init (1 + Random.State.int rng 2) (fun _ -> op ()) in
+  let columns = Array.init threads column in
+  let serial () =
+    let queues = Array.copy columns in
+    let rec go entries completed =
+      match List.filter (fun t -> queues.(t) <> []) (List.init threads Fun.id) with
+      | [] -> Serial_history.make (List.rev entries)
+      | live ->
+        let tid = List.nth live (Random.State.int rng (List.length live)) in
+        let inv = List.hd queues.(tid) in
+        queues.(tid) <- List.tl queues.(tid);
+        if Random.State.int rng 8 = 0 then
+          Serial_history.make ~stuck:(Some (tid, inv)) (List.rev entries)
+        else
+          let resp = Value.int (if Random.State.int rng 10 = 0 then 2 else completed mod 2) in
+          go ({ Serial_history.tid; inv; resp } :: entries) (completed + 1)
+    in
+    go [] 0
+  in
+  let pool = Array.init (2 + Random.State.int rng 6) (fun _ -> serial ()) in
+  List.init (2 + Random.State.int rng 14) (fun _ -> pool.(Random.State.int rng (Array.length pool)))
+
+(* The model: every distinct history in first-occurrence order, and the
+   ones accepted with [Ok]. A new history is nondeterministic exactly when
+   it forms a nondeterministic pair with an accepted one: a history
+   recorded with an [Error] never enters the determinism trie. *)
+type model = {
+  mutable recorded : Serial_history.t list;  (* most recent first *)
+  mutable accepted : Serial_history.t list;
+}
+
+let model_add m s =
+  if List.exists (Serial_history.equal s) m.recorded then true
+  else begin
+    m.recorded <- s :: m.recorded;
+    let ok = not (List.exists (fun h -> Serial_history.nondeterministic_pair h s) m.accepted) in
+    if ok then m.accepted <- s :: m.accepted;
+    ok
+  end
+
+let adds_arb =
+  QCheck.make ~print:(Fmt.str "@[<v>%a@]" (Fmt.list ~sep:Fmt.cut Serial_history.pp)) gen_adds
+
+let add_props =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"add agrees with a naive model" ~count:2000 adds_arb (fun adds ->
+           let obs = Observation.create () in
+           let m = { recorded = []; accepted = [] } in
+           List.iteri
+             (fun i s ->
+               let accepted_before = m.accepted in
+               match Observation.add obs s, model_add m s with
+               | Ok (), true -> ()
+               | Error (s1, s2), false ->
+                 if
+                   not
+                     (Serial_history.equal s2 s
+                     && List.exists (Serial_history.equal s1) accepted_before
+                     && Serial_history.nondeterministic_pair s1 s2)
+                 then QCheck.Test.fail_reportf "add %d: the Error pair is not a witness" i
+               | Ok (), false -> QCheck.Test.fail_reportf "add %d: Ok, the model says Error" i
+               | Error _, true -> QCheck.Test.fail_reportf "add %d: Error, the model says Ok" i)
+             adds;
+           let recorded = List.rev m.recorded in
+           let full = List.filter (fun s -> not (Serial_history.is_stuck s)) recorded in
+           let stuck = List.filter Serial_history.is_stuck recorded in
+           let same = List.equal Serial_history.equal in
+           if Observation.num_full obs <> List.length full then
+             QCheck.Test.fail_reportf "num_full %d (want %d)" (Observation.num_full obs)
+               (List.length full)
+           else if Observation.num_stuck obs <> List.length stuck then
+             QCheck.Test.fail_reportf "num_stuck %d (want %d)" (Observation.num_stuck obs)
+               (List.length stuck)
+           else if not (same (Observation.full_histories obs) full) then
+             QCheck.Test.fail_reportf "full_histories not in first-occurrence order"
+           else if not (same (Observation.stuck_histories obs) stuck) then
+             QCheck.Test.fail_reportf "stuck_histories not in first-occurrence order"
+           else true));
+  ]
+
+let tests = suite @ add_props

@@ -20,6 +20,15 @@ let config = Check.config_with ~max_executions:(Some 300) ~phase2_domains:2 ~fro
 let counter_test = Test_matrix.make [ [ inv "Inc"; inv "Get" ]; [ inv "Inc" ] ]
 let mre_test = Test_matrix.make [ [ inv "Wait" ]; [ inv "Set" ] ]
 
+(* Three columns: enough serial histories per thread key that the order of
+   each key's witness candidates shows in the probe counts. *)
+let counter3_test =
+  Test_matrix.make [ [ inv "Inc"; inv "Get" ]; [ inv "Inc"; inv "Get" ]; [ inv "Get" ] ]
+
+let bag3_test =
+  Test_matrix.make
+    [ [ inv_int "Add" 10; inv "TryTake" ]; [ inv_int "Add" 20; inv "TryTake" ]; [ inv "TryTake" ] ]
+
 let with_temp_dir f =
   let dir = Filename.temp_file "lineup" "shard" in
   Sys.remove dir;
@@ -32,18 +41,30 @@ let with_temp_dir f =
   in
   Fun.protect ~finally:(fun () -> if Sys.file_exists dir then rm dir) (fun () -> f dir)
 
+(* The observation a worker (or a resumed server) sees: the phase-1 set
+   written to its Fig. 7 XML, parsed back and rebuilt. *)
+let round_trip observation =
+  match
+    Observation_file.observation_of_histories
+      (Observation_file.of_string (Observation_file.to_string observation))
+  with
+  | Ok observation -> observation
+  | Error _ -> Alcotest.fail "the round-tripped observation is nondeterministic"
+
 (* Run the sharded pipeline in-process: synthesize, split, run each
-   partition as the worker would, and hand the parts to the merge in the
-   given order. *)
+   partition as the worker would — on the observation it rebuilds from the
+   XML — and hand the parts to the merge in the given order. *)
 let shard_run ?metrics ~order adapter test =
   match Check.synthesize ~config ?metrics adapter test with
   | Error _ -> Alcotest.fail "phase 1 unexpectedly failed"
   | Ok (observation, phase1) ->
     let frontier, interrupted = Check.split_frontier ~config adapter test in
     Alcotest.(check bool) "warm-up ran to completion" false interrupted;
+    let worker_observation = round_trip observation in
     let parts =
       List.mapi
-        (fun index prefix -> Check.run_partition ~config ~observation ~index ~prefix adapter test)
+        (fun index prefix ->
+          Check.run_partition ~config ~observation:worker_observation ~index ~prefix adapter test)
         frontier.Explore.prefixes
     in
     observation, phase1, frontier, order parts
@@ -57,7 +78,7 @@ let stats_t : Explore.stats Alcotest.testable = Alcotest.testable Explore.pp_sta
 (* Plant every partition of a fresh sweep under a [stale] format-version
    header; none of them may load. *)
 let stale_version_skipped stale =
-  Alcotest.(check int) "current format version" 4 Store.format_version;
+  Alcotest.(check int) "current format version" 5 Store.format_version;
   with_temp_dir (fun dir ->
       let adapter = Conc.Counters.correct in
       let fingerprint =
@@ -191,10 +212,12 @@ let store_suite =
         test (Fmt.str "checkpoints stamped with format version %d are skipped" stale) (fun () ->
             (* Version 3 changed the marshaled partition type (the dedup
                table); version 4 changed the execution counts of bounded
-               weak-memory --por partitions. An older part must read as
+               weak-memory --por partitions; version 5 changed the order of
+               the checkpointed observation XML, and with it the probe
+               counts of partitions run on it. An older part must read as
                stale, never be unmarshaled or merged into a newer sweep. *)
             stale_version_skipped stale))
-      [ 2; 3 ]
+      [ 2; 3; 4 ]
 
 (* ---------------- wire protocol ---------------- *)
 
@@ -360,6 +383,50 @@ let merge_suite =
           (render adapter counter_test merged);
         Alcotest.(check string) "metrics registry" (Metrics.to_json m_ref)
           (Metrics.to_json m_shard));
+    test "merge is byte-identical on the generic witness search (3 columns)" (fun () ->
+        (* [config] runs phase 2 on two domains. The counter's histories
+           fall back to the generic search, whose probe counts depend on
+           the order of each key's candidates: the workers' rebuilt
+           observation must probe them in the order of the in-process
+           one. *)
+        let adapter = Conc.Counters.correct in
+        let m_ref = Metrics.create () in
+        let reference = Check.run ~config ~metrics:m_ref adapter counter3_test in
+        let m_shard = Metrics.create () in
+        let observation, phase1, frontier, parts =
+          shard_run ~metrics:m_shard ~order:Fun.id adapter counter3_test
+        in
+        let merged =
+          Check.merge_partitions ~metrics:m_shard ~observation ~phase1 ~frontier parts
+        in
+        Alcotest.(check string) "rendered report"
+          (render adapter counter3_test reference)
+          (render adapter counter3_test merged);
+        Alcotest.(check string) "metrics registry" (Metrics.to_json m_ref)
+          (Metrics.to_json m_shard));
+    test "a round-tripped observation checks with the same metrics" (fun () ->
+        (* What a worker, a resumed server or an observation-cache hit
+           rebuilds from the XML must decide every history with the same
+           probes as the observation phase 1 built. Preemption bound 0
+           keeps the complete phase 2 small. *)
+        let config =
+          Check.config_with ~preemption_bound:(Some 0) ~membership:Check.Generic ()
+        in
+        List.iter
+          (fun (adapter, test) ->
+            match Check.synthesize ~config adapter test with
+            | Error _ -> Alcotest.fail "phase 1 unexpectedly failed"
+            | Ok (observation, _) ->
+              let metrics_with observation =
+                let m = Metrics.create () in
+                ignore (Check.run ~config ~metrics:m ~observation adapter test);
+                Metrics.to_json m
+              in
+              Alcotest.(check string)
+                (adapter.Adapter.name ^ " metrics")
+                (metrics_with observation)
+                (metrics_with (round_trip observation)))
+          [ Conc.Counters.correct, counter3_test; Conc.Concurrent_bag.adapter, bag3_test ]);
     test "merge re-applies the cut rule on a failing class" (fun () ->
         (* Checkpoints past the earliest stopping partition may exist on
            disk (written before the stop, or by a resumed over-eager
