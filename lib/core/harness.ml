@@ -74,17 +74,17 @@ let callbacks ~(adapter : Adapter.t) ~(test : Test_matrix.t) ~on_history =
 let scoped_log log body =
   match log with None -> body () | Some enabled -> Exec_ctx.with_logging enabled body
 
-let run_phase ?log ?admit cfg ~adapter ~test ~on_history =
+let run_phase ?log cfg ~adapter ~test ~on_history =
   let setup, on_execution = callbacks ~adapter ~test ~on_history in
-  scoped_log log (fun () -> Explore.explore cfg ?admit ~setup ~on_execution ())
+  scoped_log log (fun () -> Explore.explore cfg ~setup ~on_execution ())
 
 let split_phase cfg ~depth ~adapter ~test ~on_history =
   let setup, on_execution = callbacks ~adapter ~test ~on_history in
   Explore.split cfg ~depth ~setup ~on_execution
 
-let run_phase_from ?log ?admit cfg ~prefix ~adapter ~test ~on_history =
+let run_phase_from ?log cfg ~prefix ~adapter ~test ~on_history =
   let setup, on_execution = callbacks ~adapter ~test ~on_history in
-  scoped_log log (fun () -> Explore.explore_from cfg ?admit ~prefix ~setup ~on_execution ())
+  scoped_log log (fun () -> Explore.explore_from cfg ~prefix ~setup ~on_execution ())
 
 let run_phase_random ?log cfg ~rng ~executions ~adapter ~test ~on_history =
   let setup, on_execution = callbacks ~adapter ~test ~on_history in

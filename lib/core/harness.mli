@@ -26,14 +26,9 @@ type run_result = {
     and either way the previous setting is restored on return {e and} on
     exception. When omitted the flag is left untouched. The analysis
     pipeline passes [~log:true] exactly when some attached analyzer reads
-    the access log.
-
-    [admit] (here and in {!run_phase_from}): forwarded to the explorer's
-    admission filter — executions it rejects are counted in
-    [stats.exact_bound_skips] and no history is built for them. *)
+    the access log. *)
 val run_phase :
   ?log:bool ->
-  ?admit:(Lineup_scheduler.Explore.exec_outcome -> bool) ->
   Lineup_scheduler.Explore.config ->
   adapter:Adapter.t ->
   test:Test_matrix.t ->
@@ -60,7 +55,6 @@ val split_phase :
     below it (see {!Lineup_scheduler.Explore.explore_from}). *)
 val run_phase_from :
   ?log:bool ->
-  ?admit:(Lineup_scheduler.Explore.exec_outcome -> bool) ->
   Lineup_scheduler.Explore.config ->
   prefix:Lineup_scheduler.Explore.prefix ->
   adapter:Adapter.t ->

@@ -31,7 +31,6 @@ let add_explore_stats m ~prefix (s : Explore.stats) =
      stay byte-identical to the pre-weak-memory output. *)
   if s.Explore.flushes > 0 then c "flushes" s.Explore.flushes;
   c "choice_points" s.Explore.choice_points;
-  c "exact_bound_skips" s.Explore.exact_bound_skips;
   c "por.sleep_set_skips" s.Explore.sleep_set_skips;
   c "por.backtrack_points" s.Explore.backtrack_points;
   c "incomplete" (if s.Explore.complete then 0 else 1)

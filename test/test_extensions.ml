@@ -217,45 +217,6 @@ let suite =
         let p2, f2 = run 2 in
         Alcotest.(check (pair int int)) "reproducible" (p1, f1) (p2, f2);
         Alcotest.(check int) "all sampled" 6 (p1 + f1));
-    test "explore_iterative finds the lost update at bound 1" (fun () ->
-        let lost = ref false in
-        let final = Var.make 0 in
-        let setup () =
-          Var.poke final 0;
-          let v = Var.make 0 in
-          let incr_body () =
-            let x = Var.read v in
-            Var.write v (x + 1);
-            Var.poke final (Var.peek v)
-          in
-          [| incr_body; incr_body |]
-        in
-        let stats_list, stopped =
-          Explore.explore_iterative Explore.default_config ~max_bound:3 ~setup
-            ~on_execution:(fun _ ->
-              if Var.peek final = 1 then begin
-                lost := true;
-                `Stop
-              end
-              else `Continue)
-        in
-        Alcotest.(check bool) "found" true !lost;
-        Alcotest.(check (option int)) "at bound 1" (Some 1) stopped;
-        Alcotest.(check int) "two bounds explored" 2 (List.length stats_list));
-    test "explore_iterative explores all bounds when nothing stops it" (fun () ->
-        let setup () =
-          let v = Var.make 0 in
-          [| (fun () -> Var.write v 1); (fun () -> ignore (Var.read v)) |]
-        in
-        let stats_list, stopped =
-          Explore.explore_iterative Explore.default_config ~max_bound:2 ~setup
-            ~on_execution:(fun _ -> `Continue)
-        in
-        Alcotest.(check (option int)) "never stopped" None stopped;
-        Alcotest.(check int) "three bounds" 3 (List.length stats_list);
-        (* higher bounds explore at least as many executions *)
-        let execs = List.map (fun (s : Explore.stats) -> s.Explore.executions) stats_list in
-        Alcotest.(check bool) "monotone" true (List.sort compare execs = execs));
     (* the two bonus subjects *)
     test "rwlock: correct version passes reader/writer mix" (fun () ->
         let r =
