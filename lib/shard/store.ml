@@ -12,8 +12,11 @@ module Invocation = Lineup_history.Invocation
    records different execution counts than a version-3 one. Version 5: the
    checkpointed observation XML lists each group in first-added order, which
    the witness search's probe counts depend on; a version-4 file's sorted
-   groups would rebuild a differently ordered index. *)
-let format_version = 5
+   groups would rebuild a differently ordered index. Version 6:
+   [Explore.stats] lost [exact_bound_skips], so every marshaled stats record
+   (phase1.bin, frontier.bin, each part) has one field fewer; reading a
+   version-5 record as the new one would shift every later field. *)
+let format_version = 6
 
 (* Same shape as Obs_cache's key: every knob that shapes the frontier, a
    partition's exploration, or the membership decisions. [phase2_domains]

@@ -1,4 +1,7 @@
-let wire_version = 1
+(* Version 2: [Explore.stats] inside a marshaled [Result] partition lost
+   [exact_bound_skips], so a version-1 peer would misread every later
+   field. *)
+let wire_version = 2
 
 (* Backstop against a corrupted or misaligned length prefix: no legitimate
    message (the largest is [Init] with an observation file) approaches this. *)
