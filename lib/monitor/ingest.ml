@@ -1,19 +1,18 @@
 module Event = Lineup_history.Event
 
 (* The bounded queue between the reader domain (parsing NDJSON lines) and
-   the checking loop. Backpressure policy when the queue is full:
-
-   - [Block]: the reader waits — lossless; on a pipe or FIFO the producing
-     process eventually blocks in [write]. The default, and the only mode
-     whose Accept verdict is complete.
-   - [Shed]: drop whole operations. A call arriving while the queue is
-     full is remembered and dropped; when its return arrives, a
-     [Shed_op] marker carrying both events is force-pushed (markers are
-     exempt from the bound, which sheds can only shrink). The engines
-     degrade accept-lean on the marker — a Reject is still trustworthy.
+   the checking loop under [--on-full shed]: drop whole operations while
+   the queue is full. A call arriving while the queue is full is
+   remembered and dropped; when its return arrives, a [Shed_op] marker
+   carrying both events is force-pushed (markers are exempt from the
+   bound, which sheds can only shrink). The engines degrade accept-lean on
+   the marker — a Reject is still trustworthy.
 
    Whole-op shedding keeps the stream well-formed: dropping only one of a
-   call/return pair would manufacture "return without call" corruption. *)
+   call/return pair would manufacture "return without call" corruption.
+
+   [Block], the lossless default, needs no queue: the checking domain
+   reads the stream itself (see [Driver]). *)
 
 type policy =
   | Block
@@ -30,7 +29,6 @@ type t = {
   not_full : Condition.t;
   items : item Queue.t;
   cap : int;
-  policy : policy;
   mutable closed : bool;
   (* consumer gone: drop instead of blocking so the reader can drain to EOF *)
   mutable abandoned : bool;
@@ -40,14 +38,13 @@ type t = {
   shed_calls : (int * int, Event.t) Hashtbl.t;
 }
 
-let create ?(cap = 65536) policy =
+let create ?(cap = 65536) () =
   {
     mutex = Mutex.create ();
     not_empty = Condition.create ();
     not_full = Condition.create ();
     items = Queue.create ();
     cap = max 1 cap;
-    policy;
     closed = false;
     abandoned = false;
     n_sheds = 0;
@@ -84,26 +81,23 @@ let push_line t (line : Mevent.line) =
   | Mevent.Blank | Mevent.Skip -> ()
   | Mevent.Malformed e -> force_push t (Bad e)
   | Mevent.Ev { hist; event } -> (
-    match t.policy with
-    | Block -> blocking_push t (Ev { hist; event })
-    | Shed -> (
-      let id = event.Event.tid, event.Event.op_index in
-      match event.Event.dir with
-      | Event.Call _ ->
-        if Hashtbl.mem t.shed_calls id then
-          (* duplicate id while shed — malformed; let the engine decide *)
-          force_push t (Bad "duplicate call for a shed operation")
-        else if is_full t then begin
-          t.n_sheds <- t.n_sheds + 1;
-          Hashtbl.replace t.shed_calls id event
-        end
-        else blocking_push t (Ev { hist; event })
-      | Event.Return _ -> (
-        match Hashtbl.find_opt t.shed_calls id with
-        | Some call ->
-          Hashtbl.remove t.shed_calls id;
-          force_push t (Shed_op { call; ret = event })
-        | None -> blocking_push t (Ev { hist; event }))))
+    let id = event.Event.tid, event.Event.op_index in
+    match event.Event.dir with
+    | Event.Call _ ->
+      if Hashtbl.mem t.shed_calls id then
+        (* duplicate id while shed — malformed; let the engine decide *)
+        force_push t (Bad "duplicate call for a shed operation")
+      else if is_full t then begin
+        t.n_sheds <- t.n_sheds + 1;
+        Hashtbl.replace t.shed_calls id event
+      end
+      else blocking_push t (Ev { hist; event })
+    | Event.Return _ -> (
+      match Hashtbl.find_opt t.shed_calls id with
+      | Some call ->
+        Hashtbl.remove t.shed_calls id;
+        force_push t (Shed_op { call; ret = event })
+      | None -> blocking_push t (Ev { hist; event })))
 
 let pop_batch t ~max =
   with_lock t (fun () ->

@@ -1,15 +1,17 @@
-(** Bounded ingest queue between the stream-reader domain and the
-    checking loop, with an explicit backpressure policy.
+(** The bounded queue between the reader domain and the checking loop of
+    [lineup monitor --on-full shed], which drops whole operations under
+    load.
 
-    [Block] (the default) is lossless: a full queue makes the reader — and
-    transitively, over a pipe or FIFO, the producing process — wait.
-    [Shed] drops {e whole operations} under load: a call arriving at a
-    full queue is dropped together with its eventual return, and a
-    {!item.Shed_op} marker carrying both events is delivered in its place
-    (markers bypass the bound, which sheds only shrink). Dropping whole
-    ops keeps the stream well-formed; the engines degrade accept-lean on
-    each marker, so a violation verdict remains trustworthy while some
-    violations involving shed values may be missed. *)
+    A call arriving at a full queue is dropped together with its eventual
+    return, and a {!item.Shed_op} marker carrying both events is delivered
+    in its place (markers bypass the bound, which sheds only shrink).
+    Dropping whole ops keeps the stream well-formed; the engines degrade
+    accept-lean on each marker, so a violation verdict remains trustworthy
+    while some violations involving shed values may be missed.
+
+    Under [Block] (the default) the checking domain reads the stream
+    itself, so the producer waits whenever the engines are behind, and
+    there is no queue. *)
 
 type policy =
   | Block  (** never drop; apply backpressure to the producer *)
@@ -25,13 +27,13 @@ type item =
 
 type t
 
-val create : ?cap:int -> policy -> t
+val create : ?cap:int -> unit -> t
 (** [cap] (default 65536) bounds the queued items. *)
 
 val push_line : t -> Mevent.line -> unit
 (** Reader side. [Blank]/[Skip] lines are discarded, [Malformed] is
-    forwarded as {!item.Bad}; events are queued per the policy. Never
-    blocks after {!abandon}. Single reader only. *)
+    forwarded as {!item.Bad}; events are queued, or shed while the queue
+    is full. Never blocks after {!abandon}. Single reader only. *)
 
 val pop_batch : t -> max:int -> item list
 (** Consumer side: blocks until at least one item or {!close}; returns at

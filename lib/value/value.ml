@@ -97,11 +97,14 @@ let of_string s =
   let parse_int () =
     let start = !pos in
     if matches "-" then advance ();
+    let digits = !pos in
     while (match peek () with Some ('0' .. '9') -> true | _ -> false) do
       advance ()
     done;
-    if !pos = start then error "expected integer";
-    int_of_string (String.sub s start (!pos - start))
+    if !pos = digits then error "expected integer";
+    match int_of_string_opt (String.sub s start (!pos - start)) with
+    | Some i -> i
+    | None -> error "integer out of range"
   in
   let parse_quoted () =
     expect '"';
