@@ -68,20 +68,19 @@ let phase1 ?config ?metrics ~dir adapter test =
   let version = string_of_int format_version in
   let cached =
     if not (Sys.file_exists path) then None
-    else begin
-      let attrs, histories = Observation_file.load_full ~path in
-      if
-        List.assoc_opt "version" attrs = Some version
-        && List.assoc_opt "fingerprint" attrs = Some fingerprint
-      then Some histories
-      else begin
-        (* same file name but written under a different format/config:
-           evict, don't trust *)
+    else
+      match Observation_file.load_full ~path with
+      | attrs, histories
+        when List.assoc_opt "version" attrs = Some version
+             && List.assoc_opt "fingerprint" attrs = Some fingerprint ->
+        Some histories
+      | _ | (exception Invalid_argument _) ->
+        (* same file name but written under a different format/config, or
+           not a whole observation file (cut short by a kill under an
+           older writer): evict, don't trust *)
         mincr metrics "obs_cache.stale";
         (try Sys.remove path with Sys_error _ -> ());
         None
-      end
-    end
   in
   match cached with
   | Some histories -> begin

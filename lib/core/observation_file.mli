@@ -26,6 +26,8 @@ val to_xml : ?root_attrs:(string * string) list -> Observation.t -> Xml.t
 
 val to_string : ?root_attrs:(string * string) list -> Observation.t -> string
 val save : ?root_attrs:(string * string) list -> path:string -> Observation.t -> unit
+(** Written through {!Lineup_observe.Atomic_file}: a reader never sees a
+    partial file. *)
 
 (** [of_string s] parses an observation file back into its serial
     histories. Raises [Invalid_argument] on malformed input. *)

@@ -2,11 +2,12 @@
    file which is then renamed over the destination. [Sys.rename] is atomic
    on POSIX, so a concurrent reader — or a reader after the writer was
    killed mid-write — sees either the previous complete file or the new
-   complete file, never a truncated prefix. The pid in the temporary name
-   keeps concurrent writers from clobbering each other's staging file. *)
+   complete file, never a truncated prefix. The pid and domain in the
+   temporary name keep concurrent writers from clobbering each other's
+   staging file. *)
 
 let write ~path contents =
-  let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
+  let tmp = Printf.sprintf "%s.tmp.%d.%d" path (Unix.getpid ()) (Domain.self () :> int) in
   let oc = open_out_bin tmp in
   (match
      output_string oc contents;

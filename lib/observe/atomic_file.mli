@@ -6,7 +6,7 @@
 
 val write : path:string -> string -> unit
 (** [write ~path contents] writes [contents] to [path] atomically: the
-    bytes are staged in [path.tmp.<pid>] (same directory, so the rename
+    bytes are staged in [path.tmp.<pid>.<domain>] (same directory, so the rename
     cannot cross filesystems) and renamed into place. Readers observe
     either the old complete file or the new one. On failure the staging
     file is removed and the destination is untouched. *)

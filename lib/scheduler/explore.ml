@@ -385,7 +385,10 @@ let run_one cfg ~(decider : decider) ~pruned ~setup =
     for i = 0 to n - 1 do
       match status.(i) with
       | Ready k | Draining k | Blocked { k; _ } ->
+        (* cleanup code run by the kill, such as [Mutex_.with_lock]'s
+           release, must see its own thread *)
         running := i;
+        Exec_ctx.set_current_tid i;
         discontinue k Killed
       | Finished -> ()
     done

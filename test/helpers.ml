@@ -74,3 +74,38 @@ let value_gen =
         n)
 
 let value_arb = QCheck.make ~print:Value.to_string value_gen
+
+(* ---------------- decoder fuzzing ---------------- *)
+
+(* One random edit of [s]: cut it short, or replace, insert or delete a
+   byte. Replacements and insertions favour [alphabet], the ones that matter
+   to the decoder under test. *)
+let mutate_gen ~alphabet s =
+  let open QCheck.Gen in
+  let n = String.length s in
+  let byte = frequency [ 3, oneofl alphabet; 1, char ] in
+  let* i = int_bound n in
+  oneof
+    [
+      return (String.sub s 0 i);
+      map
+        (fun c ->
+          if i < n then String.mapi (fun j x -> if j = i then c else x) s else s ^ String.make 1 c)
+        byte;
+      map (fun c -> String.sub s 0 i ^ String.make 1 c ^ String.sub s i (n - i)) byte;
+      return (if i < n then String.sub s 0 i ^ String.sub s (i + 1) (n - i - 1) else s);
+    ]
+
+(* one to three edits *)
+let mutations_gen ~alphabet s =
+  let open QCheck.Gen in
+  let* k = int_range 1 3 in
+  let rec go k s = if k = 0 then return s else mutate_gen ~alphabet s >>= go (k - 1) in
+  go k s
+
+(* [decode] on every generated input returns, or raises [Invalid_argument]
+   as documented; any other exception fails the property *)
+let decoder_total ~name ~count gen decode =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name ~count (QCheck.make ~print:(Printf.sprintf "%S") gen) (fun s ->
+         match decode s with _ -> true | exception Invalid_argument _ -> true))

@@ -132,6 +132,22 @@ let suite =
             match Obs_cache.phase1 ~metrics:m ~dir Conc.Counters.correct counter_test with
             | Ok (_, hit) -> Alcotest.(check bool) "rewritten file hits" true hit
             | Error _ -> Alcotest.fail "unexpected phase-1 violation"));
+    test "obs_cache: a truncated file is evicted as stale and recomputed" (fun () ->
+        with_temp_dir (fun dir ->
+            let m = Lineup_observe.Metrics.create () in
+            ignore (Obs_cache.phase1 ~metrics:m ~dir Conc.Counters.correct counter_test);
+            let path = Obs_cache.cache_path ~dir Conc.Counters.correct counter_test in
+            let whole = In_channel.with_open_bin path In_channel.input_all in
+            Out_channel.with_open_bin path (fun oc ->
+                output_string oc (String.sub whole 0 (String.length whole / 2)));
+            (match Obs_cache.phase1 ~metrics:m ~dir Conc.Counters.correct counter_test with
+             | Ok (_, hit) -> Alcotest.(check bool) "truncated file misses" false hit
+             | Error _ -> Alcotest.fail "unexpected phase-1 violation");
+            Alcotest.(check int) "stale eviction counted" 1
+              (Lineup_observe.Metrics.get m "obs_cache.stale");
+            match Obs_cache.phase1 ~metrics:m ~dir Conc.Counters.correct counter_test with
+            | Ok (_, hit) -> Alcotest.(check bool) "rewritten file hits" true hit
+            | Error _ -> Alcotest.fail "unexpected phase-1 violation"));
     test "obs_cache: concurrent writers create the cache dir race-free" (fun () ->
         (* a nested, not-yet-existing directory, populated by four domains
            at once: the old non-recursive Sys.mkdir raised ENOENT on the

@@ -4,7 +4,8 @@
    histories_fingerprint among them; the others pin the paths that share
    the phase-2 pipeline: a cancelled run, a weak-memory reduced run, and
    [compare] with attached analyzers, including a class whose phase 1
-   fails. A golden changes only with a deliberate, documented output
+   fails; one pins the usage error of a malformed column. A golden changes
+   only with a deliberate, documented output
    change; regenerate one with
 
      lineup_cli SUBCOMMAND --metrics goldens/NAME.metrics.json ARGS... > goldens/NAME.report *)
@@ -54,6 +55,9 @@ let cases =
       1,
       "compare",
       [ "CancellationTokenSource"; "Cancel"; "IsCancellationRequested" ] );
+    (* a malformed column is a usage error (exit 124, nothing on stdout, no
+       metrics file), as an unknown class name is *)
+    "check-bad-column", 124, "check", [ "Counter"; "Inc(zzz)"; "Get" ];
   ]
 
 let run_cli subcommand args =

@@ -76,6 +76,23 @@ let kill_and_replay_contract =
         in
         Alcotest.(check (list (triple exec_end_t int int)))
           "ends" [ Explore.Deadlock [ 0 ], 1, 0 ] ends);
+    test "kill: cleanup run by the kill sees its own thread id" (fun () ->
+        (* T0's [with_lock] releases [m] on the way out of the kill; T1 ran
+           last, and the release must not be charged to it *)
+        let ends =
+          execution_ends unbounded (fun () ->
+              let m = Mutex_.create ~name:"m" () in
+              let v = Var.make 0 in
+              [|
+                (fun () -> Mutex_.with_lock m (fun () -> Rt.block ~wake:(fun () -> false) "never"));
+                (fun () -> ignore (Var.read v));
+              |])
+        in
+        match ends with
+        | (e, _, errors) :: _ ->
+          Alcotest.check exec_end_t "first execution" (Explore.Deadlock [ 0 ]) e;
+          Alcotest.(check int) "no thread error" 0 errors
+        | [] -> Alcotest.fail "no execution");
     test "kill: a diverging thread that catches Killed and steps again ends Diverged" (fun () ->
         let ends =
           execution_ends
