@@ -6,8 +6,9 @@
    engine layer ([Lineup_monitor.Engine]), measuring the checking cost
    alone — queue and stack through the near-linear decrease-and-conquer
    engines, set through the keyed chunked feasible-state engine. A fourth
-   lane times the full CLI end to end (reader domain, ingest queue, driver
-   rounds) over a temp file, which adds parse and queue cost.
+   lane times the full CLI end to end over a temp file (process start,
+   reading and NDJSON scanning on the checking domain, driver rounds),
+   which adds the cost of the text format.
 
    Rows land in the lineup-bench/2 JSON with extras: throughput_ops_s
    (completed operations per wall-second — the CI sanity floor),
