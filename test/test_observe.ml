@@ -242,6 +242,19 @@ let crash_path_suite =
                      && String.sub f 0 (String.length base) = base)
             in
             Alcotest.(check (list string)) "no tmp files left" [] residue));
+    test "atomic_file: domains writing one path do not share a staging file" (fun () ->
+        with_temp_file (fun path ->
+            let contents = String.make 100_000 'x' in
+            let writers =
+              List.init 4 (fun _ ->
+                  Domain.spawn (fun () ->
+                      for _ = 1 to 25 do
+                        Atomic_file.write ~path contents
+                      done))
+            in
+            List.iter Domain.join writers;
+            Alcotest.(check int) "complete" (String.length contents)
+              (String.length (In_channel.with_open_bin path In_channel.input_all))));
     test "metrics: write_file is atomic (never a partial JSON)" (fun () ->
         (* kill-durability regression for the truncate-then-write bug: a
            reader opening the path mid-write must always see a complete
