@@ -88,12 +88,7 @@ let systematic_vs_stress opts =
     let found = ref false in
     let on_history (h : Harness.run_result) =
       incr execs;
-      let bad =
-        if Lineup_history.History.is_stuck h.history then
-          Result.is_error (Observation.linearizable_stuck obs h.history)
-        else Option.is_none (Observation.find_witness_full obs h.history)
-      in
-      if bad then begin
+      if not (observed obs h.history) then begin
         found := true;
         `Stop
       end
@@ -194,12 +189,7 @@ let icb opts =
             let _ =
               Harness.run_phase config ~adapter:e.adapter ~test ~on_history:(fun h ->
                   incr execs;
-                  let bad =
-                    if Lineup_history.History.is_stuck h.history then
-                      Result.is_error (Observation.linearizable_stuck obs h.history)
-                    else Option.is_none (Observation.find_witness_full obs h.history)
-                  in
-                  if bad then begin
+                  if not (observed obs h.history) then begin
                     found_at := Some b;
                     `Stop
                   end

@@ -56,11 +56,11 @@ let tests =
     (* Phase-2 inner loop: witness search for one history *)
     Test.make ~name:"witness-search (T2 inner loop)" (Staged.stage (fun () ->
         let obs, h = witness_fixture in
-        ignore (Observation.find_witness_full obs h)));
+        ignore (Observation.witness obs h)));
     (* The oracle: direct Wing-Gong-Lowe check of the same history *)
     Test.make ~name:"wgl-direct-check (oracle)" (Staged.stage (fun () ->
         let _, h = witness_fixture in
-        ignore (Lin_check.check Specs.counter h)));
+        ignore (Lin_check.decide Specs.counter h)));
     (* Figure 9 driver: generalized (stuck-history) check *)
     Test.make ~name:"check-fig9-mre (F9)" (Staged.stage (fun () ->
         ignore

@@ -108,6 +108,16 @@ let default_options =
 let paper_options =
   { samples = 100; rows = 3; cols = 3; cap = 50_000; seed = 42; minimize = true }
 
+(* Does the observation set hold a witness for [h]: Definition 1 on a
+   complete history, Definition 2 on a stuck one? *)
+let observed obs h =
+  let decide q =
+    if Option.is_some (Observation.witness obs q) then Lineup_spec.Spec.Accept
+    else Lineup_spec.Spec.Reject
+  in
+  if H.History.is_stuck h then Option.is_none (Lineup_spec.Spec.first_unjustified decide h)
+  else decide h = Lineup_spec.Spec.Accept
+
 let inv ?arg name = H.Invocation.make ?arg name
 let inv_int name n = H.Invocation.make ~arg:(Value.int n) name
 

@@ -157,26 +157,15 @@ let full_histories obs = List.rev obs.full.recorded
 let stuck_histories obs = List.rev obs.stuck.recorded
 
 (* The index lookup settles condition 2 (equal thread keys), so a probe is
-   condition 3 alone, on [h] prepared once. *)
-let find_in ?probes g h =
-  match Key.find_opt g.index (History.thread_key h) with
+   condition 3 alone, on [q] prepared once. *)
+let witness ?probes obs q =
+  let g = if History.is_stuck q then obs.stuck else obs.full in
+  match Key.find_opt g.index (History.thread_key q) with
   | None -> None
   | Some candidates ->
-    let events = Witness.prepare h in
+    let events = Witness.prepare q in
     List.find_map
       (fun (serial, pos) ->
         (match probes with Some p -> incr p | None -> ());
         if Witness.preserves_order pos events then Some serial else None)
       !candidates
-
-let find_witness_full ?probes obs h = find_in ?probes obs.full h
-let find_witness_stuck ?probes obs he = find_in ?probes obs.stuck he
-
-let linearizable_stuck ?probes obs h =
-  let justified e =
-    let he = History.restrict_to_pending h e in
-    Option.is_some (find_witness_stuck ?probes obs he)
-  in
-  match List.find_opt (fun e -> not (justified e)) (History.pending_ops h) with
-  | None -> Ok ()
-  | Some e -> Error e

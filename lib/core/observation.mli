@@ -43,23 +43,12 @@ val full_histories : t -> Lineup_history.Serial_history.t list
     {!full_histories}. *)
 val stuck_histories : t -> Lineup_history.Serial_history.t list
 
-(** [find_witness_full ?probes obs h] searches [A] for a serial witness of
-    the complete history [h]. [probes], when given, is incremented once per
+(** [witness ?probes obs q] is the phase-2 search of one query: a serial
+    witness in [A] of the complete history [q] (Definition 1), or in [B]
+    of the [H[e]] [q], whose only pending operation is [e] (Definition 2).
+    A stuck history is judged by running [Lineup_spec.Spec.first_unjustified]
+    over its [H[e]]s. [probes], when given, is incremented once per
     candidate serial history examined — the witness-search work metric. *)
-val find_witness_full :
+val witness :
   ?probes:int ref ->
   t -> Lineup_history.History.t -> Lineup_history.Serial_history.t option
-
-(** [find_witness_stuck ?probes obs he] searches [B] for a serial witness of
-    [he], which must be an [H[e]]-shaped stuck history (one pending
-    operation). *)
-val find_witness_stuck :
-  ?probes:int ref ->
-  t -> Lineup_history.History.t -> Lineup_history.Serial_history.t option
-
-(** [linearizable_stuck ?probes obs h] applies Definition 2 to stuck history
-    [h]: every pending operation [e] must have a witness for [H[e]] in
-    [B]. *)
-val linearizable_stuck :
-  ?probes:int ref ->
-  t -> Lineup_history.History.t -> (unit, Lineup_history.Op.t) result

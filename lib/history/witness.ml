@@ -1,15 +1,3 @@
-module Value = Lineup_value.Value
-
-let keys_equal k1 k2 =
-  List.equal
-    (fun (t1, l1) (t2, l2) ->
-      t1 = t2
-      && List.equal
-           (fun (i1, r1) (i2, r2) ->
-             Invocation.equal i1 i2 && Option.equal Value.equal r1 r2)
-           l1 l2)
-    k1 k2
-
 (* Operations are numbered densely in thread-key order: threads by ascending
    id, each thread's operations in its own order. A history and a serial
    history with equal thread keys number every operation alike, so
@@ -72,32 +60,3 @@ let preserves_order (pos : positions) (events : prepared) =
     else p > latest_returned && go (i + 1) latest_returned
   in
   go 0 (-1)
-
-let find_witness ~specs h =
-  let key = History.thread_key h in
-  let events = prepare h in
-  List.find_opt
-    (fun serial ->
-      (* Condition 2: identical thread subhistories (as operation sequences). *)
-      keys_equal (Serial_history.thread_key serial) key
-      && preserves_order (positions serial) events)
-    specs
-
-let is_witness ~serial h = Option.is_some (find_witness ~specs:[ serial ] h)
-
-let linearizable_full ~specs h =
-  if not (History.is_complete h) then
-    invalid_arg "Witness.linearizable_full: history has pending operations";
-  Option.is_some (find_witness ~specs h)
-
-let linearizable_stuck ~specs h =
-  if not (History.is_stuck h) then
-    invalid_arg "Witness.linearizable_stuck: history is not stuck";
-  let pending = History.pending_ops h in
-  let justified e =
-    let he = History.restrict_to_pending h e in
-    Option.is_some (find_witness ~specs he)
-  in
-  match List.find_opt (fun e -> not (justified e)) pending with
-  | None -> Ok ()
-  | Some e -> Error e

@@ -1,17 +1,16 @@
-(** Serial-witness checking (Section 2.1.4).
+(** Serial-witness probes (Section 2.1.4).
 
     A serial history [S] is a witness for a history [H] when (1) [S] is
-    serial, (2) [S|t = H|t] for every thread [t], and (3) [<H ⊆ <S]. This
-    module implements the check for both full histories (Definition 1, with
-    no pending operations) and stuck histories restricted to a single pending
-    operation (Definition 2, the [H[e]] shape).
+    serial, (2) [S|t = H|t] for every thread [t], and (3) [<H ⊆ <S]. [H]
+    is a complete history (Definition 1) or the [H[e]] of a stuck history,
+    with a single pending operation (Definition 2).
 
-    The check splits into a part per side, so that a search probing many
-    candidates pays for each side once: {!positions} of every serial
-    history, {!prepare} of the history, and {!preserves_order} comparing
-    the two with integer operations only. Condition 2 is
-    {!History.thread_key} equality, which an index on that key (the
-    phase-2 observation index) settles before any candidate is probed. *)
+    Only the probe halves live here; the phase-2 search that uses them is
+    [Lineup.Observation.witness]. A search probing many candidates pays
+    for each side once: {!positions} of every serial history, {!prepare}
+    of the history, and {!preserves_order} comparing the two with integer
+    operations only. Condition 2 is {!History.thread_key} equality, which
+    the observation index settles before any candidate is probed. *)
 
 (** Where each operation of a serial history sits in its linear order. *)
 type positions
@@ -26,24 +25,3 @@ val prepare : History.t -> prepared
 (** [preserves_order (positions s) (prepare h)] is condition 3, [<H ⊆ <S].
     Only meaningful when [s] and [h] have equal thread keys (condition 2). *)
 val preserves_order : positions -> prepared -> bool
-
-(** [is_witness ~serial h] decides whether [serial] is a serial witness for
-    [h]. [h] may be a complete history (full-history check) or a stuck
-    history with exactly one pending operation (the [H[e]] of Definition 2);
-    histories with several pending operations never match, since a serial
-    history has at most one pending call, in final position. *)
-val is_witness : serial:Serial_history.t -> History.t -> bool
-
-(** [linearizable_full ~specs h] — Definition 1 for complete histories: some
-    serial history in [specs] is a witness for [h]. *)
-val linearizable_full : specs:Serial_history.t list -> History.t -> bool
-
-(** [linearizable_stuck ~specs h] — Definition 2: for every pending operation
-    [e] of the stuck history [h], [specs] contains a serial witness for
-    [H[e]]. Returns [Ok ()] or [Error e] for the first unjustified pending
-    operation. *)
-val linearizable_stuck :
-  specs:Serial_history.t list -> History.t -> (unit, Op.t) result
-
-(** [find_witness ~specs h] returns the first witness in [specs], if any. *)
-val find_witness : specs:Serial_history.t list -> History.t -> Serial_history.t option

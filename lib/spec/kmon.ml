@@ -26,13 +26,11 @@ module Value = Lineup_value.Value
    Implemented as a record of closures so one existential spec type ['st]
    stays hidden inside [create]. *)
 
-type verdict = Monitor.verdict
-
 type t = {
   feed : Event.t -> unit;
   shed : call:Event.t -> ret:Event.t -> unit;
-  verdict_now : unit -> verdict option;
-  finalize : unit -> verdict;
+  verdict_now : unit -> Spec.verdict option;
+  finalize : unit -> Spec.verdict;
   ops : unit -> int;
   sheds : unit -> int;
   chunks : unit -> int;
@@ -57,7 +55,7 @@ let create : type st. st Spec.t -> keyed:bool -> chunk:int -> max_window:int -> 
   let max_window = max 1 max_window in
   let keys : (int, st kstate) Hashtbl.t = Hashtbl.create 16 in
   let op_key : (int * int, int) Hashtbl.t = Hashtbl.create 64 in
-  let verdict : verdict option ref = ref None in
+  let verdict : Spec.verdict option ref = ref None in
   let n_ops = ref 0 in
   let n_sheds = ref 0 in
   let n_chunks = ref 0 in
@@ -108,12 +106,12 @@ let create : type st. st Spec.t -> keyed:bool -> chunk:int -> max_window:int -> 
     ks.chunk <- [];
     ks.chunk_ops <- 0;
     match step_feasible ks h with
-    | Error reason -> settle (Monitor.Unsupported reason)
-    | Ok [] -> settle Monitor.Reject
+    | Error reason -> settle (Spec.Unsupported reason)
+    | Ok [] -> settle Spec.Reject
     | Ok sts ->
       if List.length sts > max_feasible then
         settle
-          (Monitor.Unsupported
+          (Spec.Unsupported
              (Fmt.str "feasible-state explosion (over %d states)" max_feasible))
       else ks.feasible <- sts
   in
@@ -128,14 +126,14 @@ let create : type st. st Spec.t -> keyed:bool -> chunk:int -> max_window:int -> 
       | Event.Call inv -> (
         if Hashtbl.mem op_key id then
           settle
-            (Monitor.Unsupported
+            (Spec.Unsupported
                (Fmt.str "duplicate call for operation (%d, %d)" ev.Event.tid
                   ev.Event.op_index))
         else
           match key_of inv with
           | None ->
             settle
-              (Monitor.Unsupported
+              (Spec.Unsupported
                  (Fmt.str "operation %s without an integer key"
                     inv.Invocation.name))
           | Some k ->
@@ -146,7 +144,7 @@ let create : type st. st Spec.t -> keyed:bool -> chunk:int -> max_window:int -> 
               ks.chunk <- ev :: ks.chunk;
               if ks.chunk_ops + ks.kpending > max_window then
                 settle
-                  (Monitor.Unsupported
+                  (Spec.Unsupported
                      (Fmt.str "no quiescent point within %d operations"
                         max_window))
             end)
@@ -154,7 +152,7 @@ let create : type st. st Spec.t -> keyed:bool -> chunk:int -> max_window:int -> 
         match Hashtbl.find_opt op_key id with
         | None ->
           settle
-            (Monitor.Unsupported
+            (Spec.Unsupported
                (Fmt.str "return without call for operation (%d, %d)"
                   ev.Event.tid ev.Event.op_index))
         | Some k ->
@@ -205,12 +203,10 @@ let create : type st. st Spec.t -> keyed:bool -> chunk:int -> max_window:int -> 
           let ok =
             List.exists
               (fun st ->
-                match
-                  Lin_check.check_outcome { spec with Spec.initial = st } h
-                with
-                | `Linearizable -> true
-                | `Not_linearizable -> false
-                | `Unsupported reason ->
+                match Lin_check.decide { spec with Spec.initial = st } h with
+                | Spec.Accept -> true
+                | Spec.Reject -> false
+                | Spec.Unsupported reason ->
                   if !key_unsupported = None then key_unsupported := Some reason;
                   false)
               ks.feasible
@@ -226,11 +222,11 @@ let create : type st. st Spec.t -> keyed:bool -> chunk:int -> max_window:int -> 
       in
       Hashtbl.iter check_key keys;
       let v =
-        if !rejected then Monitor.Reject
+        if !rejected then Spec.Reject
         else
           match !unsupported with
-          | Some reason -> Monitor.Unsupported reason
-          | None -> Monitor.Accept
+          | Some reason -> Spec.Unsupported reason
+          | None -> Spec.Accept
       in
       verdict := Some v;
       v

@@ -19,13 +19,11 @@
     (accept-lean: it is excluded from the verdict); other keys are
     unaffected, by P-compositionality. *)
 
-type verdict = Monitor.verdict
-
 type t = {
   feed : Lineup_history.Event.t -> unit;
   shed : call:Lineup_history.Event.t -> ret:Lineup_history.Event.t -> unit;
-  verdict_now : unit -> verdict option;
-  finalize : unit -> verdict;
+  verdict_now : unit -> Spec.verdict option;
+  finalize : unit -> Spec.verdict;
   ops : unit -> int;
   sheds : unit -> int;
   chunks : unit -> int;

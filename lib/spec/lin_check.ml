@@ -6,10 +6,9 @@ module Op = Lineup_history.Op
    (set of linearized operations, specification state) as in Lowe's
    "Testing for linearizability". Operations are indexed in an array; sets
    are bitmasks, so histories are limited to 62 operations — far beyond the
-   3x3 tests of the paper, but reachable via the auto generators. Oversized
-   histories surface as a structured [`Unsupported] in the [*_outcome] API
-   (the membership layer then degrades to the generic search); only the
-   legacy boolean API still raises. *)
+   3x3 tests of the paper, but reachable via the auto generators. [decide]
+   answers an oversized history [Unsupported] (the membership layer then
+   degrades to the generic search); only [linearization] raises. *)
 
 let max_ops = 62
 let too_many n = Fmt.str "Lin_check: %d operations exceed the %d-op bitmask" n max_ops
@@ -78,13 +77,27 @@ let search (spec : 'st Spec.t) ops n preds ~allow_pending ~final_check =
   in
   go 0 spec.Spec.initial []
 
-let check_outcome spec h =
+let decide spec h =
   match prepare h with
-  | Error reason -> `Unsupported reason
-  | Ok (ops, n, preds) -> (
-    match search spec ops n preds ~allow_pending:true ~final_check:(fun _ -> true) with
-    | Some _ -> `Linearizable
-    | None -> `Not_linearizable)
+  | Error reason -> Spec.Unsupported reason
+  | Ok (ops, n, preds) ->
+    let found =
+      if not (History.is_stuck h) then
+        search spec ops n preds ~allow_pending:true ~final_check:(fun _ -> true)
+      else
+        match History.pending_ops h with
+        | [ (e : Op.t) ] ->
+          (* H[e]: all complete operations linearized in some <H-consistent
+             order, after which the specification blocks on [e]'s
+             invocation; [e] itself is not linearized (it is the witness's
+             final pending call). *)
+          let blocks st =
+            match spec.Spec.step st e.inv with Spec.Blocked -> true | Spec.Return _ -> false
+          in
+          search spec ops n preds ~allow_pending:false ~final_check:blocks
+        | _ -> invalid_arg "Lin_check.decide: a stuck history must have one pending operation"
+    in
+    if Option.is_some found then Spec.Accept else Spec.Reject
 
 (* All specification states reachable by linearizing the complete history
    [h] in full, one representative per distinct [state_key], in sorted key
@@ -133,66 +146,7 @@ let final_states (spec : 'st Spec.t) h =
     in
     `States states
 
-let check_stuck_outcome spec h =
-  if not (History.is_stuck h) then invalid_arg "Lin_check.check_stuck: history is not stuck";
-  let justified (e : Op.t) =
-    (* Witness for H[e]: all complete operations of [h] linearized in some
-       <H-consistent order, after which the specification blocks on [e]'s
-       invocation. The other pending calls are removed by the H[e]
-       construction, hence excluded from the search. *)
-    let he = History.restrict_to_pending h e in
-    match prepare he with
-    | Error reason -> Error reason
-    | Ok (ops, n, preds) ->
-      let final_check st =
-        match spec.Spec.step st e.inv with Spec.Blocked -> true | Spec.Return _ -> false
-      in
-      (* In H[e] the only pending operation is [e] itself, which must not be
-         linearized (it appears as the final pending call of the witness). *)
-      Ok (Option.is_some (search spec ops n preds ~allow_pending:false ~final_check))
-  in
-  let rec go = function
-    | [] -> `Justified
-    | e :: rest -> (
-      match justified e with
-      | Error reason -> `Unsupported reason
-      | Ok true -> go rest
-      | Ok false -> `Unjustified e)
-  in
-  go (History.pending_ops h)
-
-let check_general_outcome spec h =
-  if History.is_stuck h then
-    match check_stuck_outcome spec h with
-    | `Justified -> `Linearizable
-    | `Unjustified _ -> `Not_linearizable
-    | `Unsupported reason -> `Unsupported reason
-  else check_outcome spec h
-
-(* ---- legacy boolean API (raises on oversized histories) ---- *)
-
-let linearization_rev spec h ~final_check =
+let linearization spec h =
   let ops, n, preds = prepare_exn h in
-  match search spec ops n preds ~allow_pending:true ~final_check with
-  | Some rev_indices -> Some (List.rev_map (fun i -> ops.(i)) rev_indices)
-  | None -> None
-
-let check spec h =
-  Option.is_some (linearization_rev spec h ~final_check:(fun _ -> true))
-
-let linearization spec h = linearization_rev spec h ~final_check:(fun _ -> true)
-
-let check_complete spec h =
-  if not (History.is_complete h) then
-    invalid_arg "Lin_check.check_complete: history has pending operations";
-  check spec h
-
-let check_stuck spec h =
-  match check_stuck_outcome spec h with
-  | `Justified -> Ok ()
-  | `Unjustified e -> Error e
-  | `Unsupported _ -> invalid_arg "Lin_check: more than 62 operations"
-
-let check_general spec h =
-  if History.is_stuck h then match check_stuck spec h with Ok () -> true | Error _ -> false
-  else check spec h
+  search spec ops n preds ~allow_pending:true ~final_check:(fun _ -> true)
+  |> Option.map (List.rev_map (fun i -> ops.(i)))

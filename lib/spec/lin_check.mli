@@ -9,22 +9,24 @@
     In this codebase it serves two roles: an independent oracle — the test
     suite checks that the two-phase Line-Up verdict and the direct verdict
     agree on histories produced by the model checker — and the per-part
-    membership check behind the P-compositional splitter ({!Pcomp}) and the
-    [--membership monitor] dispatch ({!Spec_check}).
+    membership check behind the P-compositional splitter ({!Pcomp}), the
+    chunked stream monitor ({!Kmon}) and the [--membership monitor]
+    dispatch ({!Spec_check}).
 
-    The bitmask representation limits one search to 62 operations. The
-    [*_outcome] functions report oversized inputs as a structured
-    [`Unsupported] so callers can degrade to the generic observation search
-    instead of aborting the run; the legacy boolean API below raises
-    [Invalid_argument] as before. *)
+    [decide] answers one query with the shared {!Spec.verdict}; a stuck
+    history is judged by running {!Spec.first_unjustified} over it. The
+    bitmask representation limits one search to 62 operations: [decide]
+    answers a larger query [Unsupported], so callers degrade to the
+    generic observation search instead of aborting the run. *)
 
-(** [check_outcome spec h] — Definition 1: can [h] be extended (completing
-    or dropping its pending calls) so that [complete h'] has a serial
-    witness in the specification? *)
-val check_outcome :
-  'st Spec.t ->
-  Lineup_history.History.t ->
-  [ `Linearizable | `Not_linearizable | `Unsupported of string ]
+(** [decide spec q] decides one query. On a history that is not stuck it
+    applies Definition 1: can [q] be extended (completing or dropping its
+    pending calls) so that [complete q'] has a serial witness? On the
+    [H[e]] of a stuck history it is Definition 2's test for [e]: a serial
+    witness of the complete operations after which the specification
+    blocks on [e]'s invocation. Raises [Invalid_argument] on a stuck
+    history with more than one pending operation. *)
+val decide : 'st Spec.t -> Lineup_history.History.t -> Spec.verdict
 
 (** [final_states spec h] — all specification states reachable by
     linearizing the complete history [h] in full: one representative per
@@ -36,42 +38,8 @@ val check_outcome :
 val final_states :
   'st Spec.t -> Lineup_history.History.t -> [ `States of 'st list | `Unsupported of string ]
 
-(** [check_stuck_outcome spec h] — Definition 2: every pending operation [e]
-    of stuck history [h] must have a serial witness for [H[e]] in the
-    blocked extension [Ȳ] of the specification; [`Unjustified e] carries
-    the first pending operation without one. Raises [Invalid_argument] if
-    [h] is not stuck. *)
-val check_stuck_outcome :
-  'st Spec.t ->
-  Lineup_history.History.t ->
-  [ `Justified | `Unjustified of Lineup_history.Op.t | `Unsupported of string ]
-
-(** [check_general_outcome spec h] — Definition 3 applied to one history:
-    stuck histories checked per Definition 2, others per Definition 1. *)
-val check_general_outcome :
-  'st Spec.t ->
-  Lineup_history.History.t ->
-  [ `Linearizable | `Not_linearizable | `Unsupported of string ]
-
-(** [check spec h] — Definition 1, as a boolean. Raises [Invalid_argument]
-    on histories of more than 62 operations. *)
-val check : 'st Spec.t -> Lineup_history.History.t -> bool
-
-(** [check_complete spec h] — Definition 1 restricted to complete histories.
-    Raises [Invalid_argument] if [h] has pending operations. *)
-val check_complete : 'st Spec.t -> Lineup_history.History.t -> bool
-
-(** [check_stuck spec h] — Definition 2. Returns the first unjustified
-    pending operation on failure. Raises [Invalid_argument] on oversized
-    histories. *)
-val check_stuck :
-  'st Spec.t -> Lineup_history.History.t -> (unit, Lineup_history.Op.t) result
-
-(** [check_general spec h] — Definition 3 applied to one history: stuck
-    histories checked per Definition 2, others per Definition 1. *)
-val check_general : 'st Spec.t -> Lineup_history.History.t -> bool
-
 (** [linearization spec h] returns a witness linearization order of the
     complete operations of [h] (completing pending calls when possible), or
-    [None] if the history is not linearizable. For reporting and tests. *)
+    [None] if the history is not linearizable. For reporting and tests.
+    Raises [Invalid_argument] on histories of more than 62 operations. *)
 val linearization : 'st Spec.t -> Lineup_history.History.t -> Lineup_history.Op.t list option

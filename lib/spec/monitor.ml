@@ -20,7 +20,7 @@ module Invocation = Lineup_history.Invocation
    never removed) — outside that range a witness can always order the pair
    around any chosen point. *)
 
-type verdict =
+type verdict = Spec.verdict =
   | Accept
   | Reject
   | Unsupported of string

@@ -71,14 +71,13 @@ let split h =
 
 let check spec h =
   match split h with
-  | None -> Monitor.Unsupported "operation without an integer key"
+  | None -> Spec.Unsupported "operation without an integer key"
   | Some parts ->
     let rec go = function
-      | [] -> Monitor.Accept
+      | [] -> Spec.Accept
       | (_k, part) :: rest -> (
-        match Lin_check.check_outcome spec part with
-        | `Linearizable -> go rest
-        | `Not_linearizable -> Monitor.Reject
-        | `Unsupported reason -> Monitor.Unsupported reason)
+        match Lin_check.decide spec part with
+        | Spec.Accept -> go rest
+        | (Spec.Reject | Spec.Unsupported _) as v -> v)
     in
     go parts

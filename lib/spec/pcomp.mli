@@ -30,4 +30,4 @@ val split :
     [spec] (whose initial state may have been advanced over a test's init
     sequence). [Unsupported] when the history cannot be split or a part
     exceeds the {!Lin_check} operation limit. *)
-val check : 'st Spec.t -> Lineup_history.History.t -> Monitor.verdict
+val check : 'st Spec.t -> Lineup_history.History.t -> Spec.verdict

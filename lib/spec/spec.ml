@@ -1,5 +1,6 @@
 module Value = Lineup_value.Value
 module Invocation = Lineup_history.Invocation
+module History = Lineup_history.History
 
 type cls =
   | Queue
@@ -51,3 +52,16 @@ let advance spec invs =
         | Return (_, st') -> Some st'
         | Blocked -> None))
     (Some spec.initial) invs
+
+type verdict =
+  | Accept
+  | Reject
+  | Unsupported of string
+
+let first_unjustified decide h =
+  List.find_map
+    (fun e ->
+      match decide (History.restrict_to_pending h e) with
+      | Accept -> None
+      | (Reject | Unsupported _) as v -> Some (e, v))
+    (History.pending_ops h)

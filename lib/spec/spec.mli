@@ -11,7 +11,13 @@
 
     A specification is deterministic by construction: [step] is a function.
     [Blocked] models operations that must wait (the semaphore-like [dec] of
-    the paper's counter example). *)
+    the paper's counter example).
+
+    It also declares the one answer every membership engine gives — the
+    observation search, {!Lin_check}, the {!Monitor}s, {!Pcomp} and
+    {!Kmon} — and Definition 2's loop over the pending operations of a
+    stuck history ({!first_unjustified}), written once over whichever
+    engine decides its queries. *)
 
 (** The abstract-data-type class of a specification. The spec-specialized
     phase-2 membership layer dispatches on it: {!Spec_check} runs the
@@ -60,3 +66,22 @@ val run :
     reachable. Used to fold a test's unrecorded [init] sequence into the
     specification before checking recorded histories against it. *)
 val advance : 'st t -> Lineup_history.Invocation.t list -> 'st option
+
+(** The answer of a membership engine to one query: a complete history
+    (Definition 1) or the [H[e]] of a stuck history, whose only pending
+    operation is [e] (Definition 2). *)
+type verdict =
+  | Accept  (** a serial witness exists *)
+  | Reject  (** no serial witness exists *)
+  | Unsupported of string
+      (** the engine cannot decide this query — the caller falls back to
+          another engine; never a guess *)
+
+(** [first_unjustified decide h] is Definition 2 for the stuck history
+    [h]: it walks [History.pending_ops h] in order and returns the first
+    pending operation [e] whose [H[e]] [decide] does not [Accept], with
+    that verdict, or [None] when every one is justified. *)
+val first_unjustified :
+  (Lineup_history.History.t -> verdict) ->
+  Lineup_history.History.t ->
+  (Lineup_history.Op.t * verdict) option

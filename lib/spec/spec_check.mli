@@ -1,16 +1,18 @@
-(** Spec-specialized phase-2 membership: one history, one decision.
+(** Spec-specialized phase-2 membership: one query, one {!Spec.verdict}.
 
-    Dispatch ladder, driven by the declared {!Spec.cls} of the adapter's
-    specification:
+    A query is a complete history (Definition 1) or the [H[e]] of a stuck
+    history (Definition 2); a stuck history is judged by running
+    {!Spec.first_unjustified} over [decide]. Dispatch ladder, driven by the
+    declared {!Spec.cls} of the adapter's specification:
 
-    - complete history, class [Queue]/[Stack], no init sequence → the
+    - complete query, class [Queue]/[Stack], no init sequence → the
       decrease-and-conquer {!Monitor};
-    - complete history, class [Set]/[Dictionary] → the P-compositional
+    - complete query, class [Set]/[Dictionary] → the P-compositional
       per-key splitter {!Pcomp} (each part checked by {!Lin_check} with a
       fresh memo table);
-    - anything the specialized checks refuse — and, with [force_spec], stuck
-      or pending histories — the direct Wing–Gong search {!Lin_check}
-      ([check_stuck_outcome] for stuck histories per Definition 2);
+    - anything the specialized checks refuse — and, with [force_spec], an
+      [H[e]] or a query with pending calls — the direct Wing–Gong search
+      {!Lin_check.decide};
     - otherwise [Unsupported]: the caller must fall back to the generic
       observation search.
 
@@ -22,28 +24,19 @@
     produced — it cannot perturb schedule enumeration, so history counts
     and fingerprints are identical across membership modes by construction. *)
 
-type decision =
-  | Accept  (** linearizable — counts as a witness found *)
-  | Reject  (** complete history with no serial witness *)
-  | Reject_stuck of Lineup_history.Op.t
-      (** stuck history whose pending operation is unjustified (Def. 2) *)
-  | Unsupported of string  (** no spec-specialized answer — use the generic search *)
-
 type meth =
   | Monitor_check  (** decided by a class monitor *)
   | Pcomp_check  (** decided by the per-key splitter *)
   | Direct_check  (** decided by the direct Wing–Gong search *)
 
-val meth_name : meth -> string
-
-(** [decide ?force_spec packed_spec ~init h]. With [force_spec] (the
-    [--membership monitor] mode) histories outside the monitored fragment
+(** [decide ?force_spec packed_spec ~init q]. With [force_spec] (the
+    [--membership monitor] mode) queries outside the monitored fragment
     are checked by the direct search instead of being handed back; without
     it (the [auto] mode) only the near-linear specialized checks answer.
-    The returned method is [None] iff the decision is [Unsupported]. *)
+    The returned method is [None] iff the verdict is [Unsupported]. *)
 val decide :
   ?force_spec:bool ->
   Spec.packed ->
   init:Lineup_history.Invocation.t list ->
   Lineup_history.History.t ->
-  decision * meth option
+  Spec.verdict * meth option

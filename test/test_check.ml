@@ -26,7 +26,7 @@ let suite =
         | Check.Fail (Check.No_witness h) ->
           (* cross-validate with the explicit-spec checker: the violating
              history must also be refuted by the counter specification *)
-          Alcotest.(check bool) "WGL agrees" false (Lin_check.check Specs.counter h)
+          Alcotest.check verdict "WGL agrees" Spec.Reject (Lin_check.decide Specs.counter h)
         | _ -> Alcotest.failf "unexpected verdict: %s" (Report.summary r));
     test "counter2 passes the two-phase check (its blocking is serial too)" (fun () ->
         (* §2.2.2: the synthesized spec itself blocks — Line-Up cannot
@@ -53,7 +53,7 @@ let suite =
         | Check.Fail (Check.No_witness h) ->
           (* the violating history shows a TryDequeue failing although the
              queue was provably non-empty; the explicit queue spec agrees *)
-          Alcotest.(check bool) "WGL agrees" false (Lin_check.check Specs.queue h)
+          Alcotest.check verdict "WGL agrees" Spec.Reject (Lin_check.decide Specs.queue h)
         | _ -> Alcotest.failf "unexpected verdict: %s" (Report.summary r));
     test "generalized vs classic: MRE lost signal (§5.5)" (fun () ->
         let cols = [ [ inv "Wait" ]; [ inv "Set" ] ] in
@@ -97,8 +97,8 @@ let suite =
         let r = run Conc.Semaphore_slim.pre [ [ inv "Release" ]; [ inv "Release" ] ] in
         match r.Check.verdict with
         | Check.Fail (Check.No_witness h) ->
-          Alcotest.(check bool) "spec agrees" false
-            (Lin_check.check (Specs.semaphore ~initial:0) h)
+          Alcotest.check verdict "spec agrees" Spec.Reject
+            (Lin_check.decide (Specs.semaphore ~initial:0) h)
         | _ -> Alcotest.failf "unexpected verdict: %s" (Report.summary r));
     test "exception in an operation is reported as Thread_exception" (fun () ->
         let adapter =
@@ -170,10 +170,7 @@ let naive_phase2 config adapter test =
   | Error _ -> Alcotest.fail "phase 1 unexpectedly failed"
   | Ok (obs, _) ->
     let seen = ref [] and fp = ref 0 in
-    let rejects h =
-      if History.is_stuck h then Result.is_error (Observation.linearizable_stuck obs h)
-      else Option.is_none (Observation.find_witness_full obs h)
-    in
+    let rejects h = not (holds (observed obs) h) in
     ignore
       (Harness.run_phase config.Check.phase2 ~adapter ~test ~on_history:(fun r ->
            let h = r.Harness.history in

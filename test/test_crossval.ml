@@ -125,7 +125,7 @@ let correctness_props =
                  QCheck.Gen.small_signed_int))
            (fun test ->
              let histories = distinct (explore_histories p.adapter test ~cap:120) in
-             List.for_all (fun h -> Lin_check.check_general p.spec h) histories)))
+             List.for_all (holds (Lin_check.decide p.spec)) histories)))
     pairs
 
 let agreement_props =
@@ -145,13 +145,7 @@ let agreement_props =
              | Ok (obs, _) ->
                let histories = distinct (explore_histories p.adapter test ~cap:120) in
                List.for_all
-                 (fun h ->
-                   if History.is_stuck h then
-                     Result.is_ok (Observation.linearizable_stuck obs h)
-                     = Result.is_ok (Lin_check.check_stuck p.spec h)
-                   else
-                     Option.is_some (Observation.find_witness_full obs h)
-                     = Lin_check.check p.spec h)
+                 (fun h -> holds (observed obs) h = holds (Lin_check.decide p.spec) h)
                  histories)))
     pairs
 
@@ -204,11 +198,8 @@ let completeness_tests =
       test (Fmt.str "%s: the reported violation is refuted by the oracle" b.name) (fun () ->
           let r = Check.run b.adapter (Test_matrix.make b.columns) in
           match r.Check.verdict with
-          | Check.Fail (Check.No_witness h) ->
-            Alcotest.(check bool) "oracle refutes" false (Lin_check.check b.spec h)
-          | Check.Fail (Check.Stuck_unjustified (h, _)) ->
-            Alcotest.(check bool) "oracle refutes" false
-              (Result.is_ok (Lin_check.check_stuck b.spec h))
+          | Check.Fail (Check.No_witness h | Check.Stuck_unjustified (h, _)) ->
+            Alcotest.(check bool) "oracle refutes" false (holds (Lin_check.decide b.spec) h)
           | Check.Fail v -> Alcotest.failf "unexpected violation: %a" Check.pp_violation v
           | Check.Pass | Check.Cancelled -> Alcotest.fail "expected a violation"))
     buggy_pairs

@@ -431,12 +431,7 @@ let kmon_agrees ~name ~spec ~keyed ~gen =
     (QCheck.Test.make ~name ~count:500 seed_arb (fun seed ->
          let rng = Random.State.make [| seed |] in
          let events = interleave rng (gen rng) in
-         let oracle =
-           match Lin_check.check_outcome spec (history events) with
-           | `Linearizable -> Monitor.Accept
-           | `Not_linearizable -> Monitor.Reject
-           | `Unsupported r -> Monitor.Unsupported r
-         in
+         let oracle = Lin_check.decide spec (history events) in
          (* chunk 1 closes a chunk at every quiescent point, maximally
             exercising the feasible-state propagation *)
          kmon_verdict ~spec ~keyed ~chunk:1 events = oracle

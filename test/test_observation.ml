@@ -60,7 +60,7 @@ let suite =
               ret 0 1 (Value.int 2);
             ]
         in
-        Alcotest.(check (option serial_t)) "found" (Some s) (Observation.find_witness_full obs h));
+        Alcotest.(check (option serial_t)) "found" (Some s) (Observation.witness obs h));
     test "witness lookup respects real-time order" (fun () ->
         let obs = Observation.create () in
         (* only witness orders Get before B's Inc *)
@@ -78,14 +78,14 @@ let suite =
               ret 0 1 (Value.int 1);
             ]
         in
-        Alcotest.(check (option serial_t)) "no witness" None (Observation.find_witness_full obs h));
+        Alcotest.(check (option serial_t)) "no witness" None (Observation.witness obs h));
     test "stuck lookup goes through H[e]" (fun () ->
         let obs = Observation.create () in
         add_ok obs (serial ~stuck:(0, "Wait", u) []);
         add_ok obs (serial ~stuck:(1, "Wait", u) []);
         let h = history ~stuck:true [ call 0 0 "Wait" (); call 1 0 "Wait" () ] in
         Alcotest.(check bool) "both justified" true
-          (Result.is_ok (Observation.linearizable_stuck obs h)));
+          (Option.is_none (Spec.first_unjustified (observed obs) h)));
     test "stuck lookup reports the unjustified op" (fun () ->
         let obs = Observation.create () in
         add_ok obs (serial ~stuck:(0, "Wait", u) []);
@@ -93,9 +93,9 @@ let suite =
           history ~stuck:true
             [ call 1 0 "Set" (); ret 1 0 Value.unit; call 0 0 "Wait" () ]
         in
-        match Observation.linearizable_stuck obs h with
-        | Error op -> Alcotest.(check int) "tid" 0 op.Lineup_history.Op.tid
-        | Ok () -> Alcotest.fail "expected unjustified");
+        match Spec.first_unjustified (observed obs) h with
+        | Some (op, Spec.Reject) -> Alcotest.(check int) "tid" 0 op.Lineup_history.Op.tid
+        | Some _ | None -> Alcotest.fail "expected unjustified");
   ]
 
 (* ---------------- add against a naive model ---------------- *)

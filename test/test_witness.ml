@@ -2,6 +2,7 @@ open Helpers
 module Value = Lineup_value.Value
 module History = Lineup_history.History
 module Witness = Lineup_history.Witness
+module Observation = Lineup.Observation
 
 let u = Value.Unit
 
@@ -25,11 +26,20 @@ let counter_specs =
     serial [ 0, "Inc", u, Value.unit; 0, "Get", u, Value.int 1; 1, "Inc", u, Value.unit ];
   ]
 
+(* An observation set holding [specs], as phase 1 records them. *)
+let observe specs =
+  let obs = Observation.create () in
+  List.iter (fun s -> ignore (Observation.add obs s)) specs;
+  obs
+
+(* Definition 1 on a complete [h], Definition 2 on a stuck one. *)
+let witnessed ~specs h = holds (observed (observe specs)) h
+
 let suite =
   [
     test "counter1 history has no witness (paper §2.2.1)" (fun () ->
         Alcotest.(check bool) "not linearizable" false
-          (Witness.linearizable_full ~specs:counter_specs counter1_history));
+          (witnessed ~specs:counter_specs counter1_history));
     test "fixing the return value gives a witness" (fun () ->
         let ok_history =
           history
@@ -43,7 +53,7 @@ let suite =
             ]
         in
         Alcotest.(check bool) "linearizable" true
-          (Witness.linearizable_full ~specs:counter_specs ok_history));
+          (witnessed ~specs:counter_specs ok_history));
     test "real-time order is respected (condition 3)" (fun () ->
         (* Get completes strictly before the second Inc starts, so a witness
            placing Inc before Get is not acceptable. *)
@@ -59,7 +69,7 @@ let suite =
             ]
         in
         Alcotest.(check bool) "no witness" false
-          (Witness.linearizable_full ~specs:counter_specs h));
+          (witnessed ~specs:counter_specs h));
     test "overlap allows reordering" (fun () ->
         (* Get overlaps the second Inc: Get=2 is justified by ordering Inc
            before it. *)
@@ -75,27 +85,27 @@ let suite =
             ]
         in
         Alcotest.(check bool) "witness" true
-          (Witness.linearizable_full ~specs:counter_specs h));
+          (witnessed ~specs:counter_specs h));
     test "witness requires matching responses" (fun () ->
         let s = serial [ 0, "Get", u, Value.int 0 ] in
         let h_match = history [ call 0 0 "Get" (); ret 0 0 (Value.int 0) ] in
         let h_mismatch = history [ call 0 0 "Get" (); ret 0 0 (Value.int 1) ] in
-        Alcotest.(check bool) "match" true (Witness.is_witness ~serial:s h_match);
-        Alcotest.(check bool) "mismatch" false (Witness.is_witness ~serial:s h_mismatch));
+        Alcotest.(check bool) "match" true (witnessed ~specs:[ s ] h_match);
+        Alcotest.(check bool) "mismatch" false (witnessed ~specs:[ s ] h_mismatch));
     test "witness requires per-thread order" (fun () ->
         let s = serial [ 0, "A", u, Value.unit; 0, "B", u, Value.unit ] in
         let h =
           history
             [ call 0 0 "B" (); ret 0 0 Value.unit; call 0 1 "A" (); ret 0 1 Value.unit ]
         in
-        Alcotest.(check bool) "wrong order" false (Witness.is_witness ~serial:s h));
+        Alcotest.(check bool) "wrong order" false (witnessed ~specs:[ s ] h));
     test "stuck witness: justified pending operation" (fun () ->
         (* H: Inc complete, Dec pending; spec says Dec after nothing blocks
            — witness (Dec)# with Inc... no: witness must contain Inc. *)
         let h = history ~stuck:true [ call 0 0 "Dec" () ] in
         let specs = [ serial ~stuck:(0, "Dec", u) [] ] in
         Alcotest.(check bool) "justified" true
-          (Result.is_ok (Witness.linearizable_stuck ~specs h)));
+          (witnessed ~specs h));
     test "stuck witness: unjustified pending operation" (fun () ->
         (* Set completed, Wait still pending: no stuck serial history has
            Wait blocked after Set. *)
@@ -104,9 +114,9 @@ let suite =
             [ call 0 0 "Wait" (); call 1 0 "Set" (); ret 1 0 Value.unit ]
         in
         let specs = [ serial ~stuck:(0, "Wait", u) [] ] in
-        match Witness.linearizable_stuck ~specs h with
-        | Error op -> Alcotest.(check int) "pending thread" 0 op.Lineup_history.Op.tid
-        | Ok () -> Alcotest.fail "expected unjustified");
+        match Spec.first_unjustified (observed (observe specs)) h with
+        | Some (op, Spec.Reject) -> Alcotest.(check int) "pending thread" 0 op.Lineup_history.Op.tid
+        | Some _ | None -> Alcotest.fail "expected unjustified");
     test "stuck witness accepts matching completed prefix" (fun () ->
         let h =
           history ~stuck:true
@@ -114,21 +124,21 @@ let suite =
         in
         let specs = [ serial ~stuck:(0, "Wait", u) [ 1, "Set", u, Value.unit ] ] in
         Alcotest.(check bool) "justified" true
-          (Result.is_ok (Witness.linearizable_stuck ~specs h)));
+          (witnessed ~specs h));
     test "multiple pending ops each need justification" (fun () ->
         let h = history ~stuck:true [ call 0 0 "Wait" (); call 1 0 "Wait" () ] in
         let specs = [ serial ~stuck:(0, "Wait", u) [] ] in
         (* thread 1's H[e] has key (1, Wait), not in specs *)
-        match Witness.linearizable_stuck ~specs h with
-        | Error op -> Alcotest.(check int) "thread" 1 op.Lineup_history.Op.tid
-        | Ok () -> Alcotest.fail "expected unjustified");
-    test "find_witness returns the witness" (fun () ->
+        match Spec.first_unjustified (observed (observe specs)) h with
+        | Some (op, Spec.Reject) -> Alcotest.(check int) "thread" 1 op.Lineup_history.Op.tid
+        | Some _ | None -> Alcotest.fail "expected unjustified");
+    test "the observation search returns the witness" (fun () ->
         let h =
           history
             [ call 0 0 "Inc" (); ret 0 0 Value.unit; call 1 0 "Inc" (); ret 1 0 Value.unit;
               call 0 1 "Get" (); ret 0 1 (Value.int 2) ]
         in
-        match Witness.find_witness ~specs:counter_specs h with
+        match Observation.witness (observe counter_specs) h with
         | Some w -> Alcotest.(check int) "ops" 3 (List.length w.Lineup_history.Serial_history.entries)
         | None -> Alcotest.fail "expected a witness");
   ]
@@ -139,7 +149,6 @@ let suite =
 
 module Serial_history = Lineup_history.Serial_history
 module Event = Lineup_history.Event
-module Observation = Lineup.Observation
 
 (* A random case: per-thread operation names, a few response patterns over
    them, serial histories drawn from those patterns (some stuck), and one
@@ -280,8 +289,6 @@ let respects_order s h =
         ops)
     ops
 
-let naive_witness s h = same_threads s h && respects_order s h
-
 let case_arb = QCheck.make ~print:(Fmt.str "%a" pp_case) (fun st -> gen_case st)
 
 let search_props =
@@ -309,17 +316,21 @@ let search_props =
            in
            let want, want_probes = first 1 candidates in
            let probes = ref 0 in
-           let got =
-             if stuck then Observation.find_witness_stuck ~probes obs h
-             else Observation.find_witness_full ~probes obs h
-           in
+           let got = Observation.witness ~probes obs h in
            let same = Option.equal Serial_history.equal want got in
-           let is_witness_agrees =
-             List.for_all (fun s -> Witness.is_witness ~serial:s h = naive_witness s h) distinct
+           (* condition 3 on every serial history with the query's thread
+              subhistories, stuck or full *)
+           let order_agrees =
+             let events = Witness.prepare h in
+             List.for_all
+               (fun s ->
+                 (not (same_threads s h))
+                 || Witness.preserves_order (Witness.positions s) events = respects_order s h)
+               distinct
            in
-           if not (same && !probes = want_probes && is_witness_agrees) then
-             QCheck.Test.fail_reportf "witness %s, probes %d (want %d), is_witness agrees: %b"
-               (if same then "agrees" else "differs") !probes want_probes is_witness_agrees
+           if not (same && !probes = want_probes && order_agrees) then
+             QCheck.Test.fail_reportf "witness %s, probes %d (want %d), preserves_order agrees: %b"
+               (if same then "agrees" else "differs") !probes want_probes order_agrees
            else true));
   ]
 
