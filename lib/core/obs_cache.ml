@@ -51,15 +51,6 @@ let legacy_cache_path ~dir (adapter : Adapter.t) test =
   in
   Filename.concat dir (Fmt.str "%s.xml" digest)
 
-(* Recursive, and tolerant of a concurrent creation racing us between the
-   existence check and the mkdir (parallel workers share the cache dir). *)
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Sys.mkdir dir 0o755
-    with Sys_error _ when Sys.file_exists dir && Sys.is_directory dir -> ()
-  end
-
 let mincr metrics k = match metrics with Some m -> Metrics.incr m k | None -> ()
 
 let phase1 ?config ?metrics ~dir adapter test =
@@ -98,7 +89,7 @@ let phase1 ?config ?metrics ~dir adapter test =
     end;
     match Check.synthesize ?config ?metrics adapter test with
     | Ok (obs, _report) ->
-      mkdir_p dir;
+      Lineup_observe.Atomic_file.mkdir_p dir;
       Observation_file.save
         ~root_attrs:[ "version", version; "fingerprint", fingerprint ]
         ~path obs;

@@ -53,3 +53,11 @@ val check :
     part is keyed. *)
 val cache_path :
   ?config:Check.config -> dir:string -> Adapter.t -> Test_matrix.t -> string
+
+(** The key parts shared with the shard checkpoints ([Lineup_shard.Store]):
+    [test_key test] is the full test content (init, columns, final) as
+    text; [explore_fingerprint c] the exploration mode, preemption bound and
+    step and execution budgets of [c]. *)
+val test_key : Test_matrix.t -> string
+
+val explore_fingerprint : Lineup_scheduler.Explore.config -> string

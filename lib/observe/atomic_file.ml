@@ -19,3 +19,10 @@ let write ~path contents =
      (try Sys.remove tmp with Sys_error _ -> ());
      raise e);
   Sys.rename tmp path
+
+let rec mkdir_p dir =
+  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
+    mkdir_p (Filename.dirname dir);
+    try Sys.mkdir dir 0o755
+    with Sys_error _ when Sys.file_exists dir && Sys.is_directory dir -> ()
+  end

@@ -10,3 +10,8 @@ val write : path:string -> string -> unit
     cannot cross filesystems) and renamed into place. Readers observe
     either the old complete file or the new one. On failure the staging
     file is removed and the destination is untouched. *)
+
+val mkdir_p : string -> unit
+(** [mkdir_p dir] creates [dir] and its missing parents (mode 0o755),
+    tolerating a concurrent creation between the existence check and the
+    [mkdir]: parallel workers share cache and run directories. *)

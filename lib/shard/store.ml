@@ -1,7 +1,5 @@
 module Check = Lineup.Check
-module Test_matrix = Lineup.Test_matrix
 module Explore = Lineup_scheduler.Explore
-module Invocation = Lineup_history.Invocation
 
 (* Version 2: the memory model entered [explore_fp] (a TSO sweep must never
    resume from an SC checkpoint or vice versa) and [Explore.stats] grew the
@@ -15,32 +13,23 @@ module Invocation = Lineup_history.Invocation
    groups would rebuild a differently ordered index. Version 6:
    [Explore.stats] lost [exact_bound_skips], so every marshaled stats record
    (phase1.bin, frontier.bin, each part) has one field fewer; reading a
-   version-5 record as the new one would shift every later field. *)
-let format_version = 6
+   version-5 record as the new one would shift every later field. Version
+   7: every payload is sealed behind its digest ({!Sealed}), so a corrupt
+   checkpoint is skipped instead of unmarshaled. *)
+let format_version = 7
 
-(* Same shape as Obs_cache's key: every knob that shapes the frontier, a
-   partition's exploration, or the membership decisions. [phase2_domains]
-   is deliberately absent — it never changes results, and a sweep recorded
-   on one machine must resume on another with a different core count. *)
+(* Obs_cache's key plus what shapes a partition beyond phase 1: every knob
+   that shapes the frontier, a partition's exploration, or the membership
+   decisions. [phase2_domains] is deliberately absent — it never changes
+   results, and a sweep recorded on one machine must resume on another with
+   a different core count. *)
 let explore_fp (c : Explore.config) =
-  let mode =
-    match c.Explore.mode with Explore.Serial -> "serial" | Explore.Concurrent -> "concurrent"
-  in
-  let opt = function None -> "-" | Some n -> string_of_int n in
   String.concat ","
     [
-      mode;
-      opt c.Explore.preemption_bound;
-      string_of_int c.Explore.max_steps;
-      opt c.Explore.max_executions;
+      Lineup.Obs_cache.explore_fingerprint c;
       string_of_bool c.Explore.por;
       Lineup_runtime.Memory_model.to_string c.Explore.memory;
     ]
-
-let test_key (test : Test_matrix.t) =
-  let col invs = String.concat ";" (List.map Invocation.to_string invs) in
-  String.concat "|"
-    ((col test.init :: Array.to_list (Array.map col test.columns)) @ [ col test.final ])
 
 let fingerprint ~(config : Check.config) ~adapter ~test =
   Digest.to_hex
@@ -55,7 +44,7 @@ let fingerprint ~(config : Check.config) ~adapter ~test =
             Check.membership_name config.Check.membership;
             string_of_int config.Check.phase2_frontier_depth;
             adapter;
-            test_key test;
+            Lineup.Obs_cache.test_key test;
           ]))
 
 (* ---------------- files ---------------- *)
@@ -67,13 +56,6 @@ let parts_dir dir = Filename.concat dir "parts"
 let part_path dir index = Filename.concat (parts_dir dir) (Fmt.str "%04d.part" index)
 let stats_path ~dir = Filename.concat dir "shard-stats.json"
 let header fingerprint = Fmt.str "lineup-shard/%d\n%s\n" format_version fingerprint
-
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Sys.mkdir dir 0o755
-    with Sys_error _ when Sys.file_exists dir && Sys.is_directory dir -> ()
-  end
 
 (* Atomic: a reader (or a resumed server) never sees a torn file. *)
 let write_file path contents = Lineup_observe.Atomic_file.write ~path contents
@@ -111,7 +93,7 @@ let remove_parts dir =
       (Sys.readdir d)
 
 let init_dir ~dir ~fingerprint =
-  mkdir_p (parts_dir dir);
+  Lineup_observe.Atomic_file.mkdir_p (parts_dir dir);
   (* A fresh sweep never trusts leftovers — neither stale files from a
      different configuration nor checkpoints of a previous identical run
      (those are what [--resume] is for). *)
@@ -136,15 +118,10 @@ let validate_dir ~dir ~fingerprint =
 (* ---------------- payloads ---------------- *)
 
 let save_phase1 ~dir ~fingerprint ~observation_xml (phase1 : Check.phase_report) =
-  write_stamped (phase1_path dir) ~fingerprint
-    (Marshal.to_string (observation_xml, phase1) [])
+  write_stamped (phase1_path dir) ~fingerprint (Sealed.marshal (observation_xml, phase1))
 
-let load_phase1 ~dir ~fingerprint =
-  match read_stamped (phase1_path dir) ~fingerprint with
-  | None -> None
-  | Some payload -> (
-    try Some (Marshal.from_string payload 0 : string * Check.phase_report)
-    with Failure _ | Invalid_argument _ -> None)
+let load_phase1 ~dir ~fingerprint : (string * Check.phase_report) option =
+  Option.bind (read_stamped (phase1_path dir) ~fingerprint) Sealed.unmarshal
 
 (* Prefixes travel as their textual encoding, the same representation the
    wire protocol uses — a checkpoint is readable (`head frontier.bin`) and
@@ -152,29 +129,26 @@ let load_phase1 ~dir ~fingerprint =
 let save_frontier ~dir ~fingerprint (frontier : Explore.frontier) =
   let encoded = List.map Explore.prefix_to_string frontier.Explore.prefixes in
   write_stamped (frontier_path dir) ~fingerprint
-    (Marshal.to_string (encoded, frontier.Explore.warmup) [])
+    (Sealed.marshal (encoded, frontier.Explore.warmup))
 
 let load_frontier ~dir ~fingerprint =
-  match read_stamped (frontier_path dir) ~fingerprint with
+  match
+    (Option.bind (read_stamped (frontier_path dir) ~fingerprint) Sealed.unmarshal
+      : (string list * Explore.stats) option)
+  with
   | None -> None
-  | Some payload -> (
-    match (Marshal.from_string payload 0 : string list * Explore.stats) with
-    | encoded, warmup ->
-      let rec decode acc = function
-        | [] -> Some (List.rev acc)
-        | s :: rest -> (
-          match Explore.prefix_of_string s with
-          | Ok p -> decode (p :: acc) rest
-          | Error _ -> None)
-      in
-      Option.map
-        (fun prefixes -> { Explore.prefixes; warmup })
-        (decode [] encoded)
-    | exception (Failure _ | Invalid_argument _) -> None)
+  | Some (encoded, warmup) ->
+    let rec decode acc = function
+      | [] -> Some (List.rev acc)
+      | s :: rest -> (
+        match Explore.prefix_of_string s with
+        | Ok p -> decode (p :: acc) rest
+        | Error _ -> None)
+    in
+    Option.map (fun prefixes -> { Explore.prefixes; warmup }) (decode [] encoded)
 
 let save_part ~dir ~fingerprint part =
-  write_stamped (part_path dir (Check.partition_index part)) ~fingerprint
-    (Marshal.to_string part [])
+  write_stamped (part_path dir (Check.partition_index part)) ~fingerprint (Sealed.marshal part)
 
 let load_parts ~dir ~fingerprint =
   let d = parts_dir dir in
@@ -186,13 +160,13 @@ let load_parts ~dir ~fingerprint =
     Array.iter
       (fun f ->
         if Filename.check_suffix f ".part" then
-          match read_stamped (Filename.concat d f) ~fingerprint with
+          match
+            (Option.bind (read_stamped (Filename.concat d f) ~fingerprint) Sealed.unmarshal
+              : Check.p2_partition option)
+          with
           | None -> ()
-          | Some payload -> (
-            match (Marshal.from_string payload 0 : Check.p2_partition) with
-            | part ->
-              let i = Check.partition_index part in
-              if not (Hashtbl.mem seen i) then Hashtbl.replace seen i part
-            | exception (Failure _ | Invalid_argument _) -> ()))
+          | Some part ->
+            let i = Check.partition_index part in
+            if not (Hashtbl.mem seen i) then Hashtbl.replace seen i part)
       files;
     Hashtbl.fold (fun _ p acc -> p :: acc) seen []

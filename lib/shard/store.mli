@@ -17,9 +17,11 @@
     fingerprint of (check configuration, adapter name, test content). A
     file whose header does not match the current run is stale — it is
     ignored (and never merged), so a run directory can {e only} resume the
-    exact sweep that wrote it. Writes go through a temp file + atomic
-    rename: a checkpoint either exists completely or not at all, and a
-    server killed mid-write never corrupts the directory. *)
+    exact sweep that wrote it. The marshaled payload after the header is
+    sealed behind its digest ({!Sealed}): a corrupt payload counts as
+    stale too, and its partition runs again. Writes go through a temp
+    file + atomic rename: a checkpoint either exists completely or not at
+    all, and a server killed mid-write never corrupts the directory. *)
 
 val format_version : int
 
@@ -62,7 +64,7 @@ val load_frontier :
 val save_part : dir:string -> fingerprint:string -> Lineup.Check.p2_partition -> unit
 
 (** All valid partition checkpoints, deduplicated by partition index
-    (first wins); stale or undecodable files are skipped. *)
+    (first wins); stale, corrupt or undecodable files are skipped. *)
 val load_parts : dir:string -> fingerprint:string -> Lineup.Check.p2_partition list
 
 val stats_path : dir:string -> string
