@@ -18,8 +18,9 @@
 (** How phase 2 decides membership of each distinct history. Every mode
     consumes the same enumerated histories (counts and fingerprints are
     identical by construction — the decision happens after the history is
-    recorded); only the decision procedure differs, and the CI
-    [membership-equivalence] lane asserts the verdicts agree too. *)
+    recorded); only the decision procedure differs, and the membership
+    equivalence rows of [test/test_goldens.ml] assert the verdicts agree
+    too. *)
 type membership =
   | Auto
       (** default: when the adapter declares a specification
