@@ -27,7 +27,7 @@ type t = {
           spec-specialized membership layer ([--membership auto]) may decide
           phase-2 history membership by class monitor or P-compositional
           splitting instead of the generic witness search. Verdicts must not
-          depend on it — the CI equivalence lane and the cross-validation
+          depend on it — the membership equivalence and cross-validation
           tests enforce that. [None] always means the generic search. *)
   create : unit -> instance;
 }
