@@ -391,7 +391,7 @@ let membership_conv =
   let parse s =
     match Check.membership_of_string s with
     | Some m -> Ok m
-    | None -> Error (`Msg (Printf.sprintf "expected auto, generic or monitor, got %S" s))
+    | None -> Error (`Msg (Printf.sprintf "expected auto or generic, got %S" s))
   in
   Arg.conv ~docv:"MODE" (parse, fun ppf m -> Fmt.string ppf (Check.membership_name m))
 
@@ -401,14 +401,15 @@ let membership_arg =
     & opt membership_conv Check.default_config.Check.membership
     & info [ "membership" ] ~docv:"MODE"
         ~doc:
-          "Phase-2 membership mode: $(b,auto) (default — use the spec-specialized class \
-           monitors and the P-compositional per-key splitter when the adapter declares a \
-           specification, falling back to the generic observation witness search whenever \
-           they do not apply), $(b,generic) (always the generic search), or $(b,monitor) \
-           (force the spec path, including the direct Wing-Gong search, with generic only as \
-           a last resort). Every mode consumes the same enumerated histories: the verdict, \
-           the distinct-history count and $(b,analyze.lineup.histories_fingerprint) \
-           are identical — only wall-clock time changes.")
+          "Phase-2 membership mode: $(b,auto) (default — when the adapter declares a \
+           specification, decide each complete history with the engine $(b,lineup monitor) \
+           runs for its class: the queue/stack monitors or the per-key set/dictionary \
+           engine; every other class, every stuck history and every history an engine \
+           cannot decide falls back to the generic observation witness search) or \
+           $(b,generic) (always the generic search). Both modes consume the same enumerated \
+           histories: the verdict, the distinct-history count and \
+           $(b,analyze.lineup.histories_fingerprint) are identical — only wall-clock time \
+           changes.")
 
 let memory_conv =
   let parse s =

@@ -23,12 +23,13 @@ type t = {
           invocations; order matters for [Auto_check]'s [I_n] prefixes *)
   spec : Lineup_spec.Spec.packed option;
       (** optional declared sequential specification, serially equivalent to
-          the implementation. Purely an acceleration hint: when present, the
-          spec-specialized membership layer ([--membership auto]) may decide
-          phase-2 history membership by class monitor or P-compositional
-          splitting instead of the generic witness search. Verdicts must not
-          depend on it — the membership equivalence and cross-validation
-          tests enforce that. [None] always means the generic search. *)
+          the implementation. Purely an acceleration hint: when present,
+          [--membership auto] may decide a complete phase-2 history with the
+          engine of the spec's class (the queue/stack monitors, the per-key
+          set/dictionary engine) instead of the generic witness search.
+          Verdicts must not depend on it — the membership equivalence and
+          cross-validation tests enforce that. [None] always means the
+          generic search. *)
   create : unit -> instance;
 }
 

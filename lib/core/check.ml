@@ -5,22 +5,19 @@ module Explore = Lineup_scheduler.Explore
 module Metrics = Lineup_observe.Metrics
 module Trace = Lineup_observe.Trace
 module Spec = Lineup_spec.Spec
-module Spec_check = Lineup_spec.Spec_check
+module Engine = Lineup_monitor.Engine
 
 type membership =
   | Auto
   | Generic
-  | Monitor
 
 let membership_name = function
   | Auto -> "auto"
   | Generic -> "generic"
-  | Monitor -> "monitor"
 
 let membership_of_string = function
   | "auto" -> Some Auto
   | "generic" -> Some Generic
-  | "monitor" -> Some Monitor
   | _ -> None
 
 type config = {
@@ -262,12 +259,12 @@ type p2_state = {
   witness_probes : int ref;
   mutable stuck_checks : int;
   stuck_probes : int ref;
-  (* Spec-specialized membership decisions, by method; [m_fallbacks] counts
-     histories a declared spec could not decide (the generic search then
-     ran, adding to [witness_searches]/[stuck_checks] as usual). *)
+  (* Complete histories decided by an engine of the declared spec, by
+     class ([route]); [m_fallbacks] counts those a declared spec could not
+     decide (the generic search then ran, adding to [witness_searches] as
+     usual). *)
   mutable m_monitor : int;
   mutable m_pcomp : int;
-  mutable m_direct : int;
   mutable m_fallbacks : int;
   (* Order-independent fingerprint of the distinct-history set: a masked
      sum of structural hashes, merged by addition, so it is identical
@@ -293,7 +290,6 @@ let p2_init () =
     stuck_probes = ref 0;
     m_monitor = 0;
     m_pcomp = 0;
-    m_direct = 0;
     m_fallbacks = 0;
     fp_acc = 0;
     seen = Distinct.create 256;
@@ -304,87 +300,94 @@ let p2_init () =
    dense or ordered — only distinct, to keep replayed histories apart. *)
 let trace_hist_counter = Atomic.make 0
 
-(* Membership of one distinct history. The spec-specialized path
-   ([Spec_check]) only consumes the history — the fingerprint is recorded
-   before the decision and the enumeration upstream never sees it — so
-   `--membership` modes differ in how a verdict is computed, never in what
-   is checked. [Auto] consults the adapter's declared spec for the
-   near-linear class checks and falls back to the generic observation
-   search; [Monitor] additionally forces the direct Wing–Gong search (and
-   the Definition-2 stuck check) before falling back. *)
-let p2_decide config ~observation ~spec ~init st h =
+(* Where an [Auto] check sends a distinct complete history when the
+   adapter declares a spec: to the engine [lineup monitor] runs for the
+   spec's class, counted under [membership_monitor] (queue, stack: the
+   decrease-and-conquer monitors) or [membership_pcomp] (set, dictionary:
+   the per-key engine). A queue or stack after an init sequence (the
+   monitors assume an empty structure), an init sequence the spec blocks
+   on, and every other class have no engine: their complete histories fall
+   back to the generic search. Stuck histories always take the generic
+   search. *)
+type route =
+  | Search
+  | Fallback
+  | Engine of Spec.packed * [ `Monitor | `Pcomp ]
+
+let route config ~spec ~init =
+  match config.membership, spec with
+  | Generic, _ | Auto, None -> Search
+  | Auto, Some (Spec.Packed s) -> (
+    match s.Spec.cls, Spec.advance s init, init with
+    | (Spec.Queue | Spec.Stack), Some _, [] -> Engine (Spec.Packed s, `Monitor)
+    | (Spec.Set | Spec.Dictionary), Some initial, _ ->
+      Engine (Spec.Packed { s with Spec.initial }, `Pcomp)
+    | _ -> Fallback)
+
+(* Membership of one distinct history. An engine only consumes the
+   history — the fingerprint is recorded before the decision and the
+   enumeration upstream never sees it — so `--membership` modes differ in
+   how a verdict is computed, never in what is checked. *)
+let p2_decide config ~observation ~route st h =
   let stuck = History.is_stuck h in
+  let complete = (not stuck) && History.is_complete h in
   (* Emit each distinct complete history's events before deciding it, so
      a rejecting history is always in the trace and [lineup monitor
      --replay] on the trace file reproduces the verdict (the CI
      monitor-equivalence gate). Stuck histories are skipped: replay
      covers the complete-history fragment. *)
-  if Trace.enabled () && (not stuck) && History.is_complete h then begin
+  if Trace.enabled () && complete then begin
     let id = Atomic.fetch_and_add trace_hist_counter 1 in
     List.iter (fun ev -> Lineup_monitor.Mevent.emit_trace ~hist:id ev) (History.events h)
   end;
   (* Definition 1 on a complete history, Definition 2 on a stuck one, over
-     a decider of its queries; a stuck history's verdict comes with the
-     pending operation it is about. *)
-  let judge decide =
-    if not stuck then decide h, None
-    else
-      match Spec.first_unjustified decide h with
-      | None -> Spec.Accept, None
-      | Some (e, v) -> v, Some e
-  in
+     the observation search. *)
   let generic () =
-    let probes =
-      if stuck then begin
-        st.stuck_checks <- st.stuck_checks + 1;
-        st.stuck_probes
-      end
-      else begin
-        st.witness_searches <- st.witness_searches + 1;
-        st.witness_probes
-      end
-    in
-    judge (fun q ->
-        if Option.is_some (Observation.witness ~probes observation q) then Spec.Accept
-        else Spec.Reject)
+    if not stuck then begin
+      st.witness_searches <- st.witness_searches + 1;
+      if Option.is_some (Observation.witness ~probes:st.witness_probes observation h) then None
+      else Some (No_witness h)
+    end
+    else begin
+      st.stuck_checks <- st.stuck_checks + 1;
+      let decide q =
+        if Option.is_some (Observation.witness ~probes:st.stuck_probes observation q) then
+          Spec.Accept
+        else Spec.Reject
+      in
+      Option.map (fun (e, _) -> Stuck_unjustified (h, e)) (Spec.first_unjustified decide h)
+    end
   in
-  (* The method that answered the history's last query decided it, unless
-     the answer is [Unsupported] (then it is [None]). *)
-  let specialized ~force_spec packed =
-    let meth = ref None in
-    let decided =
-      judge (fun q ->
-          let v, m = Spec_check.decide ~force_spec packed ~init q in
-          meth := m;
-          v)
-    in
-    (match !meth with
-     | Some Spec_check.Monitor_check -> st.m_monitor <- st.m_monitor + 1
-     | Some Spec_check.Pcomp_check -> st.m_pcomp <- st.m_pcomp + 1
-     | Some Spec_check.Direct_check -> st.m_direct <- st.m_direct + 1
-     | None -> ());
-    decided
-  in
-  (* The generic search answers every query, so the recursion ends. *)
-  let rec conclude = function
-    | Spec.Accept, _ -> `Continue
-    | Spec.Reject, None ->
-      st.found <- Some (No_witness h);
+  let conclude = function
+    | None -> `Continue
+    | Some v ->
+      st.found <- Some v;
       `Done
-    | Spec.Reject, Some e ->
-      st.found <- Some (Stuck_unjustified (h, e));
-      `Done
-    | Spec.Unsupported _, _ ->
-      st.m_fallbacks <- st.m_fallbacks + 1;
-      conclude (generic ())
   in
-  match config.membership, spec with
+  let fallback () =
+    st.m_fallbacks <- st.m_fallbacks + 1;
+    conclude (generic ())
+  in
+  match route with
   | _ when stuck && config.classic_only -> `Continue
-  | Monitor, Some packed -> conclude (specialized ~force_spec:true packed)
-  | Auto, Some packed when not stuck -> conclude (specialized ~force_spec:false packed)
-  | (Generic | Auto | Monitor), _ -> conclude (generic ())
+  | Engine (spec, meth) when complete -> (
+    let decided () =
+      match meth with
+      | `Monitor -> st.m_monitor <- st.m_monitor + 1
+      | `Pcomp -> st.m_pcomp <- st.m_pcomp + 1
+    in
+    match Engine.decide ~spec h with
+    | Spec.Accept ->
+      decided ();
+      `Continue
+    | Spec.Reject ->
+      decided ();
+      conclude (Some (No_witness h))
+    | Spec.Unsupported _ -> fallback ())
+  | (Engine _ | Fallback) when not stuck -> fallback ()
+  | Search | Engine _ | Fallback -> conclude (generic ())
 
-let p2_step config ~observation ~spec ~init st (r : Harness.run_result) =
+let p2_step config ~observation ~route st (r : Harness.run_result) =
   match exception_of r.outcome with
   | Some v ->
     st.found <- Some v;
@@ -401,7 +404,7 @@ let p2_step config ~observation ~spec ~init st (r : Harness.run_result) =
     | Some fp ->
       st.histories <- st.histories + 1;
       st.fp_acc <- (st.fp_acc + fp) land fp_mask;
-      p2_decide config ~observation ~spec ~init st r.history)
+      p2_decide config ~observation ~route st r.history)
 
 let p2_merge a b =
   {
@@ -414,7 +417,6 @@ let p2_merge a b =
     stuck_probes = ref (!(a.stuck_probes) + !(b.stuck_probes));
     m_monitor = a.m_monitor + b.m_monitor;
     m_pcomp = a.m_pcomp + b.m_pcomp;
-    m_direct = a.m_direct + b.m_direct;
     m_fallbacks = a.m_fallbacks + b.m_fallbacks;
     fp_acc = (a.fp_acc + b.fp_acc) land fp_mask;
     seen = Distinct.create 1;
@@ -430,7 +432,6 @@ let p2_counters st =
     "stuck_probes", !(st.stuck_probes);
     "membership_monitor", st.m_monitor;
     "membership_pcomp", st.m_pcomp;
-    "membership_direct", st.m_direct;
     "membership_fallbacks", st.m_fallbacks;
     "histories_fingerprint", st.fp_acc;
     "violation", (if st.found = None then 0 else 1);
@@ -462,10 +463,11 @@ module Lineup_state = struct
 end
 
 let lineup_analyzer config ~observation ~(adapter : Adapter.t) ~(test : Test_matrix.t) =
+  let route = route config ~spec:adapter.spec ~init:test.init in
   let module A = struct
     include Lineup_state
 
-    let step st r = p2_step config ~observation ~spec:adapter.spec ~init:test.init st r
+    let step st r = p2_step config ~observation ~route st r
   end in
   Analyzer.T (module A)
 

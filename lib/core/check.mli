@@ -15,8 +15,8 @@
     Phase 1 runs without preemption bounding, preserving the completeness
     guarantee even when phase 2 is bounded (Section 4.3). *)
 
-(** How phase 2 decides membership of each distinct history. Every mode
-    consumes the same enumerated histories (counts and fingerprints are
+(** How phase 2 decides membership of each distinct history. Both modes
+    consume the same enumerated histories (counts and fingerprints are
     identical by construction — the decision happens after the history is
     recorded); only the decision procedure differs, and the membership
     equivalence rows of [test/test_goldens.ml] assert the verdicts agree
@@ -24,16 +24,13 @@
 type membership =
   | Auto
       (** default: when the adapter declares a specification
-          ({!Adapter.t.spec}), decide complete histories with the
-          near-linear class monitors ([Lineup_spec.Monitor]) or the
-          P-compositional per-key splitter ([Lineup_spec.Pcomp]); anything
-          they refuse — and all stuck histories — uses the generic search *)
-  | Generic  (** always the generic observation witness search (pre-PR-6 behavior) *)
-  | Monitor
-      (** force the spec path: monitors/splitter first, then the direct
-          Wing–Gong search ([Lineup_spec.Lin_check]) including the
-          Definition-2 stuck check; generic only as a last resort (no
-          declared spec, oversized history) *)
+          ({!Adapter.t.spec}), decide each complete history with the engine
+          [lineup monitor] runs for its class ({!Lineup_monitor.Engine}):
+          the decrease-and-conquer monitor of a queue or stack with no init
+          sequence, the per-key engine of a set or dictionary. Anything
+          they refuse, every other class, and all stuck histories use the
+          generic search. *)
+  | Generic  (** always the generic observation witness search *)
 
 val membership_name : membership -> string
 val membership_of_string : string -> membership option

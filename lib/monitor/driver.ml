@@ -41,8 +41,8 @@ type opts = {
 let default_opts =
   {
     domains = 1;
-    min_batch = 512;
-    max_window = 1_048_576;
+    min_batch = Engine.default_min_batch;
+    max_window = Engine.default_max_window;
     queue_cap = 65536;
     on_full = Ingest.Block;
     report_every = 0;

@@ -2,6 +2,7 @@ module Spec = Lineup_spec.Spec
 module Monitor = Lineup_spec.Monitor
 module Kmon = Lineup_spec.Kmon
 module Event = Lineup_history.Event
+module History = Lineup_history.History
 
 (* One checking engine for one shard of the stream. Queues and stacks get
    the near-linear decrease-and-conquer engines ({!Monitor.Stream});
@@ -16,6 +17,9 @@ type t =
 (* [chunk] for the Kmon engines: small, because each chunk pays a
    Wing–Gong exploration; the 62-op bitmask is the hard ceiling. *)
 let default_chunk = 16
+
+let default_min_batch = 512
+let default_max_window = 1_048_576
 
 let create ~(spec : Spec.packed) ~min_batch ~max_window =
   let (Spec.Packed s) = spec in
@@ -60,3 +64,8 @@ let windows = function
 let resident = function
   | Fast s -> Monitor.Stream.resident s + Monitor.Stream.intervals s
   | Chunked k -> k.Kmon.resident ()
+
+let decide ~spec h =
+  let t = create ~spec ~min_batch:default_min_batch ~max_window:default_max_window in
+  List.iter (feed t) (History.events h);
+  finalize t

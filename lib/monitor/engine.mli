@@ -7,6 +7,12 @@
 
 type t
 
+val default_min_batch : int
+(** 512: [lineup monitor]'s window threshold ({!Driver.default_opts}). *)
+
+val default_max_window : int
+(** 1_048_576: [lineup monitor]'s quiescence bound. *)
+
 val create : spec:Lineup_spec.Spec.packed -> min_batch:int -> max_window:int -> t
 val feed : t -> Lineup_history.Event.t -> unit
 
@@ -23,3 +29,9 @@ val windows : t -> int
 
 val resident : t -> int
 (** Retained state in operations/intervals — what windowing keeps bounded. *)
+
+val decide :
+  spec:Lineup_spec.Spec.packed -> Lineup_history.History.t -> Lineup_spec.Monitor.verdict
+(** [decide ~spec h] feeds every event of the finite history [h] to a
+    fresh engine with the default bounds above and finalizes it: how phase
+    2 of a check decides a complete history ([Lineup.Check]). *)

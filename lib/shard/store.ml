@@ -15,8 +15,10 @@ module Explore = Lineup_scheduler.Explore
    (phase1.bin, frontier.bin, each part) has one field fewer; reading a
    version-5 record as the new one would shift every later field. Version
    7: every payload is sealed behind its digest ({!Sealed}), so a corrupt
-   checkpoint is skipped instead of unmarshaled. *)
-let format_version = 7
+   checkpoint is skipped instead of unmarshaled. Version 8: a partition's
+   Line-Up state lost its [membership_direct] counter (the [monitor]
+   membership mode is gone), one field fewer in every part. *)
+let format_version = 8
 
 (* Obs_cache's key plus what shapes a partition beyond phase 1: every knob
    that shapes the frontier, a partition's exploration, or the membership

@@ -1,8 +1,10 @@
 (* Version 2: [Explore.stats] inside a marshaled [Result] partition lost
    [exact_bound_skips], so a version-1 peer would misread every later
    field. Version 3: every payload is sealed behind its digest
-   ({!Sealed}). *)
-let wire_version = 3
+   ({!Sealed}). Version 4: the length prefix is followed by its complement,
+   and a [Result] partition's Line-Up state lost its [membership_direct]
+   counter. *)
+let wire_version = 4
 
 (* Backstop against a corrupted or misaligned length prefix: no legitimate
    message (the largest is [Init] with an observation file) approaches this. *)
@@ -56,23 +58,31 @@ let read_exact fd len =
   in
   go 0
 
+(* The digest covers the payload, not its length: a flipped bit that grew
+   the length would leave [recv] waiting for bytes a live peer never sends.
+   So the header is the length followed by its complement, checked before
+   the payload is read or allocated. *)
 let send fd msg =
   let payload = Bytes.unsafe_of_string (Sealed.marshal msg) in
   let len = Bytes.length payload in
-  let header = Bytes.create 4 in
+  let header = Bytes.create 8 in
   Bytes.set_int32_be header 0 (Int32.of_int len);
-  write_all fd header 0 4;
+  Bytes.set_int32_be header 4 (Int32.lognot (Int32.of_int len));
+  write_all fd header 0 8;
   write_all fd payload 0 len
 
 let recv fd =
-  match read_exact fd 4 with
+  match read_exact fd 8 with
   | None -> None
   | Some header ->
-    let len = Int32.to_int (Bytes.get_int32_be header 0) in
-    if len < 0 || len > max_payload then None
+    let len = Bytes.get_int32_be header 0 in
+    if not (Int32.equal (Int32.lognot len) (Bytes.get_int32_be header 4)) then None
     else
-      Option.bind (read_exact fd len) (fun payload ->
-          Sealed.unmarshal (Bytes.unsafe_to_string payload))
+      let len = Int32.to_int len in
+      if len < 0 || len > max_payload then None
+      else
+        Option.bind (read_exact fd len) (fun payload ->
+            Sealed.unmarshal (Bytes.unsafe_to_string payload))
 
 let send_to_server fd (msg : to_server) = send fd msg
 let send_to_worker fd (msg : to_worker) = send fd msg

@@ -1,18 +1,19 @@
 (** The shard socket protocol: length-prefixed [Marshal] frames over a
     Unix-domain or TCP stream.
 
-    Every frame is a 4-byte big-endian payload length followed by the
-    payload: the marshaled message behind its digest ({!Sealed}). Payloads
-    are pure data ({!Lineup.Check.p2_partition}
+    Every frame is a 4-byte big-endian payload length, its bitwise
+    complement, and the payload: the marshaled message behind its digest
+    ({!Sealed}). Payloads are pure data ({!Lineup.Check.p2_partition}
     and friends contain no closures), so the frames survive a process
     boundary; they do {e not} survive a differing OCaml runtime, which is
     fine — server and workers are the same binary ([--local]) or the same
     build deployed across machines.
 
     Receive functions return [None] on a cleanly closed peer, a truncated
-    frame, an oversized length prefix, a payload whose digest does not
-    match, or an undecodable payload — the caller treats all of these as
-    "the peer is gone" and re-dispatches. *)
+    frame, a length that does not match its complement (checked before the
+    payload is read), an oversized length prefix, a payload whose digest
+    does not match, or an undecodable payload — the caller treats all of
+    these as "the peer is gone" and re-dispatches. *)
 
 (** Bumped on any message or framing change; checked in {!to_server.Hello}
     before any work is dispatched. *)

@@ -5,7 +5,12 @@ module Value = Lineup_value.Value
 
 (* Chunked feasible-state monitoring for specification classes without a
    decrease-and-conquer engine: sets and dictionaries (sharded per key via
-   P-compositionality, {!Pcomp}), and any other spec as a single stream.
+   P-compositionality: Horn & Kroening, "Faster linearizability checking
+   via P-compositionality" — when every operation touches exactly the key
+   of its integer argument and the specification state is a product of
+   independent per-key components, Herlihy & Wing locality applies with
+   each key read as its own object), and any other spec as a single
+   stream.
 
    Per key, events accumulate into a chunk; at each per-key quiescent point
    (no pending call on that key) with at least [chunk] completed
@@ -38,6 +43,28 @@ type t = {
 }
 
 let max_feasible = 64
+
+(* A key's chunk drops the other keys' operations, so per-thread
+   [op_index] values are no longer contiguous; renumber them (keeping
+   call/return paired via the original index) to satisfy [History.make]
+   well-formedness. Event order — hence precedence — is untouched. *)
+let renumber evs =
+  let next : (int, int) Hashtbl.t = Hashtbl.create 4 in
+  let assigned : (int * int, int) Hashtbl.t = Hashtbl.create 8 in
+  List.map
+    (fun (ev : Event.t) ->
+      let id = ev.Event.tid, ev.Event.op_index in
+      let idx =
+        match Hashtbl.find_opt assigned id with
+        | Some i -> i
+        | None ->
+          let i = Option.value ~default:0 (Hashtbl.find_opt next ev.Event.tid) in
+          Hashtbl.replace next ev.Event.tid (i + 1);
+          Hashtbl.replace assigned id i;
+          i
+      in
+      { ev with Event.op_index = idx })
+    evs
 
 type 'st kstate = {
   mutable feasible : 'st list;
@@ -102,7 +129,7 @@ let create : type st. st Spec.t -> keyed:bool -> chunk:int -> max_window:int -> 
   in
   let close_chunk ks =
     incr n_chunks;
-    let h = History.make ~stuck:false (Pcomp.renumber (List.rev ks.chunk)) in
+    let h = History.make ~stuck:false (renumber (List.rev ks.chunk)) in
     ks.chunk <- [];
     ks.chunk_ops <- 0;
     match step_feasible ks h with
@@ -198,7 +225,7 @@ let create : type st. st Spec.t -> keyed:bool -> chunk:int -> max_window:int -> 
       let rejected = ref false in
       let check_key _k ks =
         if (not ks.dead) && ks.chunk <> [] && not !rejected then begin
-          let h = History.make ~stuck:false (Pcomp.renumber (List.rev ks.chunk)) in
+          let h = History.make ~stuck:false (renumber (List.rev ks.chunk)) in
           let key_unsupported = ref None in
           let ok =
             List.exists

@@ -7,11 +7,10 @@
     state).
 
     In this codebase it serves two roles: an independent oracle — the test
-    suite checks that the two-phase Line-Up verdict and the direct verdict
-    agree on histories produced by the model checker — and the per-part
-    membership check behind the P-compositional splitter ({!Pcomp}), the
-    chunked stream monitor ({!Kmon}) and the [--membership monitor]
-    dispatch ({!Spec_check}).
+    suite checks that the two-phase Line-Up verdict, the engines' verdicts
+    and the direct verdict agree on histories produced by the model checker
+    and on random ones — and the per-chunk membership check of the chunked
+    engine ({!Kmon}), which phase 2 runs on set and dictionary histories.
 
     [decide] answers one query with the shared {!Spec.verdict}; a stuck
     history is judged by running {!Spec.first_unjustified} over it. The

@@ -1,24 +1,23 @@
 module Value = Lineup_value.Value
-module History = Lineup_history.History
 module Op = Lineup_history.Op
 module Invocation = Lineup_history.Invocation
 
 (* Decrease-and-conquer membership monitors in the style of Lee & Mathur:
-   for unambiguous complete histories over the insert/remove vocabulary of a
-   queue or a stack, linearizability reduces to a fixed set of pairwise
-   interval conditions plus (for the stack) a greedy peeling loop — no
-   witness enumeration. Near-linear instead of the exponential generic
-   search; anything outside the supported fragment is reported as
-   [Unsupported] and the caller falls back.
+   for unambiguous histories over the insert/remove vocabulary of a queue
+   or a stack, linearizability reduces to a fixed set of pairwise interval
+   conditions plus (for the stack) a greedy peeling loop — no witness
+   enumeration. Near-linear instead of the exponential generic search;
+   anything outside the supported fragment is reported as [Unsupported]
+   and the caller falls back.
 
    Position arithmetic: [Op.call_pos]/[Op.ret_pos] are event indices in the
-   enclosing history, all distinct. A linearization point lies strictly
-   between two adjacent events; "slot s" denotes the gap just after event
-   [s], so operation [x] may linearize in any slot of
-   [call_pos x .. ret_pos x - 1], and a matched value [v] is definitely
-   present in slots [ret(insert v) .. call(remove v) - 1] (to infinity when
-   never removed) — outside that range a witness can always order the pair
-   around any chosen point. *)
+   stream, all distinct. A linearization point lies strictly between two
+   adjacent events; "slot s" denotes the gap just after event [s], so
+   operation [x] may linearize in any slot of [call_pos x .. ret_pos x - 1],
+   and a matched value [v] is definitely present in slots
+   [ret(insert v) .. call(remove v) - 1] (to infinity when never removed) —
+   outside that range a witness can always order the pair around any
+   chosen point. *)
 
 type verdict = Spec.verdict =
   | Accept
@@ -46,73 +45,6 @@ let merge_intervals ivs =
 
 let fully_covered merged ~lo ~hi =
   List.exists (fun (mlo, mhi) -> mlo <= lo && hi <= mhi) merged
-
-(* Shared classification state: per value, its insert and remove operation.
-   Unambiguity means each value is inserted at most once; a value removed
-   twice, or removed but never inserted, has no serial explanation. *)
-type pair = {
-  mutable ins : Op.t option;
-  mutable rem : Op.t option;
-}
-
-let classify ~insert_name ~remove_names ~remove_may_fail h =
-  let pairs : (Value.t, pair) Hashtbl.t = Hashtbl.create 16 in
-  let empties = ref [] in
-  let pair_of v =
-    match Hashtbl.find_opt pairs v with
-    | Some p -> p
-    | None ->
-      let p = { ins = None; rem = None } in
-      Hashtbl.add pairs v p;
-      p
-  in
-  List.iter
-    (fun (op : Op.t) ->
-      let resp =
-        match op.resp with
-        | Some r -> r
-        | None -> unsupported "pending operation"
-      in
-      let name = op.inv.Invocation.name in
-      if String.equal name insert_name then begin
-        (match op.inv.Invocation.arg with
-         | Value.Int _ -> ()
-         | _ -> unsupported "non-integer %s argument" insert_name);
-        if not (Value.equal resp Value.unit) then reject ();
-        let p = pair_of op.inv.Invocation.arg in
-        (match p.ins with
-         | Some _ -> unsupported "ambiguous: value inserted twice"
-         | None -> p.ins <- Some op)
-      end
-      else if List.mem name remove_names then begin
-        (match op.inv.Invocation.arg with
-         | Value.Unit -> ()
-         | _ -> unsupported "unexpected %s argument" name);
-        match resp with
-        | Value.Fail ->
-          if remove_may_fail name then empties := op :: !empties else reject ()
-        | Value.Int _ -> (
-          let p = pair_of resp in
-          match p.rem with
-          | Some _ -> reject () (* value removed twice, inserted at most once *)
-          | None -> p.rem <- Some op)
-        | _ -> reject ()
-      end
-      else unsupported "unsupported operation %s" name)
-    (History.ops h);
-  let values =
-    Hashtbl.fold
-      (fun _v p acc ->
-        match p.ins, p.rem with
-        | None, Some _ -> reject () (* removed but never inserted *)
-        | Some ins, rem ->
-          (* value safety: the remove must not precede its insert *)
-          (match rem with Some r when Op.precedes r ins -> reject () | _ -> ());
-          (ins, rem) :: acc
-        | None, None -> acc)
-      pairs []
-  in
-  values, !empties
 
 (* Definite-presence slot intervals of the matched values; an empty-remove
    is justifiable iff some slot of its own range lies outside all of them. *)
@@ -170,20 +102,6 @@ let check_fifo values =
         if prefix_max_rcall.(k) > ret_pos r then reject ())
     arr
 
-let check_queue h =
-  try
-    let values, empties =
-      classify
-        ~insert_name:"Enqueue"
-        ~remove_names:[ "TryDequeue"; "Take" ]
-        ~remove_may_fail:(String.equal "TryDequeue")
-        h
-    in
-    check_fifo values;
-    check_empties values empties;
-    Accept
-  with Verdict v -> v
-
 (* ------------------------------------------------------------------ *)
 (* Stack                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -205,7 +123,7 @@ let check_queue h =
    stays peelable as other pairs are removed, and removing a pair only
    shrinks the blocker sets of the rest), so re-running it over the
    carried-over leftovers plus each new window's pairs reaches the same
-   fixpoint as one offline pass over the whole history. *)
+   fixpoint as one pass over the whole history. *)
 let peel_leftover values =
   let matched =
     Array.of_list (List.filter_map (fun (i, r) -> Option.map (fun r -> i, r) r) values)
@@ -258,32 +176,6 @@ let peel_leftover values =
     Array.to_list matched
     |> List.filteri (fun vi _ -> not peeled.(vi))
 
-let check_peel values = if peel_leftover values <> [] then reject ()
-
-let check_stack h =
-  try
-    let values, empties =
-      classify
-        ~insert_name:"Push"
-        ~remove_names:[ "TryPop" ]
-        ~remove_may_fail:(fun _ -> true)
-        h
-    in
-    check_empties values empties;
-    check_peel values;
-    Accept
-  with Verdict v -> v
-
-(* Dispatch by specification class; [Set]/[Dictionary] go through the
-   P-compositional splitter ({!Pcomp}) instead, and every other class has
-   no monitor. *)
-let check ~(cls : Spec.cls) h =
-  match cls with
-  | Spec.Queue -> check_queue h
-  | Spec.Stack -> check_stack h
-  | Spec.Set | Spec.Dictionary | Spec.Counter | Spec.Other ->
-    Unsupported ("no monitor for class " ^ Spec.cls_name cls)
-
 (* ------------------------------------------------------------------ *)
 (* Incremental (streaming) monitors                                    *)
 (* ------------------------------------------------------------------ *)
@@ -291,12 +183,14 @@ let check ~(cls : Spec.cls) h =
 module Stream = struct
   module Event = Lineup_history.Event
 
-  (* The online form of the same two monitors. Events arrive one at a time;
-     the engine batches completed operations into windows and, at each
-     quiescent point (no call pending), runs the offline interval checks on
-     the window plus the still-live values, then garbage-collects the
-     decided pairs and empties. Absolute event positions are 63-bit ints
-     assigned on arrival and never renormalized, so GC never invalidates a
+  (* The two monitors as engines. Events arrive one at a time; the engine
+     batches completed operations into windows and, at each quiescent point
+     (no call pending), runs the interval checks above on the window plus
+     the still-live values, then garbage-collects the decided pairs and
+     empties. A history shorter than [min_batch], as phase 2 of a check
+     feeds one, is a single window at [finalize]; the tables start small
+     for it and grow with a stream. Absolute event positions are 63-bit ints assigned
+     on arrival and never renormalized, so GC never invalidates a
      position.
 
      Why GC cannot change a verdict (see also DESIGN.md):
@@ -373,9 +267,9 @@ module Stream = struct
       min_batch = max 1 min_batch;
       max_window = max 1 max_window;
       pos = 0;
-      pending = Hashtbl.create 64;
-      ins_pending = Hashtbl.create 64;
-      live = Hashtbl.create 256;
+      pending = Hashtbl.create 8;
+      ins_pending = Hashtbl.create 8;
+      live = Hashtbl.create 8;
       early_rem = Hashtbl.create 8;
       inserted = Diet.empty;
       removed = Diet.empty;

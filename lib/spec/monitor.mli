@@ -1,5 +1,8 @@
 (** Decrease-and-conquer membership monitors (Lee & Mathur style) for
-    unambiguous complete queue and stack histories.
+    unambiguous queue and stack histories, as engines fed one event at a
+    time: [lineup monitor] runs them on a stream, and phase 2 of a check
+    feeds each distinct complete history of a queue or stack to one
+    ([Lineup_monitor.Engine.decide]).
 
     For the insert/remove fragment of the vocabulary — [Enqueue]/
     [TryDequeue]/[Take] for queues, [Push]/[TryPop] for stacks — with every
@@ -19,40 +22,27 @@
       is linearizable iff all matched pairs peel.
 
     Histories using any other operation (peeks, counts, ranges), a
-    non-integer value, a pending operation, or an ambiguous (re-inserted)
-    value are reported [Unsupported]; the caller ({!Spec_check}) falls back
+    non-integer value, a pending operation at the end, or an ambiguous
+    (re-inserted) value are reported [Unsupported]; phase 2 then falls back
     to the generic search. The test suite cross-validates every verdict
     against {!Lin_check} on random histories. *)
 
 (** The one membership answer, {!Spec.verdict}, re-exported with its
-    constructors. A monitor answers [Unsupported] outside its fragment,
-    which holds no stuck history (it has a pending operation): Definition
-    2 ({!Spec.first_unjustified}) runs over the direct or the observation
-    search instead. *)
+    constructors. *)
 type verdict = Spec.verdict =
   | Accept
   | Reject
   | Unsupported of string
 
-val check_queue : Lineup_history.History.t -> verdict
-val check_stack : Lineup_history.History.t -> verdict
-
-(** [check ~cls h] dispatches on the specification class; classes without a
-    monitor answer [Unsupported]. *)
-val check : cls:Spec.cls -> Lineup_history.History.t -> verdict
-
-(** Incremental (streaming) form of the same monitors, for [lineup
-    monitor]: events are fed one at a time and the verdict is maintained
-    online with bounded memory.
+(** The engines.
 
     Completed operations accumulate in a window; at each quiescent point
     (no pending call) once at least [min_batch] operations have completed,
-    the offline interval checks run over the window plus the still-live
-    values and the decided pairs/empties are garbage-collected. GC cannot
-    change any verdict — see DESIGN.md ("Streaming monitor") for the
-    argument per check. If no quiescent point occurs within [max_window]
-    operations the engine degrades to [Unsupported] rather than growing
-    without bound.
+    the interval checks run over the window plus the still-live values and
+    the decided pairs/empties are garbage-collected. GC cannot change any
+    verdict — see DESIGN.md ("Streaming monitor") for the argument per
+    check. If no quiescent point occurs within [max_window] operations the
+    engine degrades to [Unsupported] rather than growing without bound.
 
     Verdicts are sticky: after the first [Reject]/[Unsupported], further
     events are ignored. [shed] records an operation dropped under
@@ -82,8 +72,7 @@ module Stream : sig
 
   val finalize : t -> verdict
   (** End of stream: run the final window regardless of [min_batch] and
-      settle the verdict. A still-pending operation is [Unsupported],
-      matching the offline monitors. *)
+      settle the verdict. A still-pending operation is [Unsupported]. *)
 
   val ops : t -> int
   (** Completed operations processed. *)

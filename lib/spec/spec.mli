@@ -14,18 +14,19 @@
     the paper's counter example).
 
     It also declares the one answer every membership engine gives — the
-    observation search, {!Lin_check}, the {!Monitor}s, {!Pcomp} and
-    {!Kmon} — and Definition 2's loop over the pending operations of a
-    stuck history ({!first_unjustified}), written once over whichever
-    engine decides its queries. *)
+    observation search, {!Lin_check}, the {!Monitor}s and {!Kmon} — and
+    Definition 2's loop over the pending operations of a stuck history
+    ({!first_unjustified}), written once over whichever engine decides its
+    queries. *)
 
-(** The abstract-data-type class of a specification. The spec-specialized
-    phase-2 membership layer dispatches on it: {!Spec_check} runs the
-    decrease-and-conquer monitors of {!Monitor} for [Queue]/[Stack] and the
-    P-compositional per-key splitter of {!Pcomp} for [Set]/[Dictionary];
-    every other class (and every unsupported history) falls back to the
-    generic search. The class is a routing hint only — it never changes
-    which histories are enumerated or what a verdict means. *)
+(** The abstract-data-type class of a specification. The engines dispatch
+    on it ([Lineup_monitor.Engine]): the decrease-and-conquer monitors of
+    {!Monitor} for [Queue]/[Stack], the per-key chunked engine of {!Kmon}
+    for [Set]/[Dictionary], and the same engine over one key for the rest.
+    Phase 2 of a check runs the first two and falls back to the generic
+    search for every other class and every history they cannot decide.
+    The class is a routing hint only — it never changes which histories
+    are enumerated or what a verdict means. *)
 type cls =
   | Queue  (** FIFO: values enter at the tail, leave at the head *)
   | Stack  (** LIFO *)

@@ -59,9 +59,8 @@ let cases =
     (* a malformed column is a usage error (exit 124, nothing on stdout, no
        metrics file), as an unknown class name is *)
     "check-bad-column", 124, "check", [ "Counter"; "Inc(zzz)"; "Get" ];
-    (* each membership engine deciding, both ways: the queue monitor, the
-       per-key splitter, and the direct Definition-2 check of stuck
-       histories under --membership monitor *)
+    (* each phase-2 engine deciding, both ways: the queue monitor and the
+       per-key set engine *)
     ( "queue-monitor-accept",
       0,
       "check",
@@ -84,17 +83,6 @@ let cases =
         "-v"; "LazyListSet (Pre: remove without marking)"; "Add(1),Add(2)"; "Remove(1)";
         "Contains(2)";
       ] );
-    ( "semaphore-direct-stuck",
-      0,
-      "check",
-      [ "-v"; "--membership"; "monitor"; "SemaphoreSlim"; "Wait,Release,Wait"; "Release,Wait" ] );
-    ( "semaphore-direct-unjustified",
-      1,
-      "check",
-      [
-        "-v"; "--membership"; "monitor"; "SemaphoreSlim (Pre: unlocked release)"; "Release,Wait";
-        "Release,Wait";
-      ] );
   ]
 
 let golden_tests =
@@ -114,15 +102,15 @@ let golden_tests =
    is. Each row names a relation that its [check] runs must satisfy. *)
 type relation =
   | Modes_agree
-      (** one run per --membership mode (generic, auto, monitor): equal exit
-          codes and histories_distinct and histories_fingerprint, and the
-          generic report byte-identical to the auto report *)
+      (** one run per --membership mode (generic, auto): equal exit codes
+          and histories_distinct and histories_fingerprint, and the generic
+          report byte-identical to the auto report *)
   | Modes_fail  (** one run per --membership mode, each exiting 1 *)
   | Identical of string list list
       (** one run per extra argument list: byte-identical report, exit code
           and metrics *)
 
-let modes = [ "generic"; "auto"; "monitor" ]
+let modes = [ "generic"; "auto" ]
 
 let counter name metrics =
   let ( let* ) = Option.bind in
@@ -144,6 +132,10 @@ let equivalences =
     agree [ "LazyListSet"; "Add(10),Remove(10)"; "Add(15),Contains(10)" ];
     agree [ "ConcurrentDictionary"; "TryAdd(10),TryGet(10)"; "Set(20),TryRemove(20)" ];
     agree [ "SemaphoreSlim"; "Wait"; "Release" ];
+    (* a value removed twice and then inserted again is ambiguous: the
+       engine must fall back to the generic search, never reject *)
+    agree [ "SegmentQueue"; "Enqueue(1),TryDequeue,TryDequeue"; "Enqueue(1)" ];
+    agree [ "ConcurrentStack (Pre: non-atomic TryPopRange)"; "Push(1),TryPop,TryPop"; "Push(1)" ];
     (* seeded bugs are still caught in every mode *)
     fail
       [

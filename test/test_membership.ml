@@ -1,19 +1,20 @@
-(* The spec-specialized phase-2 membership layer, cross-validated against
-   the generic machinery it replaces:
+(* Phase 2's spec-specialized membership route — one history fed whole to
+   the engine of its class ([Engine.decide]) — cross-validated against the
+   generic machinery it replaces:
 
-   - the queue/stack decrease-and-conquer monitors against the Wing–Gong
+   - the queue/stack decrease-and-conquer engines against the Wing–Gong
      oracle on random synthetic histories — both accepting and rejecting
      ones, which harness-produced histories of correct implementations
      cannot provide;
-   - the P-compositional per-key splitter against the whole-history oracle,
+   - the per-key set/dictionary engine against the whole-history oracle,
      on synthetic set histories and on every history the harness actually
      produces for the set/dictionary adapters (correct and seeded-bug);
-   - [Check.run] end-to-end: --membership auto/monitor against generic on
+   - [Check.run] end-to-end: --membership auto against generic on
      correct, seeded-bug and blocking adapters — same verdict, same
      distinct-history count (the modes may only differ in wall-clock);
    - [Lin_check]'s structured [`Unsupported] on >62-operation histories
-     (the legacy entry points still raise), and the splitter deciding a
-     63-operation history the direct search refuses;
+     (the legacy entry points still raise), and the per-key engine
+     deciding a 63-operation history the direct search refuses;
    - the [Minimize.reduce] descent skipping cancelled candidates — the
      regression for "any non-passing candidate counts as failing". *)
 
@@ -22,7 +23,7 @@ module Value = Lineup_value.Value
 module History = Lineup_history.History
 module Lin_check = Lineup_spec.Lin_check
 module Monitor = Lineup_spec.Monitor
-module Pcomp = Lineup_spec.Pcomp
+module Engine = Lineup_monitor.Engine
 module Spec = Lineup_spec.Spec
 module Specs = Lineup_spec.Specs
 module Explore = Lineup_scheduler.Explore
@@ -91,14 +92,17 @@ let random_set_ops rng =
 
 let seed_arb = QCheck.make QCheck.Gen.small_signed_int
 
+(* The engine route of phase 2 for a declared spec. *)
+let engine spec h = Engine.decide ~spec:(Spec.Packed spec) h
+
 (* ---------------- monitor vs the Wing–Gong oracle ---------------- *)
 
-let monitor_agrees ~name ~cls ~spec ~insert ~remove =
+let monitor_agrees ~name ~spec ~insert ~remove =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~name ~count:500 seed_arb (fun seed ->
          let rng = Random.State.make [| seed |] in
          let h = interleave rng (random_lifo_fifo_ops rng ~insert ~remove) in
-         match Monitor.check ~cls h, Lin_check.decide spec h with
+         match engine spec h, Lin_check.decide spec h with
          | Monitor.Accept, Monitor.Accept | Monitor.Reject, Monitor.Reject -> true
          | Monitor.Unsupported _, _ ->
            (* distinct insert values + complete histories: the monitor must
@@ -110,9 +114,9 @@ let monitor_agrees ~name ~cls ~spec ~insert ~remove =
 let monitor_props =
   [
     monitor_agrees ~name:"queue monitor agrees with the oracle (random histories)"
-      ~cls:Spec.Queue ~spec:Specs.queue ~insert:"Enqueue" ~remove:"TryDequeue";
+      ~spec:Specs.queue ~insert:"Enqueue" ~remove:"TryDequeue";
     monitor_agrees ~name:"stack monitor agrees with the oracle (random histories)"
-      ~cls:Spec.Stack ~spec:Specs.stack ~insert:"Push" ~remove:"TryPop";
+      ~spec:Specs.stack ~insert:"Push" ~remove:"TryPop";
   ]
 
 (* deterministic corner cases, so a qcheck seed change cannot hide them *)
@@ -129,7 +133,7 @@ let monitor_units =
               call 1 1 "TryDequeue" (); ret 1 1 (Value.int 1);
             ]
         in
-        Alcotest.(check bool) "rejected" true (Monitor.check_queue h = Monitor.Reject);
+        Alcotest.(check bool) "rejected" true (engine Specs.queue h = Monitor.Reject);
         Alcotest.check verdict "oracle agrees" Spec.Reject (Lin_check.decide Specs.queue h));
     test "monitor: covered empty dequeue rejected" (fun () ->
         let h =
@@ -139,7 +143,7 @@ let monitor_units =
               call 1 0 "TryDequeue" (); ret 1 0 Value.Fail;
             ]
         in
-        Alcotest.(check bool) "rejected" true (Monitor.check_queue h = Monitor.Reject));
+        Alcotest.(check bool) "rejected" true (engine Specs.queue h = Monitor.Reject));
     test "monitor: overlapping enqueues accept either dequeue order" (fun () ->
         let h =
           history
@@ -151,7 +155,7 @@ let monitor_units =
               call 1 1 "TryDequeue" (); ret 1 1 (Value.int 1);
             ]
         in
-        Alcotest.(check bool) "accepted" true (Monitor.check_queue h = Monitor.Accept));
+        Alcotest.(check bool) "accepted" true (engine Specs.queue h = Monitor.Accept));
     test "monitor: LIFO pop order rejected on a queue, accepted on a stack" (fun () ->
         let events insert remove =
           [
@@ -162,19 +166,38 @@ let monitor_units =
           ]
         in
         Alcotest.(check bool) "stack accepts" true
-          (Monitor.check_stack (history (events "Push" "TryPop")) = Monitor.Accept);
+          (engine Specs.stack (history (events "Push" "TryPop")) = Monitor.Accept);
         Alcotest.(check bool) "queue rejects" true
-          (Monitor.check_queue (history (events "Enqueue" "TryDequeue")) = Monitor.Reject));
+          (engine Specs.queue (history (events "Enqueue" "TryDequeue")) = Monitor.Reject));
     test "monitor: pending operation is Unsupported" (fun () ->
         let h =
           history ~stuck:true [ call 0 0 "Enqueue" ~arg:(Value.int 1) (); ret 0 0 u; call 1 0 "TryDequeue" () ]
         in
-        match Monitor.check_queue h with
+        match engine Specs.queue h with
         | Monitor.Unsupported _ -> ()
         | _ -> Alcotest.fail "expected Unsupported on a pending op");
+    test "monitor: a value removed twice, then inserted again, is Unsupported" (fun () ->
+        (* The second dequeue of 1 is called before the second enqueue of
+           1 and returns after it: linearizable, but the value is
+           ambiguous. The engine must answer Unsupported (phase 2 then
+           falls back to the generic search), never Reject. *)
+        let h =
+          history
+            [
+              call 0 0 "Enqueue" ~arg:(Value.int 1) (); ret 0 0 u;
+              call 0 1 "TryDequeue" (); ret 0 1 (Value.int 1);
+              call 0 2 "TryDequeue" ();
+              call 1 0 "Enqueue" ~arg:(Value.int 1) (); ret 1 0 u;
+              ret 0 2 (Value.int 1);
+            ]
+        in
+        Alcotest.check verdict "the oracle accepts" Spec.Accept (Lin_check.decide Specs.queue h);
+        match engine Specs.queue h with
+        | Monitor.Unsupported _ -> ()
+        | v -> Alcotest.failf "expected Unsupported, got %a" (Alcotest.pp verdict) v);
   ]
 
-(* ---------------- splitter vs the whole-history oracle ---------------- *)
+(* ---------------- per-key engine vs the whole-history oracle ---------------- *)
 
 let pcomp_props =
   [
@@ -183,7 +206,7 @@ let pcomp_props =
          ~count:500 seed_arb (fun seed ->
              let rng = Random.State.make [| seed + 31 |] in
              let h = interleave rng (random_set_ops rng) in
-             match Pcomp.check Specs.key_set h, Lin_check.decide Specs.key_set h with
+             match engine Specs.key_set h, Lin_check.decide Specs.key_set h with
              | Spec.Accept, Spec.Accept | Spec.Reject, Spec.Reject -> true
              | Spec.Unsupported _, _ -> false (* every op here is keyed *)
              | _ -> false));
@@ -201,14 +224,15 @@ let explore_histories adapter test ~cap =
   !histories
 
 let pcomp_harness_tests =
-  let check_adapter name adapter (Spec.Packed spec) columns =
+  let check_adapter name adapter packed columns =
+    let (Spec.Packed spec) = packed in
     test (Fmt.str "pcomp agrees on every explored %s history" name) (fun () ->
         let histories = explore_histories adapter (Test_matrix.make columns) ~cap:400 in
         let decided = ref 0 in
         List.iter
           (fun h ->
             if not (History.is_stuck h) then
-              match Pcomp.check spec h with
+              match Engine.decide ~spec:packed h with
               | Spec.Unsupported _ -> () (* unkeyed op (Count/Clear/...) *)
               | (Spec.Accept | Spec.Reject) as v ->
                 incr decided;
@@ -226,7 +250,7 @@ let pcomp_harness_tests =
       [ [ inv_int "TryAdd" 10; inv_int "TryGet" 10 ]; [ inv_int "Set" 10; inv_int "TryRemove" 10 ] ];
   ]
 
-(* ---------------- Check.run: auto/monitor vs generic ---------------- *)
+(* ---------------- Check.run: auto vs generic ---------------- *)
 
 let e2e_matrix =
   [
@@ -276,64 +300,64 @@ let run_with membership adapter matrix =
 let e2e_tests =
   List.map
     (fun (name, adapter, matrix, expect_fail) ->
-      test (Fmt.str "auto/monitor verdicts match generic: %s" name) (fun () ->
+      test (Fmt.str "auto verdicts match generic: %s" name) (fun () ->
           let generic = run_with Check.Generic adapter matrix in
           let auto = run_with Check.Auto adapter matrix in
-          let monitor = run_with Check.Monitor adapter matrix in
           Alcotest.(check bool) "generic verdict as expected" expect_fail (Check.failed generic);
           Alcotest.(check bool) "auto = generic (pass)" (Check.passed generic) (Check.passed auto);
-          Alcotest.(check bool) "monitor = generic (pass)" (Check.passed generic) (Check.passed monitor);
           Alcotest.(check bool) "auto = generic (fail)" (Check.failed generic) (Check.failed auto);
-          Alcotest.(check bool) "monitor = generic (fail)" (Check.failed generic) (Check.failed monitor);
           let histories r =
             match r.Check.phase2 with Some p -> p.Check.histories | None -> -1
           in
           Alcotest.(check int) "auto sees the same distinct histories" (histories generic)
-            (histories auto);
-          Alcotest.(check int) "monitor sees the same distinct histories" (histories generic)
-            (histories monitor)))
+            (histories auto)))
     e2e_matrix
 
-(* ---------------- fallback counting on stuck histories ---------------- *)
+(* ---------------- fallback counting ---------------- *)
 
-(* A declared spec that blocks on the test's init Release makes every query
-   of the spec path Unsupported ("init sequence blocks"), while the
-   implementation runs the init fine: three Waits on one permit leave every
-   phase-2 history stuck with two pending Waits. *)
+let lineup_counters ~membership adapter matrix =
+  let m = Lineup_observe.Metrics.create () in
+  let r = Check.run ~config:(Check.config_with ~membership ()) ~metrics:m adapter matrix in
+  Alcotest.(check bool) "passes" true (Check.passed r);
+  fun k -> Lineup_observe.Metrics.get m ("analyze.lineup." ^ k)
+
 let fallback_tests =
-  let base = Specs.semaphore ~initial:0 in
-  let spec =
-    {
-      base with
-      Spec.step =
-        (fun st (i : Lineup_history.Invocation.t) ->
-          if i.name = "Release" then Spec.Blocked else base.Spec.step st i);
-    }
-  in
-  let adapter = { Conc.Semaphore_slim.correct with Adapter.spec = Some (Spec.Packed spec) } in
-  let matrix =
-    Test_matrix.make ~init:[ inv "Release" ] [ [ inv "Wait" ]; [ inv "Wait" ]; [ inv "Wait" ] ]
-  in
-  let counters membership =
-    let m = Lineup_observe.Metrics.create () in
-    let r = Check.run ~config:(Check.config_with ~membership ()) ~metrics:m adapter matrix in
-    Alcotest.(check bool) "passes" true (Check.passed r);
-    fun k -> Lineup_observe.Metrics.get m ("analyze.lineup." ^ k)
-  in
   [
-    test "monitor: an Unsupported H[e] sends its stuck history to the generic search once" (fun () ->
-        let get = counters Check.Monitor in
-        let n = get "histories_distinct" in
-        Alcotest.(check bool) "stuck histories were decided" true (n > 0);
-        Alcotest.(check int) "one fallback per history" n (get "membership_fallbacks");
-        Alcotest.(check int) "one generic Definition-2 check per history" n (get "stuck_checks");
-        Alcotest.(check int) "no direct decision" 0 (get "membership_direct");
-        Alcotest.(check int) "no complete history" 0 (get "witness_searches"));
     test "auto: stuck histories go straight to the generic search, no fallback" (fun () ->
-        let get = counters Check.Auto in
+        (* A declared spec that blocks on the test's init Release, while
+           the implementation runs the init fine: three Waits on one permit
+           leave every phase-2 history stuck with two pending Waits. *)
+        let base = Specs.semaphore ~initial:0 in
+        let spec =
+          {
+            base with
+            Spec.step =
+              (fun st (i : Lineup_history.Invocation.t) ->
+                if i.name = "Release" then Spec.Blocked else base.Spec.step st i);
+          }
+        in
+        let get =
+          lineup_counters ~membership:Check.Auto
+            { Conc.Semaphore_slim.correct with Adapter.spec = Some (Spec.Packed spec) }
+            (Test_matrix.make ~init:[ inv "Release" ]
+               [ [ inv "Wait" ]; [ inv "Wait" ]; [ inv "Wait" ] ])
+        in
         Alcotest.(check int) "no fallback" 0 (get "membership_fallbacks");
         Alcotest.(check int) "one generic Definition-2 check per history"
           (get "histories_distinct") (get "stuck_checks"));
+    test "auto: a queue after an init sequence has no engine, one fallback per history"
+      (fun () ->
+        (* the queue monitor assumes an empty queue *)
+        let get =
+          lineup_counters ~membership:Check.Auto Conc.Concurrent_queue.correct
+            (Test_matrix.make ~init:[ inv_int "Enqueue" 1 ]
+               [ [ inv "TryDequeue" ]; [ inv_int "Enqueue" 2 ] ])
+        in
+        let complete = get "witness_searches" in
+        Alcotest.(check bool) "complete histories were decided" true (complete > 0);
+        Alcotest.(check int) "one fallback per complete history" complete
+          (get "membership_fallbacks");
+        Alcotest.(check int) "no engine decision" 0 (get "membership_monitor"));
   ]
 
 (* ---------------- the 62-operation boundary ---------------- *)
@@ -354,9 +378,9 @@ let oversize_tests =
         | exception Invalid_argument _ -> ()
         | _ -> Alcotest.fail "linearization must raise");
     test "pcomp decides a 63-operation history the direct search refuses" (fun () ->
-        (* alternate Add/Remove on two keys: each per-key part is ~32 ops,
-           far under the 62-op direct limit, so the splitter succeeds where
-           the whole-history search cannot even start *)
+        (* alternate Add/Remove on two keys: each key sees ~32 ops in
+           chunks far under the 62-op direct limit, so the per-key engine
+           succeeds where the whole-history search cannot even start *)
         let events =
           List.concat
             (List.init 63 (fun i ->
@@ -368,10 +392,10 @@ let oversize_tests =
         (match Lin_check.decide Specs.key_set h with
          | Spec.Unsupported _ -> ()
          | _ -> Alcotest.fail "direct search should refuse 63 ops");
-        match Pcomp.check Specs.key_set h with
+        match engine Specs.key_set h with
         | Monitor.Accept -> ()
         | Monitor.Reject -> Alcotest.fail "serial alternation is linearizable"
-        | Monitor.Unsupported r -> Alcotest.failf "splitter refused: %s" r);
+        | Monitor.Unsupported r -> Alcotest.failf "the per-key engine refused: %s" r);
   ]
 
 (* ---------------- Minimize: cancelled candidates ---------------- *)

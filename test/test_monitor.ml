@@ -10,11 +10,10 @@
    - the chunk reader: lines cut across reads, CRLF endings, blank lines,
      a line longer than the buffer and no final newline read as
      [input_line] reads them, through [Driver.run] and [Driver.replay];
-   - the fast streaming engines ([Monitor.Stream]) against the offline
-     decrease-and-conquer monitors on random accepting AND rejecting
-     queue/stack histories — windowed GC must never change the verdict,
-     so the property runs at min_batch 1 (a window per quiescent point)
-     and 4;
+   - the fast streaming engines ([Monitor.Stream]) against the Wing–Gong
+     oracle on random accepting AND rejecting queue/stack histories —
+     windowed GC must never change the verdict, so the property runs at
+     min_batch 1 (a window per quiescent point) and 4;
    - the chunked feasible-state engine ([Kmon]) against the Wing–Gong
      oracle on random keyed set histories and unkeyed counter histories;
    - windowing as a memory bound: a long bounded-occupancy stream keeps
@@ -385,23 +384,23 @@ let stream_verdict ~cls ~min_batch events =
   List.iter (Monitor.Stream.feed s) events;
   Monitor.Stream.finalize s
 
-let stream_agrees ~name ~cls ~insert ~remove =
+let stream_agrees ~name ~cls ~spec ~insert ~remove =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~name ~count:500 seed_arb (fun seed ->
          let rng = Random.State.make [| seed |] in
          let events = interleave rng (random_lifo_fifo_ops rng ~insert ~remove) in
-         let offline = Monitor.check ~cls (history events) in
+         let oracle = Lin_check.decide spec (history events) in
          (* min_batch 1 windows at every quiescent point — the most GC
-            pressure possible; both must equal the offline verdict *)
-         stream_verdict ~cls ~min_batch:1 events = offline
-         && stream_verdict ~cls ~min_batch:4 events = offline))
+            pressure possible; both must equal the oracle's verdict *)
+         stream_verdict ~cls ~min_batch:1 events = oracle
+         && stream_verdict ~cls ~min_batch:4 events = oracle))
 
 let stream_props =
   [
-    stream_agrees ~name:"queue stream agrees with the offline monitor"
-      ~cls:Spec.Queue ~insert:"Enqueue" ~remove:"TryDequeue";
-    stream_agrees ~name:"stack stream agrees with the offline monitor"
-      ~cls:Spec.Stack ~insert:"Push" ~remove:"TryPop";
+    stream_agrees ~name:"queue stream agrees with the oracle at every window size"
+      ~cls:Spec.Queue ~spec:Specs.queue ~insert:"Enqueue" ~remove:"TryDequeue";
+    stream_agrees ~name:"stack stream agrees with the oracle at every window size"
+      ~cls:Spec.Stack ~spec:Specs.stack ~insert:"Push" ~remove:"TryPop";
   ]
 
 (* ---------------- Kmon vs the Wing–Gong oracle ---------------- *)
@@ -986,7 +985,7 @@ let tests =
                  interleave rng
                    (random_lifo_fifo_ops rng ~insert:"Enqueue" ~remove:"TryDequeue")
                in
-               let offline = Monitor.check ~cls:Spec.Queue (history events) in
+               let offline = Lin_check.decide Specs.queue (history events) in
                with_file (render_history events) (fun ic ->
                    let o =
                      Driver.run ~spec:queue_spec

@@ -78,7 +78,7 @@ let stats_t : Explore.stats Alcotest.testable = Alcotest.testable Explore.pp_sta
 (* Plant every partition of a fresh sweep under a [stale] format-version
    header; none of them may load. *)
 let stale_version_skipped stale =
-  Alcotest.(check int) "current format version" 7 Store.format_version;
+  Alcotest.(check int) "current format version" 8 Store.format_version;
   with_temp_dir (fun dir ->
       let adapter = Conc.Counters.correct in
       let fingerprint =
@@ -216,10 +216,11 @@ let store_suite =
                the checkpointed observation XML, and with it the probe
                counts of partitions run on it; version 6 dropped a field
                from the marshaled stats record; version 7 sealed every
-               payload behind its digest. An older part must read as
+               payload behind its digest; version 8 dropped a counter from
+               the marshaled Line-Up state. An older part must read as
                stale, never be unmarshaled or merged into a newer sweep. *)
             stale_version_skipped stale))
-      [ 2; 3; 4; 5; 6 ]
+      [ 2; 3; 4; 5; 6; 7 ]
   @ [
       test "a checkpoint with a flipped payload bit is skipped" (fun () ->
           (* Unmarshaling a corrupt payload is undefined behaviour: without
@@ -238,7 +239,7 @@ let store_suite =
                   (Fmt.str "%04d.part" (Check.partition_index (List.hd parts)))
               in
               let original = read path in
-              let header = String.length (Fmt.str "lineup-shard/%d\n%s\n" 7 fingerprint) in
+              let header = String.length (Fmt.str "lineup-shard/%d\n%s\n" 8 fingerprint) in
               (* the digest, then the marshaled partition from its first
                  byte to its last *)
               let payload = String.length original - header in
@@ -298,6 +299,33 @@ let store_suite =
     ]
 
 (* ---------------- wire protocol ---------------- *)
+
+(* The bytes [send] writes. *)
+let frame_of send =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  send a;
+  Unix.close a;
+  let frame = In_channel.input_all (Unix.in_channel_of_descr b) in
+  Unix.close b;
+  frame
+
+(* [recv] on a socketpair holding [frame], its writer closed. *)
+let recv_frame recv frame =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close b)
+    (fun () ->
+      ignore (Unix.write_substring a frame 0 (String.length frame));
+      Unix.close a;
+      recv b)
+
+(* the length and its complement *)
+let header_bits = 8 * 8
+
+let flip s bit =
+  let b = Bytes.of_string s in
+  Bytes.set_uint8 b (bit / 8) (Bytes.get_uint8 b (bit / 8) lxor (1 lsl (bit mod 8)));
+  Bytes.to_string b
 
 let wire_suite =
   [
@@ -360,13 +388,12 @@ let wire_suite =
             | _ -> Alcotest.fail "expected Shutdown"));
     test "a truncated frame or closed peer reads as None" (fun () ->
         let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        (* length prefix promising 100 bytes, then EOF *)
-        let partial = Bytes.create 4 in
-        Bytes.set_uint8 partial 0 0;
-        Bytes.set_uint8 partial 1 0;
-        Bytes.set_uint8 partial 2 0;
-        Bytes.set_uint8 partial 3 100;
-        ignore (Unix.write a partial 0 4);
+        (* a header promising 100 bytes (the length, then its
+           complement), then EOF *)
+        let partial = Bytes.create 8 in
+        Bytes.set_int32_be partial 0 100l;
+        Bytes.set_int32_be partial 4 (Int32.lognot 100l);
+        ignore (Unix.write a partial 0 8);
         Unix.close a;
         Alcotest.(check bool) "truncated frame" true (Option.is_none (Wire.recv_to_server b));
         Alcotest.(check bool) "closed peer" true (Option.is_none (Wire.recv_to_server b));
@@ -375,32 +402,47 @@ let wire_suite =
         (* Without the digest, flips in this frame's payload crashed the
            process (SIGSEGV), raised Out_of_memory or decoded as another
            message. *)
-        let frame_of send =
-          let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-          send a;
-          Unix.close a;
-          let frame = In_channel.input_all (Unix.in_channel_of_descr b) in
-          Unix.close b;
-          frame
-        in
         let frame =
           frame_of (fun fd -> Wire.send_to_server fd (Wire.Failed { index = 7; message = "boom" }))
         in
-        let recv_of frame =
-          let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-          ignore (Unix.write_substring a frame 0 (String.length frame));
-          Unix.close a;
-          Fun.protect ~finally:(fun () -> Unix.close b) (fun () -> Wire.recv_to_server b)
-        in
-        (match recv_of frame with
+        (match recv_frame Wire.recv_to_server frame with
          | Some (Wire.Failed { index = 7; message = "boom" }) -> ()
          | _ -> Alcotest.fail "the intact frame must decode");
-        for bit = 4 * 8 to (String.length frame * 8) - 1 do
-          let corrupt = Bytes.of_string frame in
-          let byte = bit / 8 in
-          Bytes.set_uint8 corrupt byte (Bytes.get_uint8 corrupt byte lxor (1 lsl (bit mod 8)));
-          if Option.is_some (recv_of (Bytes.to_string corrupt)) then
+        for bit = header_bits to (String.length frame * 8) - 1 do
+          if Option.is_some (recv_frame Wire.recv_to_server (flip frame bit)) then
             Alcotest.failf "bit %d flipped: the frame still decoded" bit
+        done);
+    test "a version-3 frame, its length without the complement, reads as None" (fun () ->
+        let payload = Lineup_shard.Sealed.marshal (Wire.Hello { wire = 3 }) in
+        let header = Bytes.create 4 in
+        Bytes.set_int32_be header 0 (Int32.of_int (String.length payload));
+        Alcotest.(check bool) "None" true
+          (Option.is_none (recv_frame Wire.recv_to_server (Bytes.to_string header ^ payload))));
+    test "a frame with any flipped header bit reads as None while the writer stays open"
+      (fun () ->
+        (* The digest covers the payload only: a flip that grew an
+           unchecked length would leave recv waiting for bytes a live peer
+           never sends. The reader's one-second receive timeout keeps such
+           a wait from hanging the suite; it shows as a slow None. *)
+        let frame =
+          frame_of (fun fd -> Wire.send_to_server fd (Wire.Failed { index = 7; message = "boom" }))
+        in
+        for bit = 0 to header_bits - 1 do
+          let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+          Fun.protect
+            ~finally:(fun () ->
+              Unix.close a;
+              Unix.close b)
+            (fun () ->
+              Unix.setsockopt_float b Unix.SO_RCVTIMEO 1.0;
+              let corrupt = flip frame bit in
+              ignore (Unix.write_substring a corrupt 0 (String.length corrupt));
+              let t0 = Unix.gettimeofday () in
+              let got = Wire.recv_to_server b in
+              let dt = Unix.gettimeofday () -. t0 in
+              if Option.is_some got then
+                Alcotest.failf "bit %d flipped: the frame still decoded" bit;
+              if dt > 0.5 then Alcotest.failf "bit %d flipped: recv waited %.2f s" bit dt)
         done);
   ]
 
@@ -611,4 +653,160 @@ let merge_suite =
               (contains (Fmt.str "\"checkpoint_hits\": %d" (List.length parts)))));
   ]
 
-let tests = store_suite @ wire_suite @ eintr_suite @ merge_suite
+(* ---------------- decoder fuzzing ---------------- *)
+
+(* Bytes that matter to a length prefix or a marshaled header. *)
+let binary_alphabet = [ '\x00'; '\x01'; '\x7f'; '\x80'; '\xff'; '\n' ]
+
+let qcheck ~name ~count gen prop =
+  QCheck.Test.check_exn ~rand:(QCheck_base_runner.random_state ())
+    (QCheck.Test.make ~name ~count (QCheck.make ~print:(Printf.sprintf "%S") gen) prop)
+
+(* Random bytes, and random payloads behind a header that matches them. *)
+let random_frame_gen =
+  let open QCheck.Gen in
+  let header payload =
+    let h = Bytes.create 8 in
+    let len = Int32.of_int (String.length payload) in
+    Bytes.set_int32_be h 0 len;
+    Bytes.set_int32_be h 4 (Int32.lognot len);
+    Bytes.to_string h
+  in
+  oneof
+    [
+      string_size (int_bound 64);
+      map (fun payload -> header payload ^ payload) (string_size (int_bound 64));
+    ]
+
+(* A mutated frame of one of [msgs] reads as [None], or as the message it
+   still frames whole (an edit after its end). *)
+let mutated_frames_decode ~name send recv msgs =
+  test name (fun () ->
+      List.iter
+        (fun msg ->
+          let frame = frame_of (fun fd -> send fd msg) in
+          qcheck ~name ~count:300 (mutations_gen ~alphabet:binary_alphabet frame) (fun f ->
+              match recv_frame recv f with None -> true | Some msg' -> msg' = msg))
+        msgs)
+
+let fuzz_suite =
+  [
+    test "wire: random frames read as None" (fun () ->
+        qcheck ~name:"random frames" ~count:1000 random_frame_gen (fun f ->
+            Option.is_none (recv_frame Wire.recv_to_server f)
+            && Option.is_none (recv_frame Wire.recv_to_worker f)));
+    mutated_frames_decode ~name:"wire: mutated frames to the server read as None or intact"
+      Wire.send_to_server Wire.recv_to_server
+      [ Wire.Hello { wire = Wire.wire_version }; Wire.Failed { index = 7; message = "boom" } ];
+    mutated_frames_decode ~name:"wire: mutated frames to a worker read as None or intact"
+      Wire.send_to_worker Wire.recv_to_worker
+      [ Wire.Task { index = 3; prefix = "t0.1.c2" }; Wire.Shutdown ];
+    test "store: mutated checkpoint files load as None or as written" (fun () ->
+        with_temp_dir (fun dir ->
+            let adapter = Conc.Counters.correct in
+            let fingerprint =
+              Store.fingerprint ~config ~adapter:adapter.Adapter.name ~test:counter_test
+            in
+            Store.init_dir ~dir ~fingerprint;
+            let observation, phase1, frontier, parts =
+              shard_run ~order:Fun.id adapter counter_test
+            in
+            let observation_xml = Observation_file.to_string observation in
+            let part = List.hd parts in
+            Store.save_phase1 ~dir ~fingerprint ~observation_xml phase1;
+            Store.save_frontier ~dir ~fingerprint frontier;
+            Store.save_part ~dir ~fingerprint part;
+            let prefixes (f : Explore.frontier) =
+              List.map Explore.prefix_to_string f.Explore.prefixes, f.Explore.warmup
+            in
+            let marshaled p = Marshal.to_string p [] in
+            (* each file with the test that it loads as None, or as written *)
+            let files =
+              [
+                ( "phase1.bin",
+                  fun () ->
+                    match Store.load_phase1 ~dir ~fingerprint with
+                    | None -> true
+                    | Some (xml, p1) -> xml = observation_xml && p1 = phase1 );
+                ( "frontier.bin",
+                  fun () ->
+                    match Store.load_frontier ~dir ~fingerprint with
+                    | None -> true
+                    | Some f -> prefixes f = prefixes frontier );
+                ( Filename.concat "parts" (Fmt.str "%04d.part" (Check.partition_index part)),
+                  fun () ->
+                    match Store.load_parts ~dir ~fingerprint with
+                    | [] -> true
+                    | [ p ] -> marshaled p = marshaled part
+                    | _ -> false );
+              ]
+            in
+            let header = Fmt.str "lineup-shard/%d\n%s\n" Store.format_version fingerprint in
+            List.iter
+              (fun (file, loads_clean) ->
+                let path = Filename.concat dir file in
+                let original = read path in
+                let gen =
+                  QCheck.Gen.(
+                    oneof
+                      [
+                        mutations_gen ~alphabet:binary_alphabet original;
+                        (* a random payload behind the right header *)
+                        map (fun payload -> header ^ payload) (string_size (int_bound 96));
+                      ])
+                in
+                qcheck ~name:file ~count:300 gen (fun contents ->
+                    Out_channel.with_open_bin path (fun oc ->
+                        Out_channel.output_string oc contents);
+                    loads_clean ());
+                Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc original))
+              files));
+  ]
+
+(* ---------------- kill points ---------------- *)
+
+(* The shard-equivalence sweep killed after every checkpoint it writes
+   before the last: each must resume to the bytes of an uninterrupted
+   in-process run, counting its checkpoints as hits. *)
+let kill_point_suite =
+  [
+    test "a sweep halted after any checkpoint resumes byte-identically" (fun () ->
+        let args =
+          [ "ConcurrentQueue"; "Enqueue(200),TryDequeue"; "Enqueue(400),TryDequeue" ]
+        in
+        let want_code, want_report, want_metrics = run_cli "check" (args @ [ "-j"; "2"; "-v" ]) in
+        let stat dir key =
+          let ( let* ) = Option.bind in
+          let json = read (Filename.concat dir "shard-stats.json") in
+          match
+            let* doc = Result.to_option (Lineup_observe.Ndjson.parse json) in
+            Lineup_observe.Ndjson.member key doc
+          with
+          | Some v -> v
+          | None -> Alcotest.failf "no %s in shard-stats.json: %s" key json
+        in
+        for n = 1 to 13 do
+          with_temp_dir (fun dir ->
+              let shard extra =
+                run_cli "shard-server" (args @ [ "--dir"; dir; "--local"; "2" ] @ extra)
+              in
+              let halted, _, _ = shard [ "--halt-after"; string_of_int n ] in
+              Alcotest.(check int) (Fmt.str "N=%d: halted exit code" n) 2 halted;
+              let code, report, metrics = shard [ "--resume"; "-v" ] in
+              Alcotest.(check int) (Fmt.str "N=%d: exit code" n) want_code code;
+              Alcotest.(check string) (Fmt.str "N=%d: report" n) want_report report;
+              Alcotest.(check string) (Fmt.str "N=%d: metrics" n) want_metrics metrics;
+              Alcotest.(check (option int)) (Fmt.str "N=%d: partitions" n) (Some 14)
+                (Lineup_observe.Ndjson.to_int (stat dir "partitions"));
+              (match Lineup_observe.Ndjson.to_int (stat dir "checkpoint_hits") with
+               | Some hits when hits >= n -> ()
+               | hits ->
+                 Alcotest.failf "N=%d: %a checkpoint hits" n
+                   Fmt.(option ~none:(any "no") int)
+                   hits);
+              Alcotest.(check bool) (Fmt.str "N=%d: not halted" n) true
+                (stat dir "halted" = Lineup_observe.Ndjson.Bool false))
+        done);
+  ]
+
+let tests = store_suite @ wire_suite @ eintr_suite @ merge_suite @ fuzz_suite @ kill_point_suite
