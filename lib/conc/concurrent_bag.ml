@@ -13,7 +13,7 @@ let universe =
 let adapter =
   let create () =
     let segments = Var_array.make ~name:"bag.seg" max_threads [] in
-    let locks = Array.init max_threads (fun i -> Mutex_.create ~name:(Fmt.str "bag.lock%d" i) ()) in
+    let locks = Array.init max_threads (fun i -> Mutex_.create ~name:("bag.lock" ^ Int.to_string i) ()) in
     let own () = Rt.self () mod max_threads in
     let scan_order () =
       let me = own () in

@@ -12,11 +12,12 @@ type node = {
 }
 
 let new_node key next =
+  let node = "node" ^ Int.to_string key in
   {
     key;
-    marked = Var.make ~volatile:true ~name:(Fmt.str "node%d.marked" key) false;
-    next = Var.make ~volatile:true ~name:(Fmt.str "node%d.next" key) next;
-    lock = Mutex_.create ~name:(Fmt.str "node%d.lock" key) ();
+    marked = Var.make ~volatile:true ~name:(node ^ ".marked") false;
+    next = Var.make ~volatile:true ~name:(node ^ ".next") next;
+    lock = Mutex_.create ~name:(node ^ ".lock") ();
   }
 
 let universe =

@@ -333,9 +333,9 @@ let p2_decide config ~observation ~route st h =
   let complete = (not stuck) && History.is_complete h in
   (* Emit each distinct complete history's events before deciding it, so
      a rejecting history is always in the trace and [lineup monitor
-     --replay] on the trace file reproduces the verdict (the CI
-     monitor-equivalence gate). Stuck histories are skipped: replay
-     covers the complete-history fragment. *)
+     --replay] on the trace file reproduces the verdict (the replay rows
+     of test/test_goldens.ml's equivalence table). Stuck histories are
+     skipped: replay covers the complete-history fragment. *)
   if Trace.enabled () && complete then begin
     let id = Atomic.fetch_and_add trace_hist_counter 1 in
     List.iter (fun ev -> Lineup_monitor.Mevent.emit_trace ~hist:id ev) (History.events h)

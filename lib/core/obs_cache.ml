@@ -6,8 +6,19 @@ module Metrics = Lineup_observe.Metrics
    into both the file name and the root element, so files written by an
    older scheme are never silently reused. Version 3: each group lists its
    histories in first-added order rather than sorted, so a cache hit
-   probes the witness candidates in the same order as a fresh run. *)
-let format_version = 3
+   probes the witness candidates in the same order as a fresh run.
+   Version 4: the root element also carries the content's [digest]. *)
+let format_version = 4
+
+(* The MD5 of an observation file's content: the document rendered with
+   the root element's own attributes (the stamps and this digest) left
+   out. A file whose content no longer matches is not trusted, however
+   well it parses: one changed [result] or one dropped [<history>] would
+   otherwise be a different specification. *)
+let content_digest = function
+  | Xml.Element (tag, _, children) ->
+    Digest.to_hex (Digest.string (Xml.to_string (Xml.Element (tag, [], children))))
+  | Xml.Text _ as t -> Digest.to_hex (Digest.string (Xml.to_string t))
 
 let test_key (test : Test_matrix.t) =
   let col invs = String.concat ";" (List.map Invocation.to_string invs) in
@@ -60,15 +71,22 @@ let phase1 ?config ?metrics ~dir adapter test =
   let cached =
     if not (Sys.file_exists path) then None
     else
-      match Observation_file.load_full ~path with
-      | attrs, histories
-        when List.assoc_opt "version" attrs = Some version
-             && List.assoc_opt "fingerprint" attrs = Some fingerprint ->
-        Some histories
-      | _ | (exception Invalid_argument _) ->
-        (* same file name but written under a different format/config, or
-           not a whole observation file (cut short by a kill under an
-           older writer): evict, don't trust *)
+      match
+        let root = Xml.of_string (In_channel.with_open_bin path In_channel.input_all) in
+        let stamp k = Xml.attr_opt root k in
+        if
+          stamp "version" = Some version
+          && stamp "fingerprint" = Some fingerprint
+          && stamp "digest" = Some (content_digest root)
+        then Some (Observation_file.of_xml root)
+        else None
+      with
+      | Some _ as histories -> histories
+      | None | (exception (Invalid_argument _ | Sys_error _)) ->
+        (* same file name but written under a different format/config, not
+           a whole observation file (cut short by a kill under an older
+           writer), or content that no longer matches its digest: evict,
+           don't trust *)
         mincr metrics "obs_cache.stale";
         (try Sys.remove path with Sys_error _ -> ());
         None
@@ -91,7 +109,12 @@ let phase1 ?config ?metrics ~dir adapter test =
     | Ok (obs, _report) ->
       Lineup_observe.Atomic_file.mkdir_p dir;
       Observation_file.save
-        ~root_attrs:[ "version", version; "fingerprint", fingerprint ]
+        ~root_attrs:
+          [
+            "version", version;
+            "fingerprint", fingerprint;
+            "digest", content_digest (Observation_file.to_xml obs);
+          ]
         ~path obs;
       Ok (obs, false)
     | Error (Check.Fail v, _report) -> Error v

@@ -11,16 +11,18 @@
     so neither a changed test nor a changed exploration config (a different
     step budget can record a {e smaller} observation set) ever reuses a
     stale specification. The same version + fingerprint are stamped on the
-    file's root element and re-verified on load; a mismatch (e.g. a file
-    renamed by hand, or hash collision across schemes) or a file that does
-    not parse counts as stale, is evicted, and phase 1 re-runs. Files are
-    written atomically. Cached files are the Fig. 7 XML format, hence
-    human-readable and diffable.
+    file's root element and re-verified on load, beside the MD5 digest of
+    the file's content (the document without the root's attributes); a
+    mismatch (e.g. a file renamed or edited by hand, a damaged file, or a
+    hash collision across schemes) or a file that does not parse counts as
+    stale, is evicted, and phase 1 re-runs. Files are written atomically.
+    Cached files are the Fig. 7 XML format, hence human-readable and
+    diffable.
 
     [metrics], where accepted, counts [obs_cache.hit], [obs_cache.miss] and
-    [obs_cache.stale] (evictions: embedded-stamp mismatches, unparseable
-    files, plus files left by the pre-versioned key scheme), in addition to
-    the counters recorded by the underlying {!Check} calls. *)
+    [obs_cache.stale] (evictions: embedded-stamp and digest mismatches,
+    unparseable files, plus files left by the pre-versioned key scheme), in
+    addition to the counters recorded by the underlying {!Check} calls. *)
 
 (** [phase1 ?config ?metrics ~dir adapter test] returns the observation set
     for [test], loading it from [dir] when present and valid, and running +

@@ -206,27 +206,20 @@ let parse_observation node =
     (fun (tag, el) -> if tag = "history" then Some (parse_history el) else None)
     (Xml.elements node)
 
-let of_string_full s =
-  let root = Xml.of_string s in
+let of_xml root =
   if Xml.tag root <> "observationset" then
     invalid_arg "Observation_file: expected <observationset>";
-  let attrs = match root with Xml.Element (_, attrs, _) -> attrs | Xml.Text _ -> [] in
-  let histories =
-    List.concat_map
-      (fun (tag, el) -> if tag = "observation" then parse_observation el else [])
-      (Xml.elements root)
-  in
-  attrs, histories
+  List.concat_map
+    (fun (tag, el) -> if tag = "observation" then parse_observation el else [])
+    (Xml.elements root)
 
-let of_string s = snd (of_string_full s)
+let of_string s = of_xml (Xml.of_string s)
 
-let load_full ~path =
+let load ~path =
   let ic = open_in path in
   Fun.protect
     ~finally:(fun () -> close_in ic)
-    (fun () -> of_string_full (really_input_string ic (in_channel_length ic)))
-
-let load ~path = snd (load_full ~path)
+    (fun () -> of_string (really_input_string ic (in_channel_length ic)))
 
 let observation_of_histories histories =
   let obs = Observation.create () in

@@ -19,9 +19,9 @@
 
 (** [root_attrs] (default [[]]) are attached to the [<observationset>] root
     element — {!Obs_cache} stamps its format version and configuration
-    fingerprint there. They do not affect the histories and are ignored by
-    {!of_string}/{!load}; use {!of_string_full}/{!load_full} to read them
-    back. *)
+    fingerprint there, with the digest of the content. They do not affect
+    the histories and are ignored by the parsers below; read them off the
+    parsed {!Xml.t}. *)
 val to_xml : ?root_attrs:(string * string) list -> Observation.t -> Xml.t
 
 val to_string : ?root_attrs:(string * string) list -> Observation.t -> string
@@ -35,13 +35,8 @@ val of_string : string -> Lineup_history.Serial_history.t list
 
 val load : path:string -> Lineup_history.Serial_history.t list
 
-(** Like {!of_string}/{!load}, additionally returning the root element's
-    attributes (empty for files written without [root_attrs]). *)
-val of_string_full :
-  string -> (string * string) list * Lineup_history.Serial_history.t list
-
-val load_full :
-  path:string -> (string * string) list * Lineup_history.Serial_history.t list
+(** {!of_string} on an already parsed document. *)
+val of_xml : Xml.t -> Lineup_history.Serial_history.t list
 
 (** Rebuild an observation set, reporting nondeterminism like
     [Observation.add]. *)

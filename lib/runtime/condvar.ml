@@ -8,7 +8,7 @@ type t = {
 
 let create ?name () =
   let id = Exec_ctx.fresh_loc () in
-  let name = match name with Some n -> n | None -> Fmt.str "cond%d" id in
+  let name = match name with Some n -> n | None -> "cond" ^ Int.to_string id in
   { id; name; generation = 0; tickets = 0; next_ticket = 0 }
 
 let sched cv =

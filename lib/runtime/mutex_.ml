@@ -6,7 +6,7 @@ type t = {
 
 let create ?name () =
   let id = Exec_ctx.fresh_loc () in
-  let name = match name with Some n -> n | None -> Fmt.str "lock%d" id in
+  let name = match name with Some n -> n | None -> "lock" ^ Int.to_string id in
   { id; name; holder = None }
 
 let name m = m.name

@@ -12,7 +12,7 @@ type 'a t = {
 
 let make ?(volatile = false) ?name init =
   let id = Exec_ctx.fresh_loc () in
-  let name = match name with Some n -> n | None -> Fmt.str "loc%d" id in
+  let name = match name with Some n -> n | None -> "loc" ^ Int.to_string id in
   { id; name; volatile; v = init; fwd = [] }
 
 let name x = x.name

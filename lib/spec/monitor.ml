@@ -6,9 +6,13 @@ module Invocation = Lineup_history.Invocation
    for unambiguous histories over the insert/remove vocabulary of a queue
    or a stack, linearizability reduces to a fixed set of pairwise interval
    conditions plus (for the stack) a greedy peeling loop — no witness
-   enumeration. Near-linear instead of the exponential generic search;
-   anything outside the supported fragment is reported as [Unsupported]
-   and the caller falls back.
+   enumeration. The engines check a stream in windows, and a window of W
+   operations costs O(W log W): W counts its own completed operations,
+   the stack's pairs carried over from earlier windows (only a violating
+   stream has any) and the unremoved pushes that returned after its
+   earliest gap start, never the other unremoved values however many
+   there are. Anything outside the supported fragment is reported as
+   [Unsupported] and the caller falls back.
 
    Position arithmetic: [Op.call_pos]/[Op.ret_pos] are event indices in the
    stream, all distinct. A linearization point lies strictly between two
@@ -17,7 +21,14 @@ module Invocation = Lineup_history.Invocation
    and a matched value [v] is definitely present in slots
    [ret(insert v) .. call(remove v) - 1] (to infinity when never removed) —
    outside that range a witness can always order the pair around any
-   chosen point. *)
+   chosen point.
+
+   The checks take a window's matched pairs [(insert, remove)] and, for
+   the values not removed yet, only [first_live]: the earliest return
+   position among their inserts ([max_int] when there is none). An
+   unremoved value adds [max_int] to the FIFO prefix maximum and the slots
+   [ret .. max_int] to the covers, so the unremoved values together act as
+   the one value returned first (DESIGN.md §6). *)
 
 type verdict = Spec.verdict =
   | Accept
@@ -30,38 +41,48 @@ let unsupported fmt = Fmt.kstr (fun s -> raise (Verdict (Unsupported s))) fmt
 let reject () = raise (Verdict Reject)
 let ret_pos (op : Op.t) = match op.ret_pos with Some p -> p | None -> assert false
 
-(* Merge inclusive integer intervals, joining adjacent ones, so that the
-   merged list covers an integer iff some input interval does. *)
+(* Merge inclusive integer intervals, joining adjacent ones: the result is
+   sorted, disjoint, and covers an integer iff some input interval does.
+   ([lo - 1 <= ahi], not [lo <= ahi + 1]: [ahi] may be [max_int].) *)
 let merge_intervals ivs =
   let ivs = List.sort (fun (a, _) (b, _) -> Int.compare a b) ivs in
   let rec go acc = function
-    | [] -> List.rev acc
+    | [] -> Array.of_list (List.rev acc)
     | (lo, hi) :: rest -> (
       match acc with
-      | (alo, ahi) :: acc' when lo <= ahi + 1 -> go ((alo, max ahi hi) :: acc') rest
+      | (alo, ahi) :: acc' when lo - 1 <= ahi -> go ((alo, max ahi hi) :: acc') rest
       | _ -> go ((lo, hi) :: acc) rest)
   in
   go [] ivs
 
+(* Only the last merged interval starting at or before [lo] can hold it. *)
 let fully_covered merged ~lo ~hi =
-  List.exists (fun (mlo, mhi) -> mlo <= lo && hi <= mhi) merged
+  let a = ref 0 and b = ref (Array.length merged) in
+  while !a < !b do
+    let mid = (!a + !b) / 2 in
+    if fst merged.(mid) <= lo then a := mid + 1 else b := mid
+  done;
+  !a > 0 && hi <= snd merged.(!a - 1)
 
-(* Definite-presence slot intervals of the matched values; an empty-remove
-   is justifiable iff some slot of its own range lies outside all of them. *)
-let check_empties values empties =
-  let covers =
-    List.filter_map
-      (fun (ins, rem) ->
-        let lo = ret_pos ins in
-        let hi = match rem with Some r -> r.Op.call_pos - 1 | None -> max_int in
-        if lo <= hi then Some (lo, hi) else None)
-      values
-  in
-  let merged = merge_intervals covers in
-  List.iter
-    (fun (z : Op.t) ->
-      if fully_covered merged ~lo:z.Op.call_pos ~hi:(ret_pos z - 1) then reject ())
-    empties
+(* Definite-presence slot intervals of the matched values and of the
+   unremoved ones; an empty-remove is justifiable iff some slot of its own
+   range lies outside all of them. *)
+let check_empties pairs ~first_live empties =
+  if empties <> [] then begin
+    let covers =
+      List.filter_map
+        (fun ((ins : Op.t), (rem : Op.t)) ->
+          let lo = ret_pos ins and hi = rem.Op.call_pos - 1 in
+          if lo <= hi then Some (lo, hi) else None)
+        pairs
+    in
+    let covers = if first_live < max_int then (first_live, max_int) :: covers else covers in
+    let merged = merge_intervals covers in
+    List.iter
+      (fun (z : Op.t) ->
+        if fully_covered merged ~lo:z.Op.call_pos ~hi:(ret_pos z - 1) then reject ())
+      empties
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Queue                                                               *)
@@ -72,17 +93,16 @@ let check_empties values empties =
    removed, and either v is never removed or remove(w) <H remove(v).
    Encoding an unmatched v as remove-call position +inf turns the test for
    each w into a prefix maximum over the values whose insert returned
-   before insert(w)'s call — O(V log V) total. *)
-let check_fifo values =
-  let arr = Array.of_list values in
+   before insert(w)'s call — O(W log W) over the window's pairs, plus the
+   one comparison with [first_live] that stands for every unmatched v. *)
+let check_fifo pairs ~first_live =
+  let arr = Array.of_list pairs in
   Array.sort (fun (e1, _) (e2, _) -> Int.compare (ret_pos e1) (ret_pos e2)) arr;
   let n = Array.length arr in
   let e_rets = Array.map (fun (e, _) -> ret_pos e) arr in
   let prefix_max_rcall = Array.make (n + 1) min_int in
   Array.iteri
-    (fun i (_, r) ->
-      let rc = match r with Some r -> r.Op.call_pos | None -> max_int in
-      prefix_max_rcall.(i + 1) <- max prefix_max_rcall.(i) rc)
+    (fun i (_, (r : Op.t)) -> prefix_max_rcall.(i + 1) <- max prefix_max_rcall.(i) r.Op.call_pos)
     arr;
   (* number of values whose insert returned before position [x] *)
   let count_before x =
@@ -95,16 +115,29 @@ let check_fifo values =
   in
   Array.iter
     (fun ((e : Op.t), r) ->
-      match r with
-      | None -> ()
-      | Some r ->
-        let k = count_before e.Op.call_pos in
-        if prefix_max_rcall.(k) > ret_pos r then reject ())
+      if first_live < e.Op.call_pos || prefix_max_rcall.(count_before e.Op.call_pos) > ret_pos r
+      then reject ())
     arr
 
 (* ------------------------------------------------------------------ *)
 (* Stack                                                               *)
 (* ------------------------------------------------------------------ *)
+
+(* The work arrays of [peel_leftover], which an engine keeps from window to
+   window: once they have grown to its largest window, peeling allocates no
+   array, and a stream's windows leave no garbage in the major heap. *)
+type scratch = {
+  mutable call : int array;  (** blocker -> its call position *)
+  mutable ret : int array;  (** blocker -> its return position, [max_int] once peeled *)
+  mutable tree : int array;  (** the range-minimum tree *)
+  mutable watched : int array;  (** blocker -> the first gap watching it, or [-1] *)
+  mutable next_watcher : int array;  (** gap -> the next gap watching the same blocker *)
+}
+
+let scratch () = { call = [||]; ret = [||]; tree = [||]; watched = [||]; next_watcher = [||] }
+
+(* [a], or a larger array if [a] is shorter than [n] *)
+let at_least a n = if Array.length a >= n then a else Array.make (max n (2 * Array.length a)) 0
 
 (* Greedy peeling: a matched value [v] is eligible when no other
    insert/remove operation is forced strictly between push(v) and pop(v)
@@ -117,64 +150,130 @@ let check_fifo values =
    definitely present throughout). Unmatched pushes block forever, which is
    exactly right — a value stuck above [v] that is never popped.
 
-   [peel_leftover] returns the matched pairs that never become peelable —
-   empty iff the fixpoint consumes everything. The streaming monitor calls
-   it once per window: peeling is monotone and confluent (a peelable pair
-   stays peelable as other pairs are removed, and removing a pair only
-   shrinks the blocker sets of the rest), so re-running it over the
-   carried-over leftovers plus each new window's pairs reaches the same
-   fixpoint as one pass over the whole history. *)
-let peel_leftover values =
-  let matched =
-    Array.of_list (List.filter_map (fun (i, r) -> Option.map (fun r -> i, r) r) values)
-  in
-  let nv = Array.length matched in
-  let blockers =
-    List.concat_map (fun (i, r) -> i :: Option.to_list r) values
-  in
-  let inside (x : Op.t) vi =
-    let (ins : Op.t), (rem : Op.t) = matched.(vi) in
-    x.Op.call_pos > ret_pos ins && ret_pos x < rem.Op.call_pos
-  in
-  let counts = Array.make nv 0 in
-  (* per blocking operation, the gaps it currently blocks *)
-  let gaps_of : (int * int, int list) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun (x : Op.t) ->
-      let gs = ref [] in
-      for vi = nv - 1 downto 0 do
-        if inside x vi then begin
-          counts.(vi) <- counts.(vi) + 1;
-          gs := vi :: !gs
-        end
+   [peel_leftover s pairs ~live] returns the matched pairs that never
+   become peelable — empty iff the fixpoint consumes everything; [live] are
+   the unmatched pushes that may block one, and [s] the engine's work
+   arrays. The streaming monitor calls it once per window: peeling is
+   monotone and confluent (a peelable pair stays peelable as other pairs
+   are removed, and removing a pair only shrinks the blocker sets of the
+   rest), so re-running it over the carried-over leftovers plus each new
+   window's pairs reaches the same fixpoint as one pass over the whole
+   history.
+
+   The blockers inside a gap are those called inside it that return before
+   it ends. With the blockers sorted by call position, those called inside
+   a gap are one range, and the gap is blocked iff the one of them that
+   returns first does so before the gap ends. So each gap watches that one
+   blocker, found by a range minimum over the return positions of the
+   blockers not yet peeled, and is looked at again only when its watched
+   blocker is peeled: O(n log n) for n pairs and blockers, not one test per
+   pair and blocker. *)
+let peel_leftover s pairs ~live =
+  match pairs with
+  | [] -> []
+  | _ ->
+    let nv = List.length pairs in
+    let nb = (2 * nv) + List.length live in
+    let size =
+      let n = ref 1 in
+      while !n < nb do
+        n := 2 * !n
       done;
-      if !gs <> [] then Hashtbl.replace gaps_of (Op.key x) !gs)
-    blockers;
-  let peeled = Array.make nv false in
-  let ready = Queue.create () in
-  Array.iteri (fun vi c -> if c = 0 then Queue.add vi ready) counts;
-  let remaining = ref nv in
-  let release (x : Op.t) =
-    List.iter
-      (fun vi ->
-        counts.(vi) <- counts.(vi) - 1;
-        if counts.(vi) = 0 && not peeled.(vi) then Queue.add vi ready)
-      (Option.value ~default:[] (Hashtbl.find_opt gaps_of (Op.key x)))
-  in
-  while not (Queue.is_empty ready) do
-    let vi = Queue.pop ready in
-    if not peeled.(vi) then begin
-      peeled.(vi) <- true;
-      decr remaining;
-      let ins, rem = matched.(vi) in
-      release ins;
-      release rem
-    end
-  done;
-  if !remaining = 0 then []
-  else
-    Array.to_list matched
-    |> List.filteri (fun vi _ -> not peeled.(vi))
+      !n
+    in
+    s.call <- at_least s.call nb;
+    s.ret <- at_least s.ret nb;
+    s.tree <- at_least s.tree (2 * size);
+    s.watched <- at_least s.watched nb;
+    s.next_watcher <- at_least s.next_watcher nv;
+    let { call; ret; tree; watched; next_watcher } = s in
+    (* blocker [2 vi] is pair [vi]'s push, [2 vi + 1] its pop, and the live
+       pushes follow *)
+    let put b (op : Op.t) =
+      call.(b) <- op.Op.call_pos;
+      ret.(b) <- ret_pos op
+    in
+    List.iteri
+      (fun vi (ins, rem) ->
+        put (2 * vi) ins;
+        put ((2 * vi) + 1) rem)
+      pairs;
+    List.iteri (fun i op -> put ((2 * nv) + i) op) live;
+    (* the range-minimum tree: leaf [size + k] is the [k]th blocker by call
+       position ([-1] past the last), and node [i] holds the blocker of its
+       range that returns first; peeling changes [ret], never a leaf *)
+    let earlier a b = if b >= 0 && (a < 0 || ret.(b) < ret.(a)) then b else a in
+    List.iteri
+      (fun k b -> tree.(size + k) <- b)
+      (List.sort (fun a b -> Int.compare call.(a) call.(b)) (List.init nb Fun.id));
+    Array.fill tree (size + nb) (size - nb) (-1);
+    for i = size - 1 downto 1 do
+      tree.(i) <- earlier tree.(2 * i) tree.((2 * i) + 1)
+    done;
+    (* the first place whose blocker is called after [p] *)
+    let called_after p =
+      let lo = ref 0 and hi = ref nb in
+      while !lo < !hi do
+        let mid = (!lo + !hi) / 2 in
+        if call.(tree.(size + mid)) <= p then lo := mid + 1 else hi := mid
+      done;
+      !lo
+    in
+    let first_returning lo hi =
+      let best = ref (-1) and l = ref (lo + size) and r = ref (hi + size) in
+      while !l < !r do
+        if !l land 1 = 1 then begin
+          best := earlier !best tree.(!l);
+          incr l
+        end;
+        if !r land 1 = 1 then begin
+          decr r;
+          best := earlier !best tree.(!r)
+        end;
+        l := !l lsr 1;
+        r := !r lsr 1
+      done;
+      !best
+    in
+    (* a gap watches at most one blocker; [ready] are the gaps found free
+       and not yet peeled *)
+    Array.fill watched 0 nb (-1);
+    let ready = ref [] in
+    let examine vi =
+      let gap_end = call.((2 * vi) + 1) in
+      let b = first_returning (called_after ret.(2 * vi)) (called_after (gap_end - 1)) in
+      if b >= 0 && ret.(b) < gap_end then begin
+        next_watcher.(vi) <- watched.(b);
+        watched.(b) <- vi
+      end
+      else ready := vi :: !ready
+    in
+    for vi = 0 to nv - 1 do
+      examine vi
+    done;
+    let release b =
+      let i = ref ((size + called_after (call.(b) - 1)) / 2) in
+      ret.(b) <- max_int;
+      while !i >= 1 do
+        tree.(!i) <- earlier tree.(2 * !i) tree.((2 * !i) + 1);
+        i := !i / 2
+      done;
+      let vi = ref watched.(b) in
+      watched.(b) <- -1;
+      while !vi >= 0 do
+        let next = next_watcher.(!vi) in
+        examine !vi;
+        vi := next
+      done
+    in
+    while !ready <> [] do
+      let vi = List.hd !ready in
+      ready := List.tl !ready;
+      release (2 * vi);
+      release ((2 * vi) + 1)
+    done;
+    (* a peeled pair's push returns at [max_int] *)
+    List.filteri (fun vi _ -> ret.(2 * vi) <> max_int) pairs
 
 (* ------------------------------------------------------------------ *)
 (* Incremental (streaming) monitors                                    *)
@@ -186,12 +285,17 @@ module Stream = struct
   (* The two monitors as engines. Events arrive one at a time; the engine
      batches completed operations into windows and, at each quiescent point
      (no call pending), runs the interval checks above on the window plus
-     the still-live values, then garbage-collects the decided pairs and
-     empties. A history shorter than [min_batch], as phase 2 of a check
-     feeds one, is a single window at [finalize]; the tables start small
-     for it and grow with a stream. Absolute event positions are 63-bit ints assigned
-     on arrival and never renormalized, so GC never invalidates a
-     position.
+     what the still-live values can change, then garbage-collects the
+     decided pairs and empties. A history shorter than [min_batch], as
+     phase 2 of a check feeds one, is a single window at [finalize]; the
+     tables start small for it and grow with a stream. Absolute event
+     positions are 63-bit ints assigned on arrival and never renormalized,
+     so GC never invalidates a position.
+
+     The live values are a ring in arrival order, which is return order:
+     its head is [first_live], and the pushes that can block a stack gap
+     (called after the earliest gap start, so returned after it too) are
+     its tail. A window reads only those, not the whole live set.
 
      Why GC cannot change a verdict (see also DESIGN.md):
      - FIFO: a violating pair (v, w) with w removed while v is still live
@@ -219,6 +323,13 @@ module Stream = struct
     lifo : bool;
   }
 
+  (* a live value's insert, linked into the ring *)
+  type live = {
+    ins : Op.t;
+    mutable prev : live;
+    mutable next : live;
+  }
+
   type t = {
     cfg : cfg;
     min_batch : int;
@@ -229,7 +340,9 @@ module Stream = struct
     (* value -> the number of its pending inserts (0/1 outside amnesty) *)
     ins_pending : (int, unit) Hashtbl.t;
     (* value -> its completed insert, not yet removed *)
-    live : (int, Op.t) Hashtbl.t;
+    live : (int, live) Hashtbl.t;
+    (* the ring's sentinel: [ring.next] is the oldest live insert *)
+    ring : live;
     (* value -> a remove that returned while the insert was still pending *)
     early_rem : (int, Op.t) Hashtbl.t;
     mutable inserted : Diet.t;
@@ -239,6 +352,7 @@ module Stream = struct
     mutable w_empties : Op.t list;
     mutable w_count : int;
     mutable unpeeled : (Op.t * Op.t) list;
+    scratch : scratch;
     mutable verdict : verdict option;
     mutable n_ops : int;
     mutable n_sheds : int;
@@ -261,7 +375,19 @@ module Stream = struct
       lifo = true;
     }
 
+  (* the sentinel's insert, never read *)
+  let no_op =
+    {
+      Op.tid = -1;
+      op_index = -1;
+      inv = Invocation.make "";
+      resp = None;
+      call_pos = -1;
+      ret_pos = None;
+    }
+
   let create cfg ~min_batch ~max_window =
+    let rec ring = { ins = no_op; prev = ring; next = ring } in
     {
       cfg;
       min_batch = max 1 min_batch;
@@ -270,6 +396,7 @@ module Stream = struct
       pending = Hashtbl.create 8;
       ins_pending = Hashtbl.create 8;
       live = Hashtbl.create 8;
+      ring;
       early_rem = Hashtbl.create 8;
       inserted = Diet.empty;
       removed = Diet.empty;
@@ -278,6 +405,7 @@ module Stream = struct
       w_empties = [];
       w_count = 0;
       unpeeled = [];
+      scratch = scratch ();
       verdict = None;
       n_ops = 0;
       n_sheds = 0;
@@ -290,22 +418,41 @@ module Stream = struct
   let create_stack ?(min_batch = 512) ?(max_window = 1_048_576) () =
     create stack_cfg ~min_batch ~max_window
 
-  let live_values t =
-    Hashtbl.fold (fun _ ins acc -> (ins, None) :: acc) t.live []
+  let add_live t v ins =
+    let last = t.ring.prev in
+    let node = { ins; prev = last; next = t.ring } in
+    last.next <- node;
+    t.ring.prev <- node;
+    Hashtbl.replace t.live v node
+
+  let take_live t v =
+    match Hashtbl.find_opt t.live v with
+    | None -> None
+    | Some node ->
+      Hashtbl.remove t.live v;
+      node.prev.next <- node.next;
+      node.next.prev <- node.prev;
+      Some node.ins
+
+  (* The live pushes that can block a gap of [pairs]: those called after
+     the earliest gap start. *)
+  let live_blockers t pairs =
+    let start = List.fold_left (fun acc (ins, _) -> min acc (ret_pos ins)) max_int pairs in
+    let rec walk node acc =
+      if node == t.ring || ret_pos node.ins <= start then acc
+      else walk node.prev (if node.ins.Op.call_pos > start then node.ins :: acc else acc)
+    in
+    walk t.ring.prev []
 
   let run_window t =
     t.n_windows <- t.n_windows + 1;
-    let pairs = List.rev_map (fun (i, r) -> i, Some r) t.w_pairs in
-    let values = List.rev_append pairs (live_values t) in
+    let first_live = if t.ring.next == t.ring then max_int else ret_pos t.ring.next.ins in
+    check_empties t.w_pairs ~first_live t.w_empties;
     if t.cfg.lifo then begin
-      check_empties values t.w_empties;
-      let carried = List.rev_map (fun (i, r) -> i, Some r) t.unpeeled in
-      t.unpeeled <- peel_leftover (List.rev_append carried values)
+      let pairs = List.rev_append t.unpeeled t.w_pairs in
+      t.unpeeled <- peel_leftover t.scratch pairs ~live:(live_blockers t pairs)
     end
-    else begin
-      check_fifo values;
-      check_empties values t.w_empties
-    end;
+    else check_fifo t.w_pairs ~first_live;
     t.w_pairs <- [];
     t.w_empties <- [];
     t.w_count <- 0
@@ -352,7 +499,7 @@ module Stream = struct
         Hashtbl.remove t.early_rem v;
         t.removed <- Diet.add v t.removed;
         add_pair t op rem
-      | None -> Hashtbl.replace t.live v op
+      | None -> add_live t v op
     end
 
   let on_remove_return t (op : Op.t) resp =
@@ -362,9 +509,8 @@ module Stream = struct
         t.w_empties <- op :: t.w_empties
       else reject ()
     | Value.Int v -> (
-      match Hashtbl.find_opt t.live v with
+      match take_live t v with
       | Some ins ->
-        Hashtbl.remove t.live v;
         t.removed <- Diet.add v t.removed;
         add_pair t ins op
       | None ->
@@ -432,12 +578,10 @@ module Stream = struct
        | Event.Call inv when List.mem inv.Invocation.name t.cfg.remove_names
          -> (
            match ret.Event.dir with
-           | Event.Return (Value.Int v) ->
-             if Hashtbl.mem t.live v then begin
-               Hashtbl.remove t.live v;
-               t.removed <- Diet.add v t.removed
-             end
-             else t.amnesty <- Diet.add v t.amnesty
+           | Event.Return (Value.Int v) -> (
+             match take_live t v with
+             | Some _ -> t.removed <- Diet.add v t.removed
+             | None -> t.amnesty <- Diet.add v t.amnesty)
            | _ -> ())
        | _ -> ())
 

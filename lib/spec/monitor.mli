@@ -7,8 +7,11 @@
     For the insert/remove fragment of the vocabulary — [Enqueue]/
     [TryDequeue]/[Take] for queues, [Push]/[TryPop] for stacks — with every
     inserted value distinct (unambiguity) and an empty initial state,
-    linearizability is decided by interval conditions on event positions in
-    near-linear time instead of a witness search:
+    linearizability is decided by interval conditions on event positions
+    instead of a witness search, in windows that each cost O(W log W) for
+    their own W operations (with a stack's carried pairs and the
+    unremoved pushes that can block one), however many values stay
+    unremoved:
 
     - value safety: a removed value was inserted, exactly once, and its
       remove does not precede its insert;

@@ -145,19 +145,26 @@ let cli = Filename.concat (Filename.concat ".." "bin") "lineup_cli.exe"
 
 let read path = In_channel.with_open_bin path In_channel.input_all
 
-(* [spawn_cli subcommand args] starts [lineup_cli SUBCOMMAND --metrics
-   FILE ARGS...]; the function it returns waits for it and gives its exit
-   code (-1 on a signal), stdout and metrics file. Runs started together
-   share the cores. *)
-let spawn_cli subcommand args =
+(* [spawn_cli ?input subcommand args] starts [lineup_cli SUBCOMMAND
+   --metrics FILE ARGS...], reading the file [input] on its stdin if
+   given; the function it returns waits for it and gives its exit code (-1
+   on a signal), stdout and metrics file. Runs started together share the
+   cores. *)
+let spawn_cli ?input subcommand args =
   let report = Filename.temp_file "lineup-golden" ".report" in
   let metrics = Filename.temp_file "lineup-golden" ".json" in
   let out = Unix.openfile report [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o644 in
+  let inp = Option.map (fun path -> Unix.openfile path [ Unix.O_RDONLY ] 0) input in
   let argv = cli :: subcommand :: "--metrics" :: metrics :: args in
   let pid =
     Fun.protect
-      ~finally:(fun () -> Unix.close out)
-      (fun () -> Unix.create_process cli (Array.of_list argv) Unix.stdin out Unix.stderr)
+      ~finally:(fun () ->
+        Unix.close out;
+        Option.iter Unix.close inp)
+      (fun () ->
+        Unix.create_process cli (Array.of_list argv)
+          (Option.value inp ~default:Unix.stdin)
+          out Unix.stderr)
   in
   fun () ->
     Fun.protect
@@ -170,7 +177,7 @@ let spawn_cli subcommand args =
         in
         code, read report, read metrics)
 
-let run_cli subcommand args = spawn_cli subcommand args ()
+let run_cli ?input subcommand args = spawn_cli ?input subcommand args ()
 
 (* Start every run, then wait for each, in order. *)
 let run_cli_all runs =

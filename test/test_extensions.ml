@@ -22,6 +22,19 @@ let with_temp_dir f =
 
 let counter_test = Test_matrix.make [ [ inv "Inc"; inv "Get" ]; [ inv "Inc" ] ]
 
+(* phase 2 through the observation set, which a cache file supplies *)
+let generic = { Check.default_config with Check.membership = Check.Generic }
+
+(* the offset of the first [sub] in [s] *)
+let find_sub s sub =
+  let n = String.length sub in
+  let rec go i =
+    if i + n > String.length s then invalid_arg "find_sub"
+    else if String.sub s i n = sub then i
+    else go (i + 1)
+  in
+  go 0
+
 let suite =
   [
     test "synthesize returns the phase-1 observation set" (fun () ->
@@ -116,7 +129,7 @@ let suite =
             | Error _ -> Alcotest.fail "unexpected phase-1 violation"));
     test "obs_cache: cache file names do not change" (fun () ->
         (* existing cache directories stay valid: the names below are what
-           the key scheme of format version 3 computes *)
+           the key scheme of format version 4 computes *)
         let keyed =
           Test_matrix.make ~init:[ inv_int "Set" 2 ] ~final:[ inv "Get" ]
             [ [ inv "Inc"; inv "Get" ]; [ inv_int "Add" 5 ] ]
@@ -135,8 +148,8 @@ let suite =
         in
         Alcotest.(check (list string)) "cache paths"
           [
-            Filename.concat "d" "003deb475eed671e82270bb81949d0ea.xml";
-            Filename.concat "d" "f67a258f99f636c199c28d0fcc90cf2e.xml";
+            Filename.concat "d" "bd3ef577e9ff87c39e4b1c3cd2389495.xml";
+            Filename.concat "d" "65b6cb6995d014113c2e5c3d07eaef12.xml";
           ]
           [
             Obs_cache.cache_path ~dir:"d" Conc.Counters.correct counter_test;
@@ -176,6 +189,69 @@ let suite =
             match Obs_cache.phase1 ~metrics:m ~dir Conc.Counters.correct counter_test with
             | Ok (_, hit) -> Alcotest.(check bool) "rewritten file hits" true hit
             | Error _ -> Alcotest.fail "unexpected phase-1 violation"));
+    test "obs_cache: an edited result is evicted, not a false alarm" (fun () ->
+        (* the file still parses after the edit; before the digest, the
+           generic search trusted it and failed the correct queue *)
+        with_temp_dir (fun dir ->
+            let adapter = Conc.Concurrent_queue.correct in
+            let test =
+              Test_matrix.make
+                [
+                  [ inv_int "Enqueue" 200; inv "TryDequeue" ];
+                  [ inv_int "Enqueue" 400; inv "TryDequeue" ];
+                ]
+            in
+            let path = Obs_cache.cache_path ~config:generic ~dir adapter test in
+            let edit f =
+              let s = In_channel.with_open_bin path In_channel.input_all in
+              Out_channel.with_open_bin path (fun oc -> output_string oc (f s))
+            in
+            (* [s] with [by] in place of its bytes [i] .. [j - 1] *)
+            let splice s i j by = String.sub s 0 i ^ by ^ String.sub s j (String.length s - j) in
+            List.iter
+              (fun (what, f) ->
+                ignore (Obs_cache.check ~config:generic ~dir adapter test);
+                edit f;
+                let m = Lineup_observe.Metrics.create () in
+                let r = Obs_cache.check ~config:generic ~metrics:m ~dir adapter test in
+                Alcotest.(check string) (what ^ ": summary")
+                  "PASS (6 serial histories, 6192 concurrent executions)" (Report.summary r);
+                Alcotest.(check int) (what ^ ": evicted") 1
+                  (Lineup_observe.Metrics.get m "obs_cache.stale"))
+              [
+                ( "an edited result",
+                  fun s ->
+                    let was = {|result="200"|} in
+                    let i = find_sub s was in
+                    splice s i (i + String.length was) {|result="201"|} );
+                ( "a dropped history",
+                  fun s ->
+                    let i = find_sub s "<history>" in
+                    splice s i (String.index_from s i '\n' + 1) "" );
+              ]));
+    QCheck_alcotest.to_alcotest
+      (let adapter = Conc.Concurrent_queue.correct in
+       let test = Test_matrix.make [ [ inv_int "Enqueue" 200; inv "TryDequeue" ]; [ inv "TryDequeue" ] ] in
+       let render r = Report.check_result_to_string ~adapter ~test r in
+       let fresh = Check.run ~config:generic adapter test in
+       let whole, reference =
+         with_temp_dir (fun dir ->
+             let r = Obs_cache.check ~config:generic ~dir adapter test in
+             let path = Obs_cache.cache_path ~config:generic ~dir adapter test in
+             In_channel.with_open_bin path In_channel.input_all, render r)
+       in
+       QCheck.Test.make ~name:"obs_cache: a mutated cache file never changes the verdict or report"
+         ~count:300
+         (QCheck.make ~print:(Printf.sprintf "%S")
+            (mutations_gen
+               ~alphabet:[ '<'; '>'; '/'; '"'; '='; ' '; '\n'; '['; ']'; '#'; '0'; '1'; '2'; '4'; 'B' ]
+               whole))
+         (fun mutated ->
+           with_temp_dir (fun dir ->
+               let path = Obs_cache.cache_path ~config:generic ~dir adapter test in
+               Out_channel.with_open_bin path (fun oc -> output_string oc mutated);
+               let r = Obs_cache.check ~config:generic ~dir adapter test in
+               Check.passed r = Check.passed fresh && String.equal (render r) reference)));
     test "obs_cache: concurrent writers create the cache dir race-free" (fun () ->
         (* a nested, not-yet-existing directory, populated by four domains
            at once: the old non-recursive Sys.mkdir raised ENOENT on the

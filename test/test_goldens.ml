@@ -10,8 +10,10 @@
 
      lineup_cli SUBCOMMAND --metrics goldens/NAME.metrics.json ARGS... > goldens/NAME.report
 
-   Below them, the membership equivalence table: runs of one test that
-   must agree with each other across --membership modes and -j. *)
+   Below them, the equivalence table: runs of one test that must agree
+   with each other across --membership modes and -j, a check's --trace
+   recording that [lineup monitor --replay] must judge as the check did,
+   and the exit-code contract of [lineup monitor] on a live stream. *)
 
 open Helpers
 
@@ -95,11 +97,14 @@ let golden_tests =
           Alcotest.(check string) "metrics" (read (golden name ".metrics.json")) metrics))
     cases
 
-(* ---- membership equivalence ---- *)
+(* ---- equivalence ---- *)
 
 (* The spec-specialized membership layer may change how a phase-2 history
    is decided, never which histories are enumerated or what the verdict
-   is. Each row names a relation that its [check] runs must satisfy. *)
+   is; and the streaming monitor, replaying the histories a check
+   recorded, must reach the check's verdict. Each row names a relation
+   that its runs must satisfy, with the arguments of its [check] (of its
+   stream, for [Stream_exits]). *)
 type relation =
   | Modes_agree
       (** one run per --membership mode (generic, auto): equal exit codes
@@ -109,6 +114,12 @@ type relation =
   | Identical of string list list
       (** one run per extra argument list: byte-identical report, exit code
           and metrics *)
+  | Replay_agrees of { spec : string; extra : string list; code : int }
+      (** [check --trace FILE] exits [code], and so does [monitor SPEC FILE
+          --replay EXTRA...] *)
+  | Stream_exits of { spec : string; stdin : bool; code : int }
+      (** the arguments are the lines of a live NDJSON stream, and [monitor
+          SPEC] exits [code] on it, read from a file or from stdin *)
 
 let modes = [ "generic"; "auto" ]
 
@@ -125,6 +136,7 @@ let counter name metrics =
 
 let equivalences =
   let agree args = Modes_agree, args and fail args = Modes_fail, args in
+  let replay ?(extra = []) spec code args = Replay_agrees { spec; extra; code }, args in
   [
     agree [ "ConcurrentQueue"; "Enqueue(200),TryDequeue"; "Enqueue(400),TryDequeue" ];
     agree [ "ConcurrentStack"; "Push(1),TryPop"; "Push(2),TryPop" ];
@@ -150,18 +162,74 @@ let equivalences =
         "ConcurrentQueue"; "Enqueue(200),TryDequeue"; "Enqueue(400),TryDequeue"; "-v";
         "--membership"; "auto";
       ] );
+    (* the streaming monitor replays a check's recording to the check's
+       verdict, on passing and seeded-bug classes, and under -j 4 *)
+    replay "queue" 0 [ "ConcurrentQueue"; "Enqueue(200),TryDequeue"; "Enqueue(400),TryDequeue" ];
+    replay "queue" 1
+      [
+        "ConcurrentQueue (Pre: timed lock in TryDequeue)"; "Enqueue(200),Enqueue(400)";
+        "TryDequeue,TryDequeue";
+      ];
+    replay "stack" 0 [ "ConcurrentStack"; "Push(1),TryPop"; "Push(2),TryPop" ];
+    replay "set" 0 [ "LazyListSet"; "Add(10),Remove(10)"; "Add(15),Contains(10)" ];
+    replay ~extra:[ "-j"; "4" ] "set" 0
+      [ "LazyListSet"; "Add(10),Remove(10)"; "Add(15),Contains(10)" ];
+    (* lineup monitor's exit codes on a live stream: 0 clean, 1 violation,
+       3 unsupported *)
+    ( Stream_exits { spec = "queue"; stdin = true; code = 0 },
+      [
+        {|{"t":0.0,"ev":"call","tid":0,"op":0,"name":"Enqueue","arg":"1"}|};
+        {|{"t":0.1,"ev":"ret","tid":0,"op":0,"val":"unit"}|};
+        {|{"t":0.2,"ev":"call","tid":1,"op":0,"name":"TryDequeue"}|};
+        {|{"t":0.3,"ev":"ret","tid":1,"op":0,"val":"1"}|};
+      ] );
+    ( Stream_exits { spec = "queue"; stdin = false; code = 1 },
+      [
+        {|{"t":0.0,"ev":"call","tid":0,"op":0,"name":"Enqueue","arg":"1"}|};
+        {|{"t":0.1,"ev":"ret","tid":0,"op":0,"val":"unit"}|};
+        {|{"t":0.2,"ev":"call","tid":0,"op":1,"name":"Enqueue","arg":"2"}|};
+        {|{"t":0.3,"ev":"ret","tid":0,"op":1,"val":"unit"}|};
+        {|{"t":0.4,"ev":"call","tid":1,"op":0,"name":"TryDequeue"}|};
+        {|{"t":0.5,"ev":"ret","tid":1,"op":0,"val":"2"}|};
+        {|{"t":0.6,"ev":"call","tid":1,"op":1,"name":"TryDequeue"}|};
+        {|{"t":0.7,"ev":"ret","tid":1,"op":1,"val":"1"}|};
+      ] );
+    ( Stream_exits { spec = "queue"; stdin = false; code = 3 },
+      [
+        {|{"t":0.0,"ev":"call","tid":0,"op":0,"name":"Frobnicate"}|};
+        {|{"t":0.1,"ev":"ret","tid":0,"op":0,"val":"unit"}|};
+      ] );
   ]
 
-let relation_name = function
-  | Modes_agree -> "membership modes agree"
-  | Modes_fail -> "every membership mode exits 1"
+let row_name (relation, args) =
+  match relation with
+  | Modes_agree -> "membership modes agree: " ^ List.hd args
+  | Modes_fail -> "every membership mode exits 1: " ^ List.hd args
   | Identical variants ->
-    String.concat " and " (List.map (String.concat " ") variants) ^ " are byte-identical"
+    String.concat " and " (List.map (String.concat " ") variants)
+    ^ " are byte-identical: " ^ List.hd args
+  | Replay_agrees { spec; extra; code } ->
+    Fmt.str "check --trace and monitor %s --replay%s exit %d: %s" spec
+      (String.concat "" (List.map (( ^ ) " ") extra))
+      code (List.hd args)
+  | Stream_exits { spec; stdin; code } ->
+    Fmt.str "monitor %s exits %d on a live stream (%s)" spec code
+      (if stdin then "stdin" else "file")
+
+(* [f path] with [lines] written to the temporary file [path] *)
+let with_lines lines f =
+  let path = Filename.temp_file "lineup-golden" ".ndjson" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc ->
+          List.iter (fun l -> output_string oc (l ^ "\n")) lines);
+      f path)
 
 let equivalence_tests =
   List.map
-    (fun (relation, args) ->
-      test (Fmt.str "%s: %s" (relation_name relation) (List.hd args)) (fun () ->
+    (fun ((relation, args) as row) ->
+      test (row_name row) (fun () ->
           let in_modes () =
             List.combine modes
               (run_cli_all (List.map (fun mode -> "check", args @ [ "--membership"; mode ]) modes))
@@ -193,7 +261,20 @@ let equivalence_tests =
                   Alcotest.(check int) "exit code" code code';
                   Alcotest.(check string) "report" report report';
                   Alcotest.(check string) "metrics" metrics metrics')
-                rest)))
+                rest)
+          | Replay_agrees { spec; extra; code } ->
+            with_lines [] (fun trace ->
+                let check_code, _, _ = run_cli "check" (args @ [ "--trace"; trace ]) in
+                let replay_code, _, _ = run_cli "monitor" ([ spec; trace; "--replay" ] @ extra) in
+                Alcotest.(check int) "check exit code" code check_code;
+                Alcotest.(check int) "replay exit code" check_code replay_code)
+          | Stream_exits { spec; stdin; code } ->
+            with_lines args (fun stream ->
+                let got, _, _ =
+                  if stdin then run_cli ~input:stream "monitor" [ spec; "-" ]
+                  else run_cli "monitor" [ spec; stream ]
+                in
+                Alcotest.(check int) "exit code" code got)))
     equivalences
 
 let tests = golden_tests @ equivalence_tests

@@ -14,6 +14,11 @@
      oracle on random accepting AND rejecting queue/stack histories —
      windowed GC must never change the verdict, so the property runs at
      min_batch 1 (a window per quiescent point) and 4;
+   - the same engines on long producer/consumer streams of 2–3 threads,
+     honest or with one seeded defect (a value removed twice, an order
+     swap, a failed remove while a value is present): min_batch 1, 4 and
+     64 give the one-window verdict, which equals the checks as they were
+     before a window cost only what it holds ([Monitor_reference]);
    - the chunked feasible-state engine ([Kmon]) against the Wing–Gong
      oracle on random keyed set histories and unkeyed counter histories;
    - windowing as a memory bound: a long bounded-occupancy stream keeps
@@ -372,7 +377,7 @@ let random_lifo_fifo_ops rng ~insert ~remove =
         inv remove, resp)
     kinds
 
-let seed_arb = QCheck.make QCheck.Gen.small_signed_int
+let seed_arb = QCheck.make ~print:string_of_int QCheck.Gen.small_signed_int
 
 let stream_of_cls ~min_batch = function
   | Spec.Queue -> Monitor.Stream.create_queue ~min_batch ()
@@ -401,6 +406,189 @@ let stream_props =
       ~cls:Spec.Queue ~spec:Specs.queue ~insert:"Enqueue" ~remove:"TryDequeue";
     stream_agrees ~name:"stack stream agrees with the oracle at every window size"
       ~cls:Spec.Stack ~spec:Specs.stack ~insert:"Push" ~remove:"TryPop";
+  ]
+
+(* ---------------- long producer/consumer streams ---------------- *)
+
+(* Long enough that values stay live across many windows and, with a
+   defect, stack pairs are carried from window to window; too long for
+   the Wing–Gong oracle, so the windows are held to one window and that
+   to [Monitor_reference], the checks as they were before a window cost
+   only what it holds. *)
+
+type defect =
+  | Honest
+  | Removed_twice  (** one remove returns a value already removed *)
+  | Order_swap  (** one remove takes the next value instead of the due one *)
+  | Fail_while_present  (** one remove fails though values are present *)
+
+let defects = [ Honest; Removed_twice; Order_swap; Fail_while_present ]
+
+let defect_name = function
+  | Honest -> "honest"
+  | Removed_twice -> "removed twice"
+  | Order_swap -> "order swap"
+  | Fail_while_present -> "fail while present"
+
+(* [n] operations on 2–3 threads, each taking effect at a point strictly
+   between its call and its return, with the threads' steps interleaved at
+   random so that operations overlap. Thread 0 mostly inserts fresh
+   values, the others mostly remove; [defect] strikes once, at the first
+   remove that takes effect in the second half with a value for it (for
+   the swap, two values whose inserts do not overlap). *)
+let pc_stream rng ~lifo ~defect n =
+  let threads = 2 + Random.State.int rng 2 in
+  let bag = ref [] (* the due value first *) and gone = ref [] in
+  let state = Array.make threads `Idle and op_index = Array.make threads 0 in
+  let started = ref 0 and next = ref 0 and struck = ref false in
+  let events = ref [] and n_events = ref 0 in
+  let emit e =
+    events := e :: !events;
+    incr n_events
+  in
+  (* value -> the positions of its insert's call and return; thread ->
+     the position of its pending remove's call *)
+  let ins_call = Hashtbl.create 64 and ins_ret = Hashtbl.create 64 in
+  let rem_call = Array.make threads 0 in
+  let returned_by v p = match Hashtbl.find_opt ins_ret v with Some r -> r < p | None -> false in
+  let take () =
+    match !bag with
+    | v :: rest ->
+      bag := rest;
+      gone := v :: !gone;
+      Value.int v
+    | [] -> Value.Fail
+  in
+  (* thread [tid]'s remove takes effect: its response, and whether the
+     defect strikes here. A swap or a failure strikes only where it is a
+     violation whatever comes later: no other remove is pending, and the
+     defective remove returns at once. *)
+  let remove tid =
+    let alone () =
+      let others = ref false in
+      Array.iteri (fun t s -> if t <> tid && s = `Removing then others := true) state;
+      not !others
+    in
+    if !struck || !started <= n / 2 then take (), false
+    else
+      match defect, !bag, !gone with
+      | Removed_twice, _, v :: _ -> Value.int v, true
+      | Order_swap, d :: x :: rest, _
+        when alone ()
+             &&
+             if lifo then returned_by x (Hashtbl.find ins_call d) && returned_by d rem_call.(tid)
+             else returned_by d (Hashtbl.find ins_call x) ->
+        bag := d :: rest;
+        gone := x :: !gone;
+        Value.int x, true
+      | Fail_while_present, bag, _
+        when alone () && List.exists (fun v -> returned_by v rem_call.(tid)) bag ->
+        Value.Fail, true
+      | _ -> take (), false
+  in
+  let return tid resp =
+    emit (Event.return ~tid ~op_index:op_index.(tid) resp);
+    op_index.(tid) <- op_index.(tid) + 1;
+    state.(tid) <- `Idle
+  in
+  let busy () = Array.exists (fun s -> s <> `Idle) state in
+  while !started < n || busy () do
+    let tid = Random.State.int rng threads in
+    match state.(tid) with
+    | `Idle ->
+      if !started < n then begin
+        incr started;
+        let call i = emit (Event.call ~tid ~op_index:op_index.(tid) i) in
+        if Random.State.int rng 10 < if tid = 0 then 7 else 3 then begin
+          incr next;
+          Hashtbl.replace ins_call !next !n_events;
+          call (inv_int (if lifo then "Push" else "Enqueue") !next);
+          state.(tid) <- `Inserting !next
+        end
+        else begin
+          rem_call.(tid) <- !n_events;
+          call (inv (if lifo then "TryPop" else "TryDequeue"));
+          state.(tid) <- `Removing
+        end
+      end
+    | `Inserting v ->
+      bag := if lifo then v :: !bag else !bag @ [ v ];
+      state.(tid) <- `Inserted v
+    | `Inserted v ->
+      Hashtbl.replace ins_ret v !n_events;
+      return tid Value.unit
+    | `Removing ->
+      let resp, strikes = remove tid in
+      if strikes then begin
+        struck := true;
+        return tid resp
+      end
+      else state.(tid) <- `Removed resp
+    | `Removed resp -> return tid resp
+  done;
+  List.rev !events
+
+let long_stream seed =
+  let rng = Random.State.make [| seed |] in
+  let lifo = Random.State.bool rng in
+  let defect = List.nth defects (Random.State.int rng (List.length defects)) in
+  let events = pc_stream rng ~lifo ~defect (200 + Random.State.int rng 200) in
+  lifo, defect, events
+
+(* the whole stream in one window: no quiescent point reaches [min_batch] *)
+let one_window = 1_000_000
+
+let long_verdict ~lifo ~min_batch events =
+  stream_verdict ~cls:(if lifo then Spec.Stack else Spec.Queue) ~min_batch events
+
+let long_props =
+  let show (lifo, defect, events) =
+    Fmt.str "%s, %s, %d events" (if lifo then "stack" else "queue") (defect_name defect)
+      (List.length events)
+  in
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"long streams: every window size gives the one-window verdict"
+         ~count:300 seed_arb (fun seed ->
+           let ((lifo, _, events) as s) = long_stream seed in
+           let whole = long_verdict ~lifo ~min_batch:one_window events in
+           List.for_all
+             (fun min_batch ->
+               let v = long_verdict ~lifo ~min_batch events in
+               v = whole
+               || QCheck.Test.fail_reportf "%s: min_batch %d gives %a, one window %a" (show s)
+                    min_batch (Alcotest.pp verdict) v (Alcotest.pp verdict) whole)
+             [ 1; 4; 64 ]));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"long streams: one window agrees with the reference checks"
+         ~count:300 seed_arb (fun seed ->
+           let ((lifo, _, events) as s) = long_stream seed in
+           let want = Monitor_reference.decide ~lifo (history events) in
+           let got = long_verdict ~lifo ~min_batch:one_window events in
+           want = got
+           || QCheck.Test.fail_reportf "%s: reference %a, engine %a" (show s) (Alcotest.pp verdict)
+                want (Alcotest.pp verdict) got));
+    test "long streams: every seeded defect is caught, every honest stream passes" (fun () ->
+        List.iter
+          (fun defect ->
+            List.iter
+              (fun lifo ->
+                let rejects =
+                  List.length
+                    (List.filter
+                       (fun seed ->
+                         let events =
+                           pc_stream (Random.State.make [| seed |]) ~lifo ~defect 300
+                         in
+                         long_verdict ~lifo ~min_batch:64 events = Monitor.Reject)
+                       (List.init 50 Fun.id))
+                in
+                Alcotest.(check int)
+                  ((if lifo then "stack, " else "queue, ") ^ defect_name defect ^ ": rejects")
+                  (if defect = Honest then 0 else 50)
+                  rejects)
+              [ false; true ])
+          defects);
   ]
 
 (* ---------------- Kmon vs the Wing–Gong oracle ---------------- *)
@@ -970,6 +1158,7 @@ let tests =
       codec_units;
       scanner_props;
       stream_props;
+      long_props;
       kmon_props;
       kmon_units;
       gc_units;
