@@ -19,6 +19,7 @@ let () =
       "parallel", Test_parallel.tests;
       "extensions", Test_extensions.tests;
       "frontier", Test_frontier.tests;
+      "order", Test_order.tests;
       "por", Test_por.tests;
       "observe", Test_observe.tests;
       "checkers", Test_checkers.tests;
