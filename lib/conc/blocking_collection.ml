@@ -124,7 +124,7 @@ let segmented =
   let create () =
     let segments = Var_array.make ~name:"bcs.seg" max_threads [] in
     let locks =
-      Array.init max_threads (fun i -> Mutex_.create ~name:("bcs.lock" ^ Int.to_string i) ())
+      Array.init max_threads (fun i -> Mutex_.create ~name:(Loc_name.indexed "bcs.lock" i) ())
     in
     let completed = Var.make ~volatile:true ~name:"bcs.completed" false in
     let own () = Rt.self () mod max_threads in

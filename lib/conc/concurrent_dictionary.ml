@@ -26,7 +26,7 @@ let make_adapter ~atomic_clear name =
   let create () =
     let buckets = Var_array.make ~name:"dict.bucket" stripes [] in
     let locks =
-      Array.init stripes (fun i -> Mutex_.create ~name:("dict.lock" ^ Int.to_string i) ())
+      Array.init stripes (fun i -> Mutex_.create ~name:(Loc_name.indexed "dict.lock" i) ())
     in
     (* keys 10 and 20 land in different stripes *)
     let stripe k = k / 10 mod stripes in

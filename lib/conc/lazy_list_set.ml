@@ -11,13 +11,24 @@ type node = {
   lock : Mutex_.t;
 }
 
+(* A node's three location names. Nodes are rebuilt every execution, so
+   the sentinels' names are built once here. *)
+let node_names key =
+  let node = "node" ^ Loc_name.digits key in
+  node ^ ".marked", node ^ ".next", node ^ ".lock"
+
+let head_names = node_names min_int
+let tail_names = node_names max_int
+
 let new_node key next =
-  let node = "node" ^ Int.to_string key in
+  let marked, next_name, lock =
+    if key = min_int then head_names else if key = max_int then tail_names else node_names key
+  in
   {
     key;
-    marked = Var.make ~volatile:true ~name:(node ^ ".marked") false;
-    next = Var.make ~volatile:true ~name:(node ^ ".next") next;
-    lock = Mutex_.create ~name:(node ^ ".lock") ();
+    marked = Var.make ~volatile:true ~name:marked false;
+    next = Var.make ~volatile:true ~name:next_name next;
+    lock = Mutex_.create ~name:lock ();
   }
 
 let universe =

@@ -8,11 +8,10 @@ type t = {
 
 let create ?name () =
   let id = Exec_ctx.fresh_loc () in
-  let name = match name with Some n -> n | None -> "cond" ^ Int.to_string id in
+  let name = match name with Some n -> n | None -> Loc_name.indexed "cond" id in
   { id; name; generation = 0; tickets = 0; next_ticket = 0 }
 
-let sched cv =
-  Rt.sched (Rt.Access { loc = cv.id; loc_name = cv.name; kind = Exec_ctx.Rmw; volatile = true })
+let sched cv = Rt.access ~loc:cv.id ~loc_name:cv.name ~kind:Exec_ctx.Rmw ~volatile:true
 
 let assert_held m =
   match m with

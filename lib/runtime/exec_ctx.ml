@@ -79,18 +79,21 @@ let set_memory m =
 
 let memory () = (state ()).memory
 
+(* The helpers below take every value as an argument: a local recursive
+   function with free variables would allocate its closure on each call,
+   and they run at every buffered store and drain check. *)
+let rec find_unit s tid key i =
+  if i >= s.n_units then None
+  else
+    let u = s.units.(i) in
+    if u.fu_owner = tid && u.fu_key = key then Some u else find_unit s tid key (i + 1)
+
 let buffer_push ~loc ~loc_name ~commit =
   let s = state () in
   let tid = s.tid in
   let key = match s.memory with Memory_model.Pso -> loc | _ -> -1 in
-  let rec find i =
-    if i >= s.n_units then None
-    else
-      let u = s.units.(i) in
-      if u.fu_owner = tid && u.fu_key = key then Some u else find (i + 1)
-  in
   let u =
-    match find 0 with
+    match find_unit s tid key 0 with
     | Some u -> u
     | None ->
       let u = { fu_owner = tid; fu_key = key; fu_q = Queue.create () } in
@@ -124,18 +127,14 @@ let flush_one u =
   | None -> invalid_arg "Exec_ctx.flush_one: empty unit"
   | Some e -> e.be_commit ()
 
-let buffer_empty tid =
-  let s = state () in
-  let rec go i =
-    i >= s.n_units
-    || ((s.units.(i).fu_owner <> tid || Queue.is_empty s.units.(i).fu_q) && go (i + 1))
-  in
-  go 0
+let rec owner_empty s tid i =
+  i >= s.n_units
+  || ((s.units.(i).fu_owner <> tid || Queue.is_empty s.units.(i).fu_q) && owner_empty s tid (i + 1))
 
-let buffers_all_empty () =
-  let s = state () in
-  let rec go i = i >= s.n_units || (Queue.is_empty s.units.(i).fu_q && go (i + 1)) in
-  go 0
+let buffer_empty tid = owner_empty (state ()) tid 0
+
+let rec all_empty s i = i >= s.n_units || (Queue.is_empty s.units.(i).fu_q && all_empty s (i + 1))
+let buffers_all_empty () = all_empty (state ()) 0
 let set_logging b = (state ()).logging <- b
 let logging_enabled () = (state ()).logging
 

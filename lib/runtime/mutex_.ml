@@ -6,13 +6,12 @@ type t = {
 
 let create ?name () =
   let id = Exec_ctx.fresh_loc () in
-  let name = match name with Some n -> n | None -> "lock" ^ Int.to_string id in
+  let name = match name with Some n -> n | None -> Loc_name.indexed "lock" id in
   { id; name; holder = None }
 
 let name m = m.name
 
-let sched m =
-  Rt.sched (Rt.Access { loc = m.id; loc_name = m.name; kind = Exec_ctx.Rmw; volatile = true })
+let sched m = Rt.access ~loc:m.id ~loc_name:m.name ~kind:Exec_ctx.Rmw ~volatile:true
 
 let log_acquire m =
   Exec_ctx.log (Exec_ctx.Lock_acquire { tid = Exec_ctx.current_tid (); lock = m.id; name = m.name })

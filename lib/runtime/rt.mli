@@ -7,8 +7,8 @@
     code. The effects are declared here; only the scheduler handles them.
 
     Scheduling-point discipline:
-    - {!sched} with [Access _] precedes every shared read/write/RMW. The code
-      between a scheduling point and the next one executes atomically.
+    - {!access} precedes every shared read/write/RMW. The code between a
+      scheduling point and the next one executes atomically.
     - {!sched} with [Boundary] is performed by the test harness before each
       operation call; in phase 1 (serial exploration) these are the only
       points where the scheduler switches threads.
@@ -37,25 +37,28 @@
       fairness of Musuvathi & Qadeer 2008, which the paper relies on for
       spin-loop-based implementations). *)
 
-type sched_reason =
-  | Boundary
-  | Return_boundary
-  | Fence
-  | Access of {
-      loc : int;
-      loc_name : string;
-      kind : Exec_ctx.access_kind;
-      volatile : bool;
-    }
+type sched_reason = Boundary | Return_boundary | Fence
 
+(** [Access] is a shared access's scheduling point. It carries no payload:
+    the access's footprint is in a domain-local slot, {!accessed}, so an
+    access allocates nothing but its continuation. *)
 type _ Effect.t +=
   | Sched : sched_reason -> unit Effect.t
+  | Access : unit Effect.t
   | Block : (unit -> bool) * string * Footprint.t -> unit Effect.t
   | Choose : int * string -> int Effect.t
   | Yield : unit Effect.t
 
-(** [sched r] performs a scheduling point and logs the access (if any). *)
+(** [sched r] performs a scheduling point; a [Fence] is logged. *)
 val sched : sched_reason -> unit
+
+(** [access ~loc ~loc_name ~kind ~volatile] performs the scheduling point of
+    an access of [kind] to location [loc] and logs the access. *)
+val access :
+  loc:int -> loc_name:string -> kind:Exec_ctx.access_kind -> volatile:bool -> unit
+
+(** The footprint of the access whose [Access] effect is being handled. *)
+val accessed : unit -> Footprint.t
 
 (** [op_boundary ()] = [sched Boundary]. *)
 val op_boundary : unit -> unit

@@ -12,14 +12,13 @@ type 'a t = {
 
 let make ?(volatile = false) ?name init =
   let id = Exec_ctx.fresh_loc () in
-  let name = match name with Some n -> n | None -> "loc" ^ Int.to_string id in
+  let name = match name with Some n -> n | None -> Loc_name.indexed "loc" id in
   { id; name; volatile; v = init; fwd = [] }
 
 let name x = x.name
 let id x = x.id
 
-let access x kind =
-  Rt.sched (Rt.Access { loc = x.id; loc_name = x.name; kind; volatile = x.volatile })
+let access x kind = Rt.access ~loc:x.id ~loc_name:x.name ~kind ~volatile:x.volatile
 
 (* The youngest value visible to the calling thread: its own buffered store
    if one is pending, the shared cell otherwise. *)

@@ -5,7 +5,7 @@ let init ?(volatile = false) ~name n f =
     base = name;
     cells =
       Array.init n (fun i ->
-          Shared_var.make ~volatile ~name:(name ^ Int.to_string i) (f i));
+          Shared_var.make ~volatile ~name:(Loc_name.indexed name i) (f i));
   }
 
 let make ?volatile ~name n v = init ?volatile ~name n (fun _ -> v)
