@@ -33,6 +33,30 @@ let serial_t : Serial_history.t Alcotest.testable =
 
 let test name f = Alcotest.test_case name `Quick f
 
+(* [sub] occurs in [s] *)
+let contains ~sub s =
+  let n = String.length sub and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
+  n = 0 || go 0
+
+(* [f ()] on another domain; fails the test if it has not returned within
+   [secs] (a hung [f] is left behind) *)
+let within secs f =
+  let result = Atomic.make None in
+  let d = Domain.spawn (fun () -> Atomic.set result (Some (try Ok (f ()) with e -> Error e))) in
+  let deadline = Unix.gettimeofday () +. secs in
+  let rec wait () =
+    match Atomic.get result with
+    | Some r -> (
+      Domain.join d;
+      match r with Ok v -> v | Error e -> raise e)
+    | None ->
+      if Unix.gettimeofday () > deadline then Alcotest.failf "no answer within %.0f s" secs;
+      Unix.sleepf 0.005;
+      wait ()
+  in
+  wait ()
+
 module Spec = Lineup_spec.Spec
 
 let verdict : Spec.verdict Alcotest.testable =

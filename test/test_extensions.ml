@@ -173,6 +173,28 @@ let suite =
             match Obs_cache.phase1 ~metrics:m ~dir Conc.Counters.correct counter_test with
             | Ok (_, hit) -> Alcotest.(check bool) "rewritten file hits" true hit
             | Error _ -> Alcotest.fail "unexpected phase-1 violation"));
+    test "obs_cache: a miss evicts the files of earlier format versions" (fun () ->
+        with_temp_dir (fun dir ->
+            let versions = [ 2; 3 ] in
+            let old v = Obs_cache.cache_path ~version:v ~dir Conc.Counters.correct counter_test in
+            (* the name a version-3 writer gave this key *)
+            Alcotest.(check bool) "version-3 name" true
+              (String.starts_with ~prefix:"003deb47" (Filename.basename (old 3)));
+            List.iter
+              (fun v ->
+                Out_channel.with_open_bin (old v) (fun oc -> output_string oc "<observations/>"))
+              versions;
+            let m = Lineup_observe.Metrics.create () in
+            (match Obs_cache.phase1 ~metrics:m ~dir Conc.Counters.correct counter_test with
+             | Ok (_, hit) -> Alcotest.(check bool) "miss" false hit
+             | Error _ -> Alcotest.fail "unexpected phase-1 violation");
+            Alcotest.(check (list bool))
+              "earlier versions' files evicted" [ false; false ]
+              (List.map (fun v -> Sys.file_exists (old v)) versions);
+            Alcotest.(check int) "stale evictions counted" 2
+              (Lineup_observe.Metrics.get m "obs_cache.stale");
+            Alcotest.(check bool) "current file written" true
+              (Sys.file_exists (Obs_cache.cache_path ~dir Conc.Counters.correct counter_test))));
     test "obs_cache: a truncated file is evicted as stale and recomputed" (fun () ->
         with_temp_dir (fun dir ->
             let m = Lineup_observe.Metrics.create () in

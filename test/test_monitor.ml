@@ -913,14 +913,32 @@ let driver_units =
               Unix.sleepf 0.2;
               session (render_history second_session))
         in
-        let ic = open_in path in
         let o =
-          Driver.run ~spec:queue_spec
-            ~opts:{ Driver.default_opts with min_batch = 1; follow = true }
-            ic
+          match
+            within 10. (fun () ->
+                let ic = open_in path in
+                Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
+                Driver.run ~spec:queue_spec
+                  ~opts:{ Driver.default_opts with min_batch = 1; follow = true }
+                  ic)
+          with
+          | o -> o
+          | exception e ->
+            (* The run did not end. Hold both ends of the FIFO open, so a
+               session blocked opening it goes through and the writer
+               finishes, then fail. *)
+            let ends =
+              List.filter_map
+                (fun flag ->
+                  try Some (Unix.openfile path [ flag; Unix.O_NONBLOCK ] 0)
+                  with Unix.Unix_error _ -> None)
+                [ Unix.O_RDONLY; Unix.O_WRONLY ]
+            in
+            Domain.join writer;
+            List.iter Unix.close ends;
+            raise e
         in
         Domain.join writer;
-        close_in_noerr ic;
         Alcotest.check verdict "reject from the second session" Monitor.Reject
           o.Driver.verdict);
     test "replay: interleaved hist tags are demultiplexed" (fun () ->
@@ -1050,24 +1068,6 @@ let reader_units =
         check_replay "replay" (with_text_file text replay);
         check_replay "replay pipe" (with_text_pipe text replay));
   ]
-
-(* [f ()] on another domain; fails the test if it has not returned within
-   [secs] (a hung [f] is left behind) *)
-let within secs f =
-  let result = Atomic.make None in
-  let d = Domain.spawn (fun () -> Atomic.set result (Some (try Ok (f ()) with e -> Error e))) in
-  let deadline = Unix.gettimeofday () +. secs in
-  let rec wait () =
-    match Atomic.get result with
-    | Some r -> (
-      Domain.join d;
-      match r with Ok v -> v | Error e -> raise e)
-    | None ->
-      if Unix.gettimeofday () > deadline then Alcotest.failf "no answer within %.0f s" secs;
-      Unix.sleepf 0.005;
-      wait ()
-  in
-  wait ()
 
 (* a single-thread set stream over [keys] keys, answered honestly *)
 let set_stream ~n ~keys =

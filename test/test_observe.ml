@@ -14,11 +14,6 @@ let with_temp_file f =
   let path = Filename.temp_file "lineup" "observe" in
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) (fun () -> f path)
 
-let contains ~sub s =
-  let n = String.length sub and m = String.length s in
-  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-  n = 0 || go 0
-
 let suite =
   [
     test "metrics: add/incr/get basics" (fun () ->
