@@ -1,13 +1,14 @@
 (* Bechamel micro-benchmarks: one Test.make per table/figure driver, timing
    the hot paths that regenerate them — phase 1 (serial enumeration), the
    two-phase check, witness search, and the direct WGL checker used as the
-   oracle. *)
+   oracle — and two of the explorer's own executions, reported per step. *)
 
 open Bench_common
 module Conc = Lineup_conc
 module Specs = Lineup_spec.Specs
 module Lin_check = Lineup_spec.Lin_check
 module Explore = Lineup_scheduler.Explore
+module Var = Lineup_runtime.Shared_var
 open Lineup
 open Bechamel
 open Toolkit
@@ -42,8 +43,51 @@ let phase1_only_config =
     Check.phase2 = { Explore.serial_config with Explore.max_executions = Some 1 };
   }
 
+(* The explorer's cost per step with nothing else in it: one execution of
+   two threads that each read a shared variable 400 times, at preemption
+   bound 1 (800 steps). *)
+let bare_config = { Explore.default_config with preemption_bound = Some 1; max_executions = Some 1 }
+
+let bare_setup () =
+  let v = Var.make 0 in
+  Array.init 2 (fun _ () ->
+      for _ = 1 to 400 do
+        ignore (Var.read v)
+      done)
+
+let bare_step () =
+  Explore.explore bare_config ~setup:bare_setup ~on_execution:(fun _ -> `Continue) ()
+
+(* One execution of the fenced Dekker litmus under TSO with --por at
+   preemption bound 0: spin loops, fences and store-buffer flushes. *)
+let dekker_tso_config =
+  {
+    Explore.default_config with
+    preemption_bound = Some 0;
+    por = true;
+    memory = Lineup_runtime.Memory_model.Tso;
+    max_executions = Some 1;
+  }
+
+let dekker_test = Test_matrix.make [ [ inv "Inc"; inv "Get" ]; [ inv "Inc" ] ]
+
+let dekker_tso () =
+  Harness.run_phase dekker_tso_config ~adapter:Conc.Dekker.fenced ~test:dekker_test
+    ~on_history:(fun _ -> `Continue)
+
+(* Steps per run of the per-step cases, for the per-step columns. *)
+let per_step () =
+  [
+    "bare-step 2x400 reads, pb 1 (explorer)", (bare_step ()).Explore.total_steps;
+    "dekker-fenced-tso execution (explorer)", (dekker_tso ()).Explore.total_steps;
+  ]
+
 let tests =
   [
+    Test.make ~name:"bare-step 2x400 reads, pb 1 (explorer)"
+      (Staged.stage (fun () -> ignore (bare_step ())));
+    Test.make ~name:"dekker-fenced-tso execution (explorer)"
+      (Staged.stage (fun () -> ignore (dekker_tso ())));
     (* Table 2 driver: one full two-phase check of a small test *)
     Test.make ~name:"check-2x2-counter (T2 row)" (Staged.stage (fun () ->
         ignore (Check.run Conc.Counters.correct small_counter_test)));
@@ -71,24 +115,25 @@ let tests =
 let run () =
   hr "Bechamel micro-benchmarks (per-table/figure drivers)";
   let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 1.0) ~kde:None () in
-  let raw =
-    Benchmark.all cfg [ Instance.monotonic_clock ] (Test.make_grouped ~name:"lineup" tests)
-  in
+  let instances = Instance.[ monotonic_clock; minor_allocated ] in
+  let raw = Benchmark.all cfg instances (Test.make_grouped ~name:"lineup" tests) in
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
   in
   let results = Analyze.all ols Instance.monotonic_clock raw in
+  let words = Analyze.all ols Instance.minor_allocated raw in
+  let per_run ols = match Analyze.OLS.estimates ols with Some (e :: _) -> e | _ -> Float.nan in
+  let per_step = per_step () in
   let rows =
     Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) results []
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
-  Fmt.pr "%-45s %15s %10s@." "benchmark" "time/run" "r²";
-  Fmt.pr "%s@." (String.make 75 '-');
+  Fmt.pr "%-45s %15s %12s %10s@." "benchmark" "time/run" "words/run" "r²";
+  Fmt.pr "%s@." (String.make 85 '-');
   List.iter
     (fun (name, ols) ->
-      let estimate =
-        match Analyze.OLS.estimates ols with Some (e :: _) -> e | _ -> Float.nan
-      in
+      let estimate = per_run ols in
+      let minor = Option.fold ~none:Float.nan ~some:per_run (Hashtbl.find_opt words name) in
       let r2 = Option.value ~default:Float.nan (Analyze.OLS.r_square ols) in
       let time_str ns =
         if ns > 1e9 then Fmt.str "%.2f s" (ns /. 1e9)
@@ -96,5 +141,12 @@ let run () =
         else if ns > 1e3 then Fmt.str "%.2f us" (ns /. 1e3)
         else Fmt.str "%.0f ns" ns
       in
-      Fmt.pr "%-45s %15s %10.4f@." name (time_str estimate) r2)
+      Fmt.pr "%-45s %15s %12.0f %10.4f@." name (time_str estimate) minor r2;
+      List.iter
+        (fun (case, steps) ->
+          if name = "lineup/" ^ case then
+            Fmt.pr "  per step (%d steps): %.0f ns, %.1f minor words@." steps
+              (estimate /. float steps)
+              (minor /. float steps))
+        per_step)
     rows
