@@ -33,7 +33,7 @@ let () =
         "N  run Figure N (1|7|9)" );
       ( "--section",
         Arg.String (select (fun s -> sel.sections <- s :: sel.sections)),
-        "S  run Section S (5.5|5.6|5.7|parallel|por|membership|shard|monitor|memory)" );
+        "S  run Section S (5.5|5.6|5.7|parallel|por|shard|monitor|memory)" );
       ( "--ablation",
         Arg.String (select (fun s -> sel.ablations <- s :: sel.ablations)),
         "A  run ablation A (pb|sampling|stress|phase1|icb|dedup)" );
@@ -78,7 +78,6 @@ let () =
   if want_section "5.7" then Sections.s57 opts;
   if want_section "parallel" then Parallel_scaling.run opts;
   if want_section "por" then Por_bench.run opts;
-  if want_section "membership" then Membership_bench.run opts;
   if want_section "shard" then Shard_bench.run opts;
   if want_section "monitor" then Monitor_bench.run opts;
   if want_section "memory" then Memory_bench.run opts;

@@ -111,10 +111,9 @@ let adapter_and_test name columns =
     | test -> Ok (adapter, test)
     | exception Invalid_argument msg -> Error msg)
 
-let config_of ?(por = false) ?(membership = Check.Auto)
-    ?(memory = Lineup_runtime.Memory_model.Sc) ~pb ~cap ~classic () =
-  Check.config_with ~preemption_bound:(Some pb) ~max_executions:cap ~classic_only:classic
-    ~membership ~por ~memory ()
+let config_of ?(por = false) ?(memory = Lineup_runtime.Memory_model.Sc) ~pb ~cap ~classic () =
+  Check.config_with ~preemption_bound:(Some pb) ~max_executions:cap ~classic_only:classic ~por
+    ~memory ()
 
 (* --cancel-after N: a deterministic cancellation token that fires after N
    polls — a testing aid exercising the Cancelled verdict and exit code. *)
@@ -127,13 +126,13 @@ let cancel_after = function
         incr polls;
         !polls > n)
 
-let check_cmd_run name columns pb cap classic por membership memory jobs frontier_depth
-    cancel_polls verbose cache_dir metrics_file trace_file =
+let check_cmd_run name columns pb cap classic por memory jobs frontier_depth cancel_polls
+    verbose cache_dir metrics_file trace_file =
   match adapter_and_test name columns with
   | Error e -> `Error (false, e)
   | Ok (adapter, test) ->
     let config =
-      let c = config_of ~por ~membership ~memory ~pb ~cap ~classic () in
+      let c = config_of ~por ~memory ~pb ~cap ~classic () in
       { c with Check.phase2_domains = jobs; phase2_frontier_depth = frontier_depth }
     in
     let cancelled = cancel_after cancel_polls in
@@ -149,12 +148,12 @@ let check_cmd_run name columns pb cap classic por membership memory jobs frontie
     else if Check.cancelled r then `Ok exit_cancelled
     else `Ok exit_violation
 
-let random_cmd_run name rows cols samples seed pb cap por membership memory stop_at_first
-    domains metrics_file trace_file =
+let random_cmd_run name rows cols samples seed pb cap por memory stop_at_first domains
+    metrics_file trace_file =
   match find_adapter name with
   | Error e -> `Error (false, e)
   | Ok adapter ->
-    let config = config_of ~por ~membership ~memory ~pb ~cap ~classic:false () in
+    let config = config_of ~por ~memory ~pb ~cap ~classic:false () in
     let report =
       with_observability ~metrics_file ~trace_file (fun metrics ->
           Random_check.run_parallel ~config ~stop_at_first ?metrics ~domains ~seed
@@ -170,14 +169,14 @@ let random_cmd_run name rows cols samples seed pb cap por membership memory stop
      | None -> ());
     if report.Random_check.failed = 0 then `Ok 0 else `Ok exit_violation
 
-let auto_cmd_run name max_tests pb cap por membership memory domains metrics_file trace_file =
+let auto_cmd_run name max_tests pb cap por memory domains metrics_file trace_file =
   match find_adapter name with
   | Error e -> `Error (false, e)
   | Ok adapter -> (
     match
       with_observability ~metrics_file ~trace_file (fun metrics ->
           Auto_check.run
-            ~config:(config_of ~por ~membership ~memory ~pb ~cap ~classic:false ())
+            ~config:(config_of ~por ~memory ~pb ~cap ~classic:false ())
             ~domains ?metrics ~max_tests adapter)
     with
     | Auto_check.Failed { test; result; tests_run; stats } ->
@@ -201,11 +200,11 @@ let observe_cmd_run name columns output =
      | None -> Fmt.pr "%s@." xml);
     `Ok 0
 
-let minimize_cmd_run name columns pb membership memory cancel_polls =
+let minimize_cmd_run name columns pb memory cancel_polls =
   match adapter_and_test name columns with
   | Error e -> `Error (false, e)
   | Ok (adapter, test) -> (
-    let config = config_of ~membership ~memory ~pb ~cap:None ~classic:false () in
+    let config = config_of ~memory ~pb ~cap:None ~classic:false () in
     let cancelled = cancel_after cancel_polls in
     match Minimize.reduce ~config ?cancelled adapter test with
     | r when Check.cancelled r.Minimize.check ->
@@ -220,8 +219,7 @@ let minimize_cmd_run name columns pb membership memory cancel_polls =
       `Ok 0
     | exception Invalid_argument msg -> `Error (false, msg))
 
-let compare_cmd_run name columns por membership memory jobs frontier_depth tso metrics_file
-    trace_file =
+let compare_cmd_run name columns por memory jobs frontier_depth tso metrics_file trace_file =
   match adapter_and_test name columns with
   | Error e -> `Error (false, e)
   | Ok (adapter, test) ->
@@ -239,7 +237,6 @@ let compare_cmd_run name columns por membership memory jobs frontier_depth tso m
       {
         Check.default_config with
         Check.phase2 = { Check.default_config.Check.phase2 with Explore.por; memory };
-        membership;
         phase2_domains = jobs;
         phase2_frontier_depth = frontier_depth;
       }
@@ -259,13 +256,13 @@ let compare_cmd_run name columns por membership memory jobs frontier_depth tso m
    socket, checkpoints completed partitions into --dir, and merges in
    frontier order — the report, verdict, exit code and --metrics file are
    byte-identical to `check -j` on the same arguments. *)
-let shard_server_cmd_run name columns pb cap classic por membership memory frontier_depth dir
-    listen local resume halt_after verbose metrics_file trace_file =
+let shard_server_cmd_run name columns pb cap classic por memory frontier_depth dir listen local
+    resume halt_after verbose metrics_file trace_file =
   match adapter_and_test name columns with
   | Error e -> `Error (false, e)
   | Ok (adapter, test) -> (
     let config =
-      let c = config_of ~por ~membership ~memory ~pb ~cap ~classic () in
+      let c = config_of ~por ~memory ~pb ~cap ~classic () in
       { c with Check.phase2_frontier_depth = frontier_depth }
     in
     match
@@ -387,30 +384,6 @@ let por_arg =
            reordered, so no history is lost). Phase 1 (serial mode) is never reduced: its \
            interleavings $(i,are) the specification. Off by default.")
 
-let membership_conv =
-  let parse s =
-    match Check.membership_of_string s with
-    | Some m -> Ok m
-    | None -> Error (`Msg (Printf.sprintf "expected auto or generic, got %S" s))
-  in
-  Arg.conv ~docv:"MODE" (parse, fun ppf m -> Fmt.string ppf (Check.membership_name m))
-
-let membership_arg =
-  Arg.(
-    value
-    & opt membership_conv Check.default_config.Check.membership
-    & info [ "membership" ] ~docv:"MODE"
-        ~doc:
-          "Phase-2 membership mode: $(b,auto) (default — when the adapter declares a \
-           specification, decide each complete history with the engine $(b,lineup monitor) \
-           runs for its class: the queue/stack monitors or the per-key set/dictionary \
-           engine; every other class, every stuck history and every history an engine \
-           cannot decide falls back to the generic observation witness search) or \
-           $(b,generic) (always the generic search). Both modes consume the same enumerated \
-           histories: the verdict, the distinct-history count and \
-           $(b,analyze.lineup.histories_fingerprint) are identical — only wall-clock time \
-           changes.")
-
 let memory_conv =
   let parse s =
     match Lineup_runtime.Memory_model.of_string s with
@@ -529,8 +502,8 @@ let check_cmd =
     Term.(
       ret
         (const check_cmd_run $ name_arg $ columns_arg $ pb_arg $ cap_arg $ classic_arg $ por_arg
-         $ membership_arg $ memory_arg $ check_jobs_arg $ frontier_depth_arg $ cancel_after_arg
-         $ verbose_arg $ cache_dir_arg $ metrics_arg $ trace_arg))
+         $ memory_arg $ check_jobs_arg $ frontier_depth_arg $ cancel_after_arg $ verbose_arg
+         $ cache_dir_arg $ metrics_arg $ trace_arg))
 
 let random_cmd =
   let rows = Arg.(value & opt int 3 & info [ "rows" ] ~doc:"Operations per thread.") in
@@ -544,7 +517,7 @@ let random_cmd =
     Term.(
       ret
         (const random_cmd_run $ name_arg $ rows $ cols $ samples $ seed $ pb_arg $ cap_arg
-         $ por_arg $ membership_arg $ memory_arg $ stop $ jobs_arg $ metrics_arg $ trace_arg))
+         $ por_arg $ memory_arg $ stop $ jobs_arg $ metrics_arg $ trace_arg))
 
 let auto_cmd =
   let max_tests =
@@ -555,8 +528,8 @@ let auto_cmd =
        ~doc:"AutoCheck: systematic test enumeration (Fig. 6)")
     Term.(
       ret
-        (const auto_cmd_run $ name_arg $ max_tests $ pb_arg $ cap_arg $ por_arg $ membership_arg
-         $ memory_arg $ jobs_arg $ metrics_arg $ trace_arg))
+        (const auto_cmd_run $ name_arg $ max_tests $ pb_arg $ cap_arg $ por_arg $ memory_arg
+         $ jobs_arg $ metrics_arg $ trace_arg))
 
 let observe_cmd =
   let output =
@@ -571,8 +544,8 @@ let minimize_cmd =
     (Cmd.info "minimize" ~exits:gate_exits
        ~doc:"Shrink a failing test matrix to a local minimum")
     Term.(
-      ret (const minimize_cmd_run $ name_arg $ columns_arg $ pb_arg $ membership_arg
-           $ memory_arg $ cancel_after_arg))
+      ret (const minimize_cmd_run $ name_arg $ columns_arg $ pb_arg $ memory_arg
+           $ cancel_after_arg))
 
 let compare_cmd =
   let tso_arg =
@@ -597,9 +570,8 @@ let compare_cmd =
           informational — the paper's false alarms on lock-free code), 2 when cancelled.")
     Term.(
       ret
-        (const compare_cmd_run $ name_arg $ columns_arg $ por_arg $ membership_arg $ memory_arg
-         $ check_jobs_arg $ frontier_depth_arg
-         $ tso_arg $ metrics_arg $ trace_arg))
+        (const compare_cmd_run $ name_arg $ columns_arg $ por_arg $ memory_arg $ check_jobs_arg
+         $ frontier_depth_arg $ tso_arg $ metrics_arg $ trace_arg))
 
 let shard_server_cmd =
   let dir_arg =
@@ -649,8 +621,8 @@ let shard_server_cmd =
       & info [ "halt-after" ] ~docv:"K"
           ~doc:
             "Stop the server after $(docv) partition checkpoints without merging, exiting \
-             with code 2 — a deterministic stand-in for a kill, used by the CI \
-             kill-and-resume smoke test.")
+             with code 2 — a deterministic stand-in for a kill, used by the kill-and-resume \
+             tests.")
   in
   Cmd.v
     (Cmd.info "shard-server" ~exits:gate_exits
@@ -664,7 +636,7 @@ let shard_server_cmd =
     Term.(
       ret
         (const shard_server_cmd_run $ name_arg $ columns_arg $ pb_arg $ cap_arg $ classic_arg
-         $ por_arg $ membership_arg $ memory_arg $ frontier_depth_arg $ dir_arg $ listen_arg
+         $ por_arg $ memory_arg $ frontier_depth_arg $ dir_arg $ listen_arg
          $ local_arg $ resume_arg $ halt_after_arg $ verbose_arg $ metrics_arg $ trace_arg))
 
 let shard_worker_cmd =

@@ -111,8 +111,7 @@ let make_adapter ~atomic_clear name =
     in
     { Lineup.Adapter.invoke }
   in
-  Lineup.Adapter.make ~name ~universe
-    ~spec:(Lineup_spec.Spec.Packed Lineup_spec.Specs.dictionary) create
+  Lineup.Adapter.make ~name ~universe create
 
 let adapter = make_adapter ~atomic_clear:true "ConcurrentDictionary"
 let pre = make_adapter ~atomic_clear:false "ConcurrentDictionary (Pre: non-atomic Clear)"

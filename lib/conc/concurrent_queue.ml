@@ -61,8 +61,7 @@ let make_adapter ~timed_dequeue name =
     in
     { Lineup.Adapter.invoke }
   in
-  Lineup.Adapter.make ~name ~universe ~spec:(Lineup_spec.Spec.Packed Lineup_spec.Specs.queue)
-    create
+  Lineup.Adapter.make ~name ~universe create
 
 let correct = make_adapter ~timed_dequeue:false "ConcurrentQueue"
 let pre = make_adapter ~timed_dequeue:true "ConcurrentQueue (Pre: timed lock in TryDequeue)"

@@ -74,8 +74,7 @@ let make_adapter ~buggy_range name =
     in
     { Lineup.Adapter.invoke }
   in
-  Lineup.Adapter.make ~name ~universe ~spec:(Lineup_spec.Spec.Packed Lineup_spec.Specs.stack)
-    create
+  Lineup.Adapter.make ~name ~universe create
 
 let correct = make_adapter ~buggy_range:false "ConcurrentStack"
 let pre = make_adapter ~buggy_range:true "ConcurrentStack (Pre: non-atomic TryPopRange)"

@@ -43,7 +43,7 @@ let correct =
     in
     { Lineup.Adapter.invoke }
   in
-  Lineup.Adapter.make ~name:"Counter" ~universe ~spec:(Lineup_spec.Spec.Packed Lineup_spec.Specs.counter) create
+  Lineup.Adapter.make ~name:"Counter" ~universe create
 
 (* Counter1 of §2.2.1: inc forgets the lock. *)
 let buggy_unlocked =
@@ -66,8 +66,7 @@ let buggy_unlocked =
     { Lineup.Adapter.invoke }
   in
   Lineup.Adapter.make ~name:"Counter1 (unlocked inc)"
-    ~universe:[ inv "Inc"; inv "Get"; inv_int "Set" 5 ]
-    ~spec:(Lineup_spec.Spec.Packed Lineup_spec.Specs.counter) create
+    ~universe:[ inv "Inc"; inv "Get"; inv_int "Set" 5 ] create
 
 (* Counter2 of §2.2.2: get never releases the lock. *)
 let buggy_stuck =
@@ -95,5 +94,4 @@ let buggy_stuck =
     { Lineup.Adapter.invoke }
   in
   Lineup.Adapter.make ~name:"Counter2 (get keeps lock)"
-    ~universe:[ inv "Inc"; inv "Get"; inv_int "Set" 5 ]
-    ~spec:(Lineup_spec.Spec.Packed Lineup_spec.Specs.counter) create
+    ~universe:[ inv "Inc"; inv "Get"; inv_int "Set" 5 ] create

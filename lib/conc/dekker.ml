@@ -69,8 +69,7 @@ let make_adapter ~fenced name =
     in
     { Lineup.Adapter.invoke }
   in
-  Lineup.Adapter.make ~name ~universe
-    ~spec:(Lineup_spec.Spec.Packed Lineup_spec.Specs.counter) create
+  Lineup.Adapter.make ~name ~universe create
 
 let fenced = make_adapter ~fenced:true "DekkerCounter"
 let fence_free = make_adapter ~fenced:false "DekkerCounter (Pre: missing store-load fence)"

@@ -113,8 +113,7 @@ let make_adapter ~mark_on_remove name =
     in
     { Lineup.Adapter.invoke }
   in
-  Lineup.Adapter.make ~name ~universe ~spec:(Lineup_spec.Spec.Packed Lineup_spec.Specs.key_set)
-    create
+  Lineup.Adapter.make ~name ~universe create
 
 let correct = make_adapter ~mark_on_remove:true "LazyListSet"
 let pre = make_adapter ~mark_on_remove:false "LazyListSet (Pre: remove without marking)"

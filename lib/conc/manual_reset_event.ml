@@ -81,9 +81,7 @@ let make_adapter variant name =
     in
     { Lineup.Adapter.invoke }
   in
-  Lineup.Adapter.make ~name ~universe
-    ~spec:(Lineup_spec.Spec.Packed (Lineup_spec.Specs.manual_reset_event ~initial:false))
-    create
+  Lineup.Adapter.make ~name ~universe create
 
 let correct = make_adapter Correct "ManualResetEvent"
 let lost_signal = make_adapter Lost_signal "ManualResetEvent (Pre: lost signal)"

@@ -132,5 +132,4 @@ let adapter =
     in
     { Lineup.Adapter.invoke }
   in
-  Lineup.Adapter.make ~name:"SegmentQueue" ~universe
-    ~spec:(Lineup_spec.Spec.Packed Lineup_spec.Specs.queue) create
+  Lineup.Adapter.make ~name:"SegmentQueue" ~universe create

@@ -58,8 +58,7 @@ let make_adapter ~buggy_release name =
     in
     { Lineup.Adapter.invoke }
   in
-  Lineup.Adapter.make ~name ~universe
-    ~spec:(Lineup_spec.Spec.Packed (Lineup_spec.Specs.semaphore ~initial:0)) create
+  Lineup.Adapter.make ~name ~universe create
 
 let correct = make_adapter ~buggy_release:false "SemaphoreSlim"
 let pre = make_adapter ~buggy_release:true "SemaphoreSlim (Pre: unlocked release)"

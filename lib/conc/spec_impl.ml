@@ -30,4 +30,4 @@ let adapter ?name ?(universe = []) (spec : 'st Spec.t) =
     in
     { Lineup.Adapter.invoke }
   in
-  Lineup.Adapter.make ~name ~universe ~spec:(Spec.Packed spec) create
+  Lineup.Adapter.make ~name ~universe create

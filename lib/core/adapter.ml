@@ -8,11 +8,10 @@ type instance = {
 type t = {
   name : string;
   universe : Invocation.t list;
-  spec : Lineup_spec.Spec.packed option;
   create : unit -> instance;
 }
 
-let make ~name ~universe ?spec create = { name; universe; spec; create }
+let make ~name ~universe create = { name; universe; create }
 
 let invocation adapter name =
   match List.find_opt (fun (i : Invocation.t) -> String.equal i.name name) adapter.universe with

@@ -21,22 +21,12 @@ type t = {
   universe : Lineup_history.Invocation.t list;
       (** the enumeration [I_o = {i1, i2, ...}] of representative
           invocations; order matters for [Auto_check]'s [I_n] prefixes *)
-  spec : Lineup_spec.Spec.packed option;
-      (** optional declared sequential specification, serially equivalent to
-          the implementation. Purely an acceleration hint: when present,
-          [--membership auto] may decide a complete phase-2 history with the
-          engine of the spec's class (the queue/stack monitors, the per-key
-          set/dictionary engine) instead of the generic witness search.
-          Verdicts must not depend on it — the membership equivalence and
-          cross-validation tests enforce that. [None] always means the
-          generic search. *)
   create : unit -> instance;
 }
 
 val make :
   name:string ->
   universe:Lineup_history.Invocation.t list ->
-  ?spec:Lineup_spec.Spec.packed ->
   (unit -> instance) ->
   t
 

@@ -5,20 +5,8 @@ module Explore = Lineup_scheduler.Explore
 module Metrics = Lineup_observe.Metrics
 module Trace = Lineup_observe.Trace
 module Spec = Lineup_spec.Spec
-module Engine = Lineup_monitor.Engine
 
-type membership =
-  | Auto
-  | Generic
-
-let membership_name = function
-  | Auto -> "auto"
-  | Generic -> "generic"
-
-let membership_of_string = function
-  | "auto" -> Some Auto
-  | "generic" -> Some Generic
-  | _ -> None
+type membership = Generic
 
 type config = {
   phase1 : Explore.config;
@@ -36,13 +24,12 @@ let default_config =
     phase2 = Explore.default_config;
     classic_only = false;
     dedup_histories = true;
-    membership = Auto;
+    membership = Generic;
     phase2_domains = None;
     phase2_frontier_depth = 4;
   }
 
-let config_with ?preemption_bound ?max_executions ?(classic_only = false)
-    ?(membership = default_config.membership) ?phase2_domains
+let config_with ?preemption_bound ?max_executions ?(classic_only = false) ?phase2_domains
     ?(frontier_depth = default_config.phase2_frontier_depth) ?(por = false)
     ?(memory = Lineup_runtime.Memory_model.Sc) () =
   let phase2 = default_config.phase2 in
@@ -65,7 +52,6 @@ let config_with ?preemption_bound ?max_executions ?(classic_only = false)
     default_config with
     phase2;
     classic_only;
-    membership;
     phase2_domains;
     phase2_frontier_depth = frontier_depth;
   }
@@ -259,13 +245,6 @@ type p2_state = {
   witness_probes : int ref;
   mutable stuck_checks : int;
   stuck_probes : int ref;
-  (* Complete histories decided by an engine of the declared spec, by
-     class ([route]); [m_fallbacks] counts those a declared spec could not
-     decide (the generic search then ran, adding to [witness_searches] as
-     usual). *)
-  mutable m_monitor : int;
-  mutable m_pcomp : int;
-  mutable m_fallbacks : int;
   (* Order-independent fingerprint of the distinct-history set: a masked
      sum of structural hashes, merged by addition, so it is identical
      across [-j] modes and — when the reduction is sound — across
@@ -288,9 +267,6 @@ let p2_init () =
     witness_probes = ref 0;
     stuck_checks = 0;
     stuck_probes = ref 0;
-    m_monitor = 0;
-    m_pcomp = 0;
-    m_fallbacks = 0;
     fp_acc = 0;
     seen = Distinct.create 256;
   }
@@ -300,54 +276,26 @@ let p2_init () =
    dense or ordered — only distinct, to keep replayed histories apart. *)
 let trace_hist_counter = Atomic.make 0
 
-(* Where an [Auto] check sends a distinct complete history when the
-   adapter declares a spec: to the engine [lineup monitor] runs for the
-   spec's class, counted under [membership_monitor] (queue, stack: the
-   decrease-and-conquer monitors) or [membership_pcomp] (set, dictionary:
-   the per-key engine). A queue or stack after an init sequence (the
-   monitors assume an empty structure), an init sequence the spec blocks
-   on, and every other class have no engine: their complete histories fall
-   back to the generic search. Stuck histories always take the generic
-   search. *)
-type route =
-  | Search
-  | Fallback
-  | Engine of Spec.packed * [ `Monitor | `Pcomp ]
-
-let route config ~spec ~init =
-  match config.membership, spec with
-  | Generic, _ | Auto, None -> Search
-  | Auto, Some (Spec.Packed s) -> (
-    match s.Spec.cls, Spec.advance s init, init with
-    | (Spec.Queue | Spec.Stack), Some _, [] -> Engine (Spec.Packed s, `Monitor)
-    | (Spec.Set | Spec.Dictionary), Some initial, _ ->
-      Engine (Spec.Packed { s with Spec.initial }, `Pcomp)
-    | _ -> Fallback)
-
-(* Membership of one distinct history. An engine only consumes the
-   history — the fingerprint is recorded before the decision and the
-   enumeration upstream never sees it — so `--membership` modes differ in
-   how a verdict is computed, never in what is checked. *)
-let p2_decide config ~observation ~route st h =
+(* Membership of one distinct history: Definition 1 on a complete history,
+   Definition 2 on a stuck one, both over the observation search. *)
+let p2_decide config ~observation st h =
   let stuck = History.is_stuck h in
-  let complete = (not stuck) && History.is_complete h in
   (* Emit each distinct complete history's events before deciding it, so
      a rejecting history is always in the trace and [lineup monitor
      --replay] on the trace file reproduces the verdict (the replay rows
      of test/test_goldens.ml's equivalence table). Stuck histories are
      skipped: replay covers the complete-history fragment. *)
-  if Trace.enabled () && complete then begin
+  if Trace.enabled () && (not stuck) && History.is_complete h then begin
     let id = Atomic.fetch_and_add trace_hist_counter 1 in
     List.iter (fun ev -> Lineup_monitor.Mevent.emit_trace ~hist:id ev) (History.events h)
   end;
-  (* Definition 1 on a complete history, Definition 2 on a stuck one, over
-     the observation search. *)
-  let generic () =
+  let violation =
     if not stuck then begin
       st.witness_searches <- st.witness_searches + 1;
       if Option.is_some (Observation.witness ~probes:st.witness_probes observation h) then None
       else Some (No_witness h)
     end
+    else if config.classic_only then None
     else begin
       st.stuck_checks <- st.stuck_checks + 1;
       let decide q =
@@ -358,36 +306,13 @@ let p2_decide config ~observation ~route st h =
       Option.map (fun (e, _) -> Stuck_unjustified (h, e)) (Spec.first_unjustified decide h)
     end
   in
-  let conclude = function
-    | None -> `Continue
-    | Some v ->
-      st.found <- Some v;
-      `Done
-  in
-  let fallback () =
-    st.m_fallbacks <- st.m_fallbacks + 1;
-    conclude (generic ())
-  in
-  match route with
-  | _ when stuck && config.classic_only -> `Continue
-  | Engine (spec, meth) when complete -> (
-    let decided () =
-      match meth with
-      | `Monitor -> st.m_monitor <- st.m_monitor + 1
-      | `Pcomp -> st.m_pcomp <- st.m_pcomp + 1
-    in
-    match Engine.decide ~spec h with
-    | Spec.Accept ->
-      decided ();
-      `Continue
-    | Spec.Reject ->
-      decided ();
-      conclude (Some (No_witness h))
-    | Spec.Unsupported _ -> fallback ())
-  | (Engine _ | Fallback) when not stuck -> fallback ()
-  | Search | Engine _ | Fallback -> conclude (generic ())
+  match violation with
+  | None -> `Continue
+  | Some v ->
+    st.found <- Some v;
+    `Done
 
-let p2_step config ~observation ~route st (r : Harness.run_result) =
+let p2_step config ~observation st (r : Harness.run_result) =
   match exception_of r.outcome with
   | Some v ->
     st.found <- Some v;
@@ -404,7 +329,7 @@ let p2_step config ~observation ~route st (r : Harness.run_result) =
     | Some fp ->
       st.histories <- st.histories + 1;
       st.fp_acc <- (st.fp_acc + fp) land fp_mask;
-      p2_decide config ~observation ~route st r.history)
+      p2_decide config ~observation st r.history)
 
 let p2_merge a b =
   {
@@ -415,9 +340,6 @@ let p2_merge a b =
     witness_probes = ref (!(a.witness_probes) + !(b.witness_probes));
     stuck_checks = a.stuck_checks + b.stuck_checks;
     stuck_probes = ref (!(a.stuck_probes) + !(b.stuck_probes));
-    m_monitor = a.m_monitor + b.m_monitor;
-    m_pcomp = a.m_pcomp + b.m_pcomp;
-    m_fallbacks = a.m_fallbacks + b.m_fallbacks;
     fp_acc = (a.fp_acc + b.fp_acc) land fp_mask;
     seen = Distinct.create 1;
   }
@@ -430,9 +352,6 @@ let p2_counters st =
     "witness_probes", !(st.witness_probes);
     "stuck_checks", st.stuck_checks;
     "stuck_probes", !(st.stuck_probes);
-    "membership_monitor", st.m_monitor;
-    "membership_pcomp", st.m_pcomp;
-    "membership_fallbacks", st.m_fallbacks;
     "histories_fingerprint", st.fp_acc;
     "violation", (if st.found = None then 0 else 1);
   ]
@@ -462,12 +381,11 @@ module Lineup_state = struct
   let violation st = st.found <> None
 end
 
-let lineup_analyzer config ~observation ~(adapter : Adapter.t) ~(test : Test_matrix.t) =
-  let route = route config ~spec:adapter.spec ~init:test.init in
+let lineup_analyzer config ~observation =
   let module A = struct
     include Lineup_state
 
-    let step st r = p2_step config ~observation ~route st r
+    let step st r = p2_step config ~observation st r
   end in
   Analyzer.T (module A)
 
@@ -528,7 +446,7 @@ let split_frontier ?(config = default_config) ?cancelled adapter test =
 let run_partition ?(config = default_config) ?cancelled ~observation ~index ~prefix adapter test =
   let p =
     Pipeline.run_partition ?cancelled config.phase2
-      ~analyzers:[ lineup_analyzer config ~observation ~adapter ~test ]
+      ~analyzers:[ lineup_analyzer config ~observation ]
       ~adapter ~test ~index ~prefix
   in
   {
@@ -583,5 +501,5 @@ let run ?(config = default_config) ?(cancelled = never_cancelled) ?metrics ?obse
     (* Phase 2: enumerate concurrent executions once, drive the Line-Up
        analyzer — plus any attached extra analyzers — over each. *)
     let p2_start = now () in
-    run_pipeline (lineup_analyzer config ~observation ~adapter ~test :: analyzers)
+    run_pipeline (lineup_analyzer config ~observation :: analyzers)
     |> finish ?metrics ~observation ~phase1 ~p2_start

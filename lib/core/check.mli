@@ -15,25 +15,11 @@
     Phase 1 runs without preemption bounding, preserving the completeness
     guarantee even when phase 2 is bounded (Section 4.3). *)
 
-(** How phase 2 decides membership of each distinct history. Both modes
-    consume the same enumerated histories (counts and fingerprints are
-    identical by construction — the decision happens after the history is
-    recorded); only the decision procedure differs, and the membership
-    equivalence rows of [test/test_goldens.ml] assert the verdicts agree
-    too. *)
-type membership =
-  | Auto
-      (** default: when the adapter declares a specification
-          ({!Adapter.t.spec}), decide each complete history with the engine
-          [lineup monitor] runs for its class ({!Lineup_monitor.Engine}):
-          the decrease-and-conquer monitor of a queue or stack with no init
-          sequence, the per-key engine of a set or dictionary. Anything
-          they refuse, every other class, and all stuck histories use the
-          generic search. *)
-  | Generic  (** always the generic observation witness search *)
-
-val membership_name : membership -> string
-val membership_of_string : string -> membership option
+(** A single-valued leftover of the retired [--membership] option: phase 2
+    always decides with the observation search. It has no effect; it is
+    kept only because the benchmark harness in [perf/] still sets it, and
+    goes when that harness next changes. *)
+type membership = Generic
 
 type config = {
   phase1 : Lineup_scheduler.Explore.config;
@@ -46,7 +32,7 @@ type config = {
       (** skip the witness search for histories already seen in phase 2
           (sound: the verdict is a function of the history); on by default,
           benchmarked by the dedup ablation *)
-  membership : membership;  (** the phase-2 membership mode, {!Auto} by default *)
+  membership : membership;  (** no effect; see {!membership} *)
   phase2_domains : int option;
       (** [Some d]: fan phase 2 out over [d] domains by frontier splitting —
           a sequential warm-up enumerates the decision prefixes of length
@@ -81,7 +67,6 @@ val config_with :
   ?preemption_bound:int option ->
   ?max_executions:int option ->
   ?classic_only:bool ->
-  ?membership:membership ->
   ?phase2_domains:int ->
   ?frontier_depth:int ->
   ?por:bool ->

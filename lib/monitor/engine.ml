@@ -2,7 +2,6 @@ module Spec = Lineup_spec.Spec
 module Monitor = Lineup_spec.Monitor
 module Kmon = Lineup_spec.Kmon
 module Event = Lineup_history.Event
-module History = Lineup_history.History
 
 (* One checking engine for one shard of the stream. Queues and stacks get
    the near-linear decrease-and-conquer engines ({!Monitor.Stream});
@@ -64,8 +63,3 @@ let windows = function
 let resident = function
   | Fast s -> Monitor.Stream.resident s + Monitor.Stream.intervals s
   | Chunked k -> k.Kmon.resident ()
-
-let decide ~spec h =
-  let t = create ~spec ~min_batch:default_min_batch ~max_window:default_max_window in
-  List.iter (feed t) (History.events h);
-  finalize t

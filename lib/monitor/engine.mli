@@ -29,9 +29,3 @@ val windows : t -> int
 
 val resident : t -> int
 (** Retained state in operations/intervals — what windowing keeps bounded. *)
-
-val decide :
-  spec:Lineup_spec.Spec.packed -> Lineup_history.History.t -> Lineup_spec.Monitor.verdict
-(** [decide ~spec h] feeds every event of the finite history [h] to a
-    fresh engine with the default bounds above and finalizes it: how phase
-    2 of a check decides a complete history ([Lineup.Check]). *)

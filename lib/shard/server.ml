@@ -119,12 +119,8 @@ let serve ~config ~listen ~local ~halt_after ~max_retries ~dir ~fingerprint ~(st
     | _ :: _ | [] -> ignore (send w Wire.Shutdown)
   in
   let handle_msg w = function
-    | Wire.Hello { wire } ->
-      if wire <> Wire.wire_version then begin
-        epr "worker speaks wire v%d, this server is v%d — closing" wire Wire.wire_version;
-        drop_worker w
-      end
-      else if
+    | Wire.Hello ->
+      if
         send w
           (Wire.Init
              {
@@ -194,8 +190,13 @@ let serve ~config ~listen ~local ~halt_after ~max_retries ~dir ~fingerprint ~(st
   (match sockaddr with
    | Unix.ADDR_UNIX p -> ( try Unix.unlink p with Unix.Unix_error _ | Sys_error _ -> ())
    | _ -> ());
+  (* A local worker that has not connected yet would retry for seconds,
+     and one mid-flight would finish its partition first: neither result
+     is needed any more. *)
   List.iter
-    (fun pid -> try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
+    (fun pid ->
+      (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
+      try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
     !live_children;
   match !outcome with
   | Some msg -> Error msg

@@ -17,14 +17,15 @@ module Explore = Lineup_scheduler.Explore
    7: every payload is sealed behind its digest ({!Sealed}), so a corrupt
    checkpoint is skipped instead of unmarshaled. Version 8: a partition's
    Line-Up state lost its [membership_direct] counter (the [monitor]
-   membership mode is gone), one field fewer in every part. *)
-let format_version = 8
+   membership mode is gone), one field fewer in every part. Version 9: it
+   lost the three counters of the retired engine route, and the
+   membership mode left the fingerprint. *)
+let format_version = 9
 
 (* Obs_cache's key plus what shapes a partition beyond phase 1: every knob
-   that shapes the frontier, a partition's exploration, or the membership
-   decisions. [phase2_domains] is deliberately absent — it never changes
-   results, and a sweep recorded on one machine must resume on another with
-   a different core count. *)
+   that shapes the frontier or a partition's exploration. [phase2_domains]
+   is deliberately absent — it never changes results, and a sweep recorded
+   on one machine must resume on another with a different core count. *)
 let explore_fp (c : Explore.config) =
   String.concat ","
     [
@@ -43,7 +44,6 @@ let fingerprint ~(config : Check.config) ~adapter ~test =
             explore_fp config.Check.phase2;
             string_of_bool config.Check.classic_only;
             string_of_bool config.Check.dedup_histories;
-            Check.membership_name config.Check.membership;
             string_of_int config.Check.phase2_frontier_depth;
             adapter;
             Lineup.Obs_cache.test_key test;

@@ -26,10 +26,10 @@
 val format_version : int
 
 (** [fingerprint ~config ~adapter ~test] keys the run: both exploration
-    configs (including [por] and the preemption bound), the membership
-    mode and dedup/classic flags, the frontier depth, the adapter name and
-    the full test content. Anything that could change the frontier, a
-    partition's result, or the merge is covered. *)
+    configs (including [por] and the preemption bound), the dedup and
+    classic flags, the frontier depth, the adapter name and the full test
+    content. Anything that could change the frontier, a partition's result,
+    or the merge is covered. *)
 val fingerprint :
   config:Lineup.Check.config -> adapter:string -> test:Lineup.Test_matrix.t -> string
 

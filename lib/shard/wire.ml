@@ -3,8 +3,11 @@
    field. Version 3: every payload is sealed behind its digest
    ({!Sealed}). Version 4: the length prefix is followed by its complement,
    and a [Result] partition's Line-Up state lost its [membership_direct]
-   counter. *)
-let wire_version = 4
+   counter. Version 5: that state lost three more counters, and every
+   header starts with the wire version, so a frame of another version
+   reads as [None] instead of being unmarshaled as the wrong type; [Hello]
+   no longer carries the version. *)
+let wire_version = 5
 
 (* Backstop against a corrupted or misaligned length prefix: no legitimate
    message (the largest is [Init] with an observation file) approaches this. *)
@@ -19,7 +22,7 @@ type init = {
 }
 
 type to_server =
-  | Hello of { wire : int }
+  | Hello
   | Result of { index : int; part : Lineup.Check.p2_partition }
   | Failed of { index : int; message : string }
 
@@ -46,37 +49,48 @@ let rec write_all fd buf ofs len =
     write_all fd buf (ofs + n) (len - n)
   end
 
-(* [Some buf] or [None] on EOF before [len] bytes arrived. *)
+(* [Some buf] or [None] on EOF before [len] bytes arrived. The buffer
+   starts at 64 KiB at most and doubles only when full, so a corrupt
+   length costs about what was received, not [len]; a frame that fits the
+   first buffer is one allocation. *)
 let read_exact fd len =
-  let buf = Bytes.create len in
-  let rec go ofs =
+  let rec go buf ofs =
     if ofs >= len then Some buf
     else
-      match retry_eintr (fun () -> Unix.read fd buf ofs (len - ofs)) with
+      let buf =
+        if ofs < Bytes.length buf then buf else Bytes.extend buf 0 (min len (2 * ofs) - ofs)
+      in
+      match retry_eintr (fun () -> Unix.read fd buf ofs (Bytes.length buf - ofs)) with
       | 0 -> None
-      | n -> go (ofs + n)
+      | n -> go buf (ofs + n)
   in
-  go 0
+  go (Bytes.create (min len 65536)) 0
 
 (* The digest covers the payload, not its length: a flipped bit that grew
    the length would leave [recv] waiting for bytes a live peer never sends.
-   So the header is the length followed by its complement, checked before
-   the payload is read or allocated. *)
+   So the header is the wire version, the length and its complement,
+   checked before the payload is read. *)
+let header_length = 12
+
 let send fd msg =
   let payload = Bytes.unsafe_of_string (Sealed.marshal msg) in
   let len = Bytes.length payload in
-  let header = Bytes.create 8 in
-  Bytes.set_int32_be header 0 (Int32.of_int len);
-  Bytes.set_int32_be header 4 (Int32.lognot (Int32.of_int len));
-  write_all fd header 0 8;
+  let header = Bytes.create header_length in
+  Bytes.set_int32_be header 0 (Int32.of_int wire_version);
+  Bytes.set_int32_be header 4 (Int32.of_int len);
+  Bytes.set_int32_be header 8 (Int32.lognot (Int32.of_int len));
+  write_all fd header 0 header_length;
   write_all fd payload 0 len
 
 let recv fd =
-  match read_exact fd 8 with
+  match read_exact fd header_length with
   | None -> None
   | Some header ->
-    let len = Bytes.get_int32_be header 0 in
-    if not (Int32.equal (Int32.lognot len) (Bytes.get_int32_be header 4)) then None
+    let len = Bytes.get_int32_be header 4 in
+    if
+      Bytes.get_int32_be header 0 <> Int32.of_int wire_version
+      || not (Int32.equal (Int32.lognot len) (Bytes.get_int32_be header 8))
+    then None
     else
       let len = Int32.to_int len in
       if len < 0 || len > max_payload then None

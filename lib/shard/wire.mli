@@ -1,23 +1,28 @@
 (** The shard socket protocol: length-prefixed [Marshal] frames over a
     Unix-domain or TCP stream.
 
-    Every frame is a 4-byte big-endian payload length, its bitwise
-    complement, and the payload: the marshaled message behind its digest
-    ({!Sealed}). Payloads are pure data ({!Lineup.Check.p2_partition}
-    and friends contain no closures), so the frames survive a process
-    boundary; they do {e not} survive a differing OCaml runtime, which is
-    fine — server and workers are the same binary ([--local]) or the same
-    build deployed across machines.
+    Every frame is three 4-byte big-endian words, {!wire_version}, the
+    payload length and its bitwise complement, then the payload: the
+    marshaled message behind its digest ({!Sealed}). Payloads are pure
+    data ({!Lineup.Check.p2_partition} and friends contain no closures),
+    so the frames survive a process boundary; they do {e not} survive a
+    differing OCaml runtime, which is fine — server and workers are the
+    same binary ([--local]) or the same build deployed across machines.
 
     Receive functions return [None] on a cleanly closed peer, a truncated
-    frame, a length that does not match its complement (checked before the
-    payload is read), an oversized length prefix, a payload whose digest
-    does not match, or an undecodable payload — the caller treats all of
-    these as "the peer is gone" and re-dispatches. *)
+    frame, a frame of another wire version, a length that does not match
+    its complement (both checked before the payload is read), a length
+    above {!max_payload}, a payload whose digest does not match, or an
+    undecodable payload — the caller treats all of these as "the peer is
+    gone" and re-dispatches. The payload buffer grows as bytes arrive, so
+    a corrupt length never allocates much more than was received. *)
 
-(** Bumped on any message or framing change; checked in {!to_server.Hello}
-    before any work is dispatched. *)
+(** Bumped on any message or framing change; carried by every frame, so
+    peers of different versions cannot read each other's frames. *)
 val wire_version : int
+
+(** The largest payload length a frame may claim: 256 MiB. *)
+val max_payload : int
 
 (** Everything a worker needs to run partitions: the check configuration,
     the adapter (by registry name — adapters hold closures and cannot
@@ -33,7 +38,7 @@ type init = {
 }
 
 type to_server =
-  | Hello of { wire : int }
+  | Hello
   | Result of { index : int; part : Lineup.Check.p2_partition }
   | Failed of { index : int; message : string }
       (** the partition could not be run (decode error, adapter exception

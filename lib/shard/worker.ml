@@ -39,7 +39,7 @@ let run ~connect ~lookup () =
     (* A dead server mid-send is a clean exit: the partition in flight is
        simply re-dispatched to another worker on resume. *)
     let send msg = try Wire.send_to_server fd msg; true with Unix.Unix_error _ -> false in
-    if not (send (Wire.Hello { wire = Wire.wire_version })) then 0
+    if not (send Wire.Hello) then 0
     else
       let rec loop job =
         match Wire.recv_to_worker fd with

@@ -7,8 +7,8 @@ module Op = Lineup_history.Op
    "Testing for linearizability". Operations are indexed in an array; sets
    are bitmasks, so histories are limited to 62 operations — far beyond the
    3x3 tests of the paper, but reachable via the auto generators. [decide]
-   answers an oversized history [Unsupported] (the membership layer then
-   degrades to the generic search); only [linearization] raises. *)
+   answers an oversized history [Unsupported]; only [linearization]
+   raises. *)
 
 let max_ops = 62
 let too_many n = Fmt.str "Lin_check: %d operations exceed the %d-op bitmask" n max_ops

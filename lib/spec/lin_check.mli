@@ -10,13 +10,13 @@
     suite checks that the two-phase Line-Up verdict, the engines' verdicts
     and the direct verdict agree on histories produced by the model checker
     and on random ones — and the per-chunk membership check of the chunked
-    engine ({!Kmon}), which phase 2 runs on set and dictionary histories.
+    engine ({!Kmon}) that [lineup monitor] runs on set and dictionary
+    streams.
 
     [decide] answers one query with the shared {!Spec.verdict}; a stuck
     history is judged by running {!Spec.first_unjustified} over it. The
     bitmask representation limits one search to 62 operations: [decide]
-    answers a larger query [Unsupported], so callers degrade to the
-    generic observation search instead of aborting the run. *)
+    answers a larger query [Unsupported] instead of aborting the run. *)
 
 (** [decide spec q] decides one query. On a history that is not stuck it
     applies Definition 1: can [q] be extended (completing or dropping its

@@ -286,11 +286,10 @@ module Stream = struct
      batches completed operations into windows and, at each quiescent point
      (no call pending), runs the interval checks above on the window plus
      what the still-live values can change, then garbage-collects the
-     decided pairs and empties. A history shorter than [min_batch], as
-     phase 2 of a check feeds one, is a single window at [finalize]; the
-     tables start small for it and grow with a stream. Absolute event
-     positions are 63-bit ints assigned on arrival and never renormalized,
-     so GC never invalidates a position.
+     decided pairs and empties. A history shorter than [min_batch] is a
+     single window at [finalize]; the tables start small for it and grow
+     with a stream. Absolute event positions are 63-bit ints assigned on
+     arrival and never renormalized, so GC never invalidates a position.
 
      The live values are a ring in arrival order, which is return order:
      its head is [first_live], and the pushes that can block a stack gap

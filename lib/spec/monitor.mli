@@ -1,8 +1,6 @@
 (** Decrease-and-conquer membership monitors (Lee & Mathur style) for
     unambiguous queue and stack histories, as engines fed one event at a
-    time: [lineup monitor] runs them on a stream, and phase 2 of a check
-    feeds each distinct complete history of a queue or stack to one
-    ([Lineup_monitor.Engine.decide]).
+    time: [lineup monitor] runs them on a stream ([Lineup_monitor.Engine]).
 
     For the insert/remove fragment of the vocabulary — [Enqueue]/
     [TryDequeue]/[Take] for queues, [Push]/[TryPop] for stacks — with every
@@ -26,9 +24,9 @@
 
     Histories using any other operation (peeks, counts, ranges), a
     non-integer value, a pending operation at the end, or an ambiguous
-    (re-inserted) value are reported [Unsupported]; phase 2 then falls back
-    to the generic search. The test suite cross-validates every verdict
-    against {!Lin_check} on random histories. *)
+    (re-inserted) value are reported [Unsupported], never guessed. The
+    test suite cross-validates every verdict against {!Lin_check} on random
+    histories and on the histories the model checker explores. *)
 
 (** The one membership answer, {!Spec.verdict}, re-exported with its
     constructors. *)

@@ -42,17 +42,6 @@ let run spec invs =
   in
   go spec.initial invs
 
-let advance spec invs =
-  List.fold_left
-    (fun acc inv ->
-      match acc with
-      | None -> None
-      | Some st -> (
-        match spec.step st inv with
-        | Return (_, st') -> Some st'
-        | Blocked -> None))
-    (Some spec.initial) invs
-
 type verdict =
   | Accept
   | Reject

@@ -19,21 +19,19 @@
     ({!first_unjustified}), written once over whichever engine decides its
     queries. *)
 
-(** The abstract-data-type class of a specification. The engines dispatch
-    on it ([Lineup_monitor.Engine]): the decrease-and-conquer monitors of
-    {!Monitor} for [Queue]/[Stack], the per-key chunked engine of {!Kmon}
-    for [Set]/[Dictionary], and the same engine over one key for the rest.
-    Phase 2 of a check runs the first two and falls back to the generic
-    search for every other class and every history they cannot decide.
-    The class is a routing hint only — it never changes which histories
-    are enumerated or what a verdict means. *)
+(** The abstract-data-type class of a specification. The engines of
+    [lineup monitor] dispatch on it ([Lineup_monitor.Engine]): the
+    decrease-and-conquer monitors of {!Monitor} for [Queue]/[Stack], the
+    per-key chunked engine of {!Kmon} for [Set]/[Dictionary], and the same
+    engine over one key for the rest. The class is a routing hint only — it
+    never changes what a verdict means. *)
 type cls =
   | Queue  (** FIFO: values enter at the tail, leave at the head *)
   | Stack  (** LIFO *)
   | Set  (** membership keyed by an integer argument *)
   | Dictionary  (** key-value map keyed by an integer argument *)
   | Counter  (** scalar state, no per-key structure *)
-  | Other  (** no specialized membership path *)
+  | Other  (** none of the above: the single-key chunked engine *)
 
 type 'st outcome =
   | Return of Lineup_value.Value.t * 'st
@@ -62,12 +60,6 @@ val run :
   Lineup_history.Invocation.t list ->
   (Lineup_history.Invocation.t * Lineup_value.Value.t option) list
 
-(** [advance spec invs] is the state reached by applying the invocations in
-    order from the initial state, or [None] if any of them blocks or none is
-    reachable. Used to fold a test's unrecorded [init] sequence into the
-    specification before checking recorded histories against it. *)
-val advance : 'st t -> Lineup_history.Invocation.t list -> 'st option
-
 (** The answer of a membership engine to one query: a complete history
     (Definition 1) or the [H[e]] of a stuck history, whose only pending
     operation is [e] (Definition 2). *)
@@ -75,8 +67,8 @@ type verdict =
   | Accept  (** a serial witness exists *)
   | Reject  (** no serial witness exists *)
   | Unsupported of string
-      (** the engine cannot decide this query — the caller falls back to
-          another engine; never a guess *)
+      (** the engine cannot decide this query, and says why; never a
+          guess *)
 
 (** [first_unjustified decide h] is Definition 2 for the stuck history
     [h]: it walks [History.pending_ops h] in order and returns the first

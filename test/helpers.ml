@@ -169,6 +169,20 @@ let cli = Filename.concat (Filename.concat ".." "bin") "lineup_cli.exe"
 
 let read path = In_channel.with_open_bin path In_channel.input_all
 
+(* [f dir] with [dir] a fresh path, not yet created, removed with all its
+   contents afterwards *)
+let with_temp_dir f =
+  let dir = Filename.temp_file "lineup" "dir" in
+  Sys.remove dir;
+  let rec rm path =
+    if Sys.is_directory path then begin
+      Array.iter (fun e -> rm (Filename.concat path e)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+  in
+  Fun.protect ~finally:(fun () -> if Sys.file_exists dir then rm dir) (fun () -> f dir)
+
 (* [spawn_cli ?input subcommand args] starts [lineup_cli SUBCOMMAND
    --metrics FILE ARGS...], reading the file [input] on its stdin if
    given; the function it returns waits for it and gives its exit code (-1

@@ -164,7 +164,7 @@ let fingerprint h = Hashtbl.hash_param 256 256 (History.events h, History.is_stu
 (* Phase 2 over the enumeration [Check.run] drives on one domain, with a
    naive dedup: each history is compared with every distinct one so far by
    [History.equal]. Stops where [Check.run] stops: at an exception or the
-   first rejected history (generic membership). *)
+   first rejected history. *)
 let naive_phase2 config adapter test =
   match Check.synthesize ~config adapter test with
   | Error _ -> Alcotest.fail "phase 1 unexpectedly failed"
@@ -188,8 +188,7 @@ let dedup_case name ?(pb = 2) ?cap ?(por = false) class_name columns =
       let adapter = (Conc.Registry.find class_name).Conc.Registry.adapter in
       let test = Test_matrix.make columns in
       let config =
-        Check.config_with ~preemption_bound:(Some pb) ~max_executions:cap ~por
-          ~membership:Check.Generic ()
+        Check.config_with ~preemption_bound:(Some pb) ~max_executions:cap ~por ()
       in
       let m = Metrics.create () in
       ignore (Check.run ~config ~metrics:m adapter test);

@@ -22,9 +22,6 @@ let with_temp_dir f =
 
 let counter_test = Test_matrix.make [ [ inv "Inc"; inv "Get" ]; [ inv "Inc" ] ]
 
-(* phase 2 through the observation set, which a cache file supplies *)
-let generic = { Check.default_config with Check.membership = Check.Generic }
-
 (* the offset of the first [sub] in [s] *)
 let find_sub s sub =
   let n = String.length sub in
@@ -223,7 +220,7 @@ let suite =
                   [ inv_int "Enqueue" 400; inv "TryDequeue" ];
                 ]
             in
-            let path = Obs_cache.cache_path ~config:generic ~dir adapter test in
+            let path = Obs_cache.cache_path ~dir adapter test in
             let edit f =
               let s = In_channel.with_open_bin path In_channel.input_all in
               Out_channel.with_open_bin path (fun oc -> output_string oc (f s))
@@ -232,10 +229,10 @@ let suite =
             let splice s i j by = String.sub s 0 i ^ by ^ String.sub s j (String.length s - j) in
             List.iter
               (fun (what, f) ->
-                ignore (Obs_cache.check ~config:generic ~dir adapter test);
+                ignore (Obs_cache.check ~dir adapter test);
                 edit f;
                 let m = Lineup_observe.Metrics.create () in
-                let r = Obs_cache.check ~config:generic ~metrics:m ~dir adapter test in
+                let r = Obs_cache.check ~metrics:m ~dir adapter test in
                 Alcotest.(check string) (what ^ ": summary")
                   "PASS (6 serial histories, 6192 concurrent executions)" (Report.summary r);
                 Alcotest.(check int) (what ^ ": evicted") 1
@@ -255,11 +252,11 @@ let suite =
       (let adapter = Conc.Concurrent_queue.correct in
        let test = Test_matrix.make [ [ inv_int "Enqueue" 200; inv "TryDequeue" ]; [ inv "TryDequeue" ] ] in
        let render r = Report.check_result_to_string ~adapter ~test r in
-       let fresh = Check.run ~config:generic adapter test in
+       let fresh = Check.run adapter test in
        let whole, reference =
          with_temp_dir (fun dir ->
-             let r = Obs_cache.check ~config:generic ~dir adapter test in
-             let path = Obs_cache.cache_path ~config:generic ~dir adapter test in
+             let r = Obs_cache.check ~dir adapter test in
+             let path = Obs_cache.cache_path ~dir adapter test in
              In_channel.with_open_bin path In_channel.input_all, render r)
        in
        QCheck.Test.make ~name:"obs_cache: a mutated cache file never changes the verdict or report"
@@ -270,9 +267,9 @@ let suite =
                whole))
          (fun mutated ->
            with_temp_dir (fun dir ->
-               let path = Obs_cache.cache_path ~config:generic ~dir adapter test in
+               let path = Obs_cache.cache_path ~dir adapter test in
                Out_channel.with_open_bin path (fun oc -> output_string oc mutated);
-               let r = Obs_cache.check ~config:generic ~dir adapter test in
+               let r = Obs_cache.check ~dir adapter test in
                Check.passed r = Check.passed fresh && String.equal (render r) reference)));
     test "obs_cache: concurrent writers create the cache dir race-free" (fun () ->
         (* a nested, not-yet-existing directory, populated by four domains

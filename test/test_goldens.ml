@@ -11,10 +11,11 @@
      lineup_cli SUBCOMMAND --metrics goldens/NAME.metrics.json ARGS... > goldens/NAME.report
 
    Below them, the equivalence table: runs of one test that must agree
-   with each other across --membership modes, -j and an explicit --memory
-   sc, the exit codes of the weak-memory litmus, a check's --trace
-   recording that [lineup monitor --replay] must judge as the check did,
-   and the exit-code contract of [lineup monitor] on a live stream. *)
+   with each other across --por, -j, shard-server and an explicit --memory
+   sc, the exit codes of seeded bugs and of the weak-memory litmus, a
+   check's --trace recording that [lineup monitor --replay] must judge as
+   the check did, and the exit-code contract of [lineup monitor] on a live
+   stream. *)
 
 open Helpers
 
@@ -22,8 +23,8 @@ let golden name ext = Filename.concat "goldens" (name ^ ext)
 
 let stack_3x3 =
   [
-    "--membership"; "generic"; "--por"; "-p"; "2"; "--max-executions"; "2000"; "ConcurrentStack";
-    "Push(1),TryPop,Push(2)"; "Push(3),TryPop,TryPop"; "Push(4),TryPop,Push(5)";
+    "--por"; "-p"; "2"; "--max-executions"; "2000"; "ConcurrentStack"; "Push(1),TryPop,Push(2)";
+    "Push(3),TryPop,TryPop"; "Push(4),TryPop,Push(5)";
   ]
 
 (* name, expected exit code, subcommand, arguments after
@@ -34,8 +35,8 @@ let cases =
       1,
       "check",
       [
-        "-v"; "--membership"; "generic"; "ConcurrentQueue (Pre: timed lock in TryDequeue)";
-        "Enqueue(200),Enqueue(400)"; "TryDequeue,TryDequeue";
+        "-v"; "ConcurrentQueue (Pre: timed lock in TryDequeue)"; "Enqueue(200),Enqueue(400)";
+        "TryDequeue,TryDequeue";
       ] );
     "stack-3x3-por", 0, "check", "-v" :: stack_3x3;
     "stack-3x3-por-j4", 0, "check", "-v" :: "-j" :: "4" :: stack_3x3;
@@ -62,24 +63,13 @@ let cases =
     (* a malformed column is a usage error (exit 124, nothing on stdout, no
        metrics file), as an unknown class name is *)
     "check-bad-column", 124, "check", [ "Counter"; "Inc(zzz)"; "Get" ];
-    (* each phase-2 engine deciding, both ways: the queue monitor and the
-       per-key set engine *)
-    ( "queue-monitor-accept",
+    (* a passing queue, and a set passing and failing *)
+    ( "queue-accept",
       0,
       "check",
       [ "-v"; "ConcurrentQueue"; "Enqueue(1),TryDequeue"; "TryDequeue,Enqueue(2)" ] );
-    ( "queue-monitor-reject",
-      1,
-      "check",
-      [
-        "-v"; "ConcurrentQueue (Pre: timed lock in TryDequeue)"; "Enqueue(200),Enqueue(400)";
-        "TryDequeue,TryDequeue";
-      ] );
-    ( "set-pcomp-accept",
-      0,
-      "check",
-      [ "-v"; "LazyListSet"; "Add(1),Remove(1)"; "Add(1),Contains(1)" ] );
-    ( "set-pcomp-reject",
+    "set-accept", 0, "check", [ "-v"; "LazyListSet"; "Add(1),Remove(1)"; "Add(1),Contains(1)" ];
+    ( "set-reject",
       1,
       "check",
       [
@@ -100,21 +90,24 @@ let golden_tests =
 
 (* ---- equivalence ---- *)
 
-(* The spec-specialized membership layer may change how a phase-2 history
-   is decided, never which histories are enumerated or what the verdict
-   is; and the streaming monitor, replaying the histories a check
-   recorded, must reach the check's verdict. Each row names a relation
-   that its runs must satisfy, with the arguments of its [check] (of its
-   stream, for [Stream_exits]). *)
+(* A layer that changes how the schedules are explored (--por, -j, worker
+   processes, the memory model when it is sc) must never change which
+   histories are checked or what the verdict is; and the streaming
+   monitor, replaying the histories a check recorded, must reach the
+   check's verdict. Each row names a relation that its runs must satisfy,
+   with the arguments of its [check] (of its stream, for
+   [Stream_exits]). *)
 type relation =
-  | Modes_agree
-      (** one run per --membership mode (generic, auto): equal exit codes
-          and histories_distinct and histories_fingerprint, and the generic
-          report byte-identical to the auto report *)
-  | Modes_fail  (** one run per --membership mode, each exiting 1 *)
   | Identical of string list list
       (** one run per extra argument list: byte-identical report, exit code
           and metrics *)
+  | Por_preserves
+      (** a run without --por and one with it: both exit 0, with equal
+          histories_distinct and histories_fingerprint, and no more phase-2
+          executions under --por *)
+  | Shard_agrees
+      (** [check -j 4 -v] and [shard-server --dir DIR --local 4 -v]:
+          byte-identical report, exit code and metrics *)
   | Default_is_sc
       (** a run without --memory and one with --memory sc: byte-identical
           report, exit code and metrics, and no flushes key in the
@@ -127,18 +120,17 @@ type relation =
       (** the arguments are the lines of a live NDJSON stream, and [monitor
           SPEC] exits [code] on it, read from a file or from stdin *)
 
-let modes = [ "generic"; "auto" ]
-
-let counter name metrics =
+(* the counter [key] of a --metrics file *)
+let counter key metrics =
   let ( let* ) = Option.bind in
   match
     let* json = Result.to_option (Lineup_observe.Ndjson.parse metrics) in
     let* counters = Lineup_observe.Ndjson.member "counters" json in
-    let* v = Lineup_observe.Ndjson.member ("analyze.lineup." ^ name) counters in
+    let* v = Lineup_observe.Ndjson.member key counters in
     Lineup_observe.Ndjson.to_int v
   with
   | Some n -> n
-  | None -> Alcotest.failf "no counter %s in the metrics" name
+  | None -> Alcotest.failf "no counter %s in the metrics" key
 
 (* The weak-memory --por -j row takes seconds a run (fenced, tso, --por
    -p 1); tier-1 runs it under an execution cap, and CI sets
@@ -146,35 +138,50 @@ let counter name metrics =
 let full_equivalence = Option.is_some (Sys.getenv_opt "LINEUP_FULL_EQUIVALENCE")
 
 let equivalences =
-  let agree args = Modes_agree, args and fail args = Modes_fail, args in
   let j1_j4 = Identical [ [ "-j"; "1" ]; [ "-j"; "4" ] ] in
+  let fig1 =
+    [
+      "ConcurrentQueue (Pre: timed lock in TryDequeue)"; "Enqueue(200),Enqueue(400)";
+      "TryDequeue,TryDequeue";
+    ]
+  in
+  let counter1 = [ "Counter1 (unlocked inc)"; "Inc,Get"; "Inc" ] in
   let fence_free = "DekkerCounter (Pre: missing store-load fence)" in
   let replay ?(extra = []) spec code args = Replay_agrees { spec; extra; code }, args in
   [
-    agree [ "ConcurrentQueue"; "Enqueue(200),TryDequeue"; "Enqueue(400),TryDequeue" ];
-    agree [ "ConcurrentStack"; "Push(1),TryPop"; "Push(2),TryPop" ];
-    agree [ "MichaelScottQueue"; "Enqueue(1),TryDequeue"; "Enqueue(2),TryDequeue" ];
-    agree [ "LazyListSet"; "Add(10),Remove(10)"; "Add(15),Contains(10)" ];
-    agree [ "ConcurrentDictionary"; "TryAdd(10),TryGet(10)"; "Set(20),TryRemove(20)" ];
-    agree [ "SemaphoreSlim"; "Wait"; "Release" ];
-    (* a value removed twice and then inserted again is ambiguous: the
-       engine must fall back to the generic search, never reject *)
-    agree [ "SegmentQueue"; "Enqueue(1),TryDequeue,TryDequeue"; "Enqueue(1)" ];
-    agree [ "ConcurrentStack (Pre: non-atomic TryPopRange)"; "Push(1),TryPop,TryPop"; "Push(1)" ];
-    (* seeded bugs are still caught in every mode *)
-    fail
-      [
-        "ConcurrentQueue (Pre: timed lock in TryDequeue)"; "Enqueue(200),Enqueue(400)";
-        "TryDequeue,TryDequeue";
-      ];
-    fail [ "ConcurrentStack (Pre: non-atomic TryPopRange)"; "Push(1),Push(2)"; "TryPopRange(2)" ];
-    fail [ "ManualResetEvent (Pre: lost signal)"; "Wait"; "Set" ];
-    (* the frontier split under the specialized path *)
-    ( j1_j4,
-      [
-        "ConcurrentQueue"; "Enqueue(200),TryDequeue"; "Enqueue(400),TryDequeue"; "-v";
-        "--membership"; "auto";
-      ] );
+    Exits 0, [ "ConcurrentQueue"; "Enqueue(200),TryDequeue"; "Enqueue(400),TryDequeue" ];
+    Exits 0, [ "ConcurrentStack"; "Push(1),TryPop"; "Push(2),TryPop" ];
+    Exits 0, [ "MichaelScottQueue"; "Enqueue(1),TryDequeue"; "Enqueue(2),TryDequeue" ];
+    Exits 0, [ "LazyListSet"; "Add(10),Remove(10)"; "Add(15),Contains(10)" ];
+    Exits 0, [ "ConcurrentDictionary"; "TryAdd(10),TryGet(10)"; "Set(20),TryRemove(20)" ];
+    Exits 0, [ "SemaphoreSlim"; "Wait"; "Release" ];
+    (* a value removed twice and then inserted again: no false alarm *)
+    Exits 0, [ "SegmentQueue"; "Enqueue(1),TryDequeue,TryDequeue"; "Enqueue(1)" ];
+    Exits 0, [ "ConcurrentStack (Pre: non-atomic TryPopRange)"; "Push(1),TryPop,TryPop"; "Push(1)" ];
+    (* seeded bugs are caught, also under --por *)
+    Exits 1, fig1;
+    Exits 1, fig1 @ [ "--por" ];
+    Exits 1, counter1;
+    Exits 1, counter1 @ [ "--por" ];
+    Exits 1, [ "ConcurrentStack (Pre: non-atomic TryPopRange)"; "Push(1),Push(2)"; "TryPopRange(2)" ];
+    Exits 1, [ "ManualResetEvent (Pre: lost signal)"; "Wait"; "Set" ];
+    (* the reduction changes how many schedules run, never what is
+       observed *)
+    Por_preserves, [ "Counter"; "Inc,Get"; "Inc,Get" ];
+    Por_preserves, [ "ConcurrentBag"; "Add(1),TryTake"; "Add(2),TryTake" ];
+    Por_preserves, [ "ConcurrentStack"; "Push(1),TryPop"; "Push(2),TryPop" ];
+    Por_preserves, [ "MichaelScottQueue"; "Enqueue(1),TryDequeue"; "Enqueue(2),TryDequeue" ];
+    (* the frontier split, also under --por *)
+    j1_j4, [ "ConcurrentQueue"; "Enqueue(200),TryDequeue"; "Enqueue(400),TryDequeue"; "-v" ];
+    j1_j4, [ "ConcurrentBag"; "Add(10),Add(20)"; "TryTake"; "-v"; "--por" ];
+    (* worker processes and checkpoints are invisible in the output, on
+       passing and failing classes and on the witness search, whose probe
+       counts follow the candidate order the workers' observation must
+       keep *)
+    Shard_agrees, [ "ConcurrentQueue"; "Enqueue(200),TryDequeue"; "Enqueue(400),TryDequeue" ];
+    Shard_agrees, [ "ConcurrentStack"; "Push(1),TryPop"; "Push(2),TryPop" ];
+    Shard_agrees, [ "ManualResetEvent (Pre: lost signal)"; "Wait"; "Set" ];
+    Shard_agrees, [ "Counter"; "Inc,Get"; "Inc,Get"; "Get"; "--max-executions"; "3000" ];
     (* the weak-memory layer is invisible until asked for *)
     Default_is_sc, [ "Counter"; "Inc,Get"; "Inc,Get"; "-v" ];
     Default_is_sc, [ "ConcurrentQueue"; "Enqueue(1),TryDequeue"; "Enqueue(2),TryDequeue"; "-v" ];
@@ -192,11 +199,7 @@ let equivalences =
     (* the streaming monitor replays a check's recording to the check's
        verdict, on passing and seeded-bug classes, and under -j 4 *)
     replay "queue" 0 [ "ConcurrentQueue"; "Enqueue(200),TryDequeue"; "Enqueue(400),TryDequeue" ];
-    replay "queue" 1
-      [
-        "ConcurrentQueue (Pre: timed lock in TryDequeue)"; "Enqueue(200),Enqueue(400)";
-        "TryDequeue,TryDequeue";
-      ];
+    replay "queue" 1 fig1;
     replay "stack" 0 [ "ConcurrentStack"; "Push(1),TryPop"; "Push(2),TryPop" ];
     replay "set" 0 [ "LazyListSet"; "Add(10),Remove(10)"; "Add(15),Contains(10)" ];
     replay ~extra:[ "-j"; "4" ] "set" 0
@@ -230,11 +233,11 @@ let equivalences =
 
 let row_name (relation, args) =
   match relation with
-  | Modes_agree -> "membership modes agree: " ^ List.hd args
-  | Modes_fail -> "every membership mode exits 1: " ^ List.hd args
   | Identical variants ->
     String.concat " and " (List.map (String.concat " ") variants)
     ^ " are byte-identical: " ^ List.hd args
+  | Por_preserves -> "--por preserves the distinct histories: " ^ List.hd args
+  | Shard_agrees -> "check -j 4 and shard-server --local 4 are byte-identical: " ^ List.hd args
   | Default_is_sc -> "the default and --memory sc are byte-identical: " ^ List.hd args
   | Exits code -> Fmt.str "check exits %d: %s" code (String.concat " " args)
   | Replay_agrees { spec; extra; code } ->
@@ -259,11 +262,11 @@ let equivalence_tests =
   List.map
     (fun ((relation, args) as row) ->
       test (row_name row) (fun () ->
-          (* the runs of [args] with each extra argument list agree byte for
-             byte; the first run's exit code, report and metrics *)
-          let identical variants =
-            match run_cli_all (List.map (fun extra -> "check", args @ extra) variants) with
-            | [] -> invalid_arg "no variants"
+          (* the runs agree byte for byte; the first run's exit code, report
+             and metrics *)
+          let agree runs =
+            match run_cli_all runs with
+            | [] -> invalid_arg "no runs"
             | ((code, report, metrics) as first) :: rest ->
               List.iter
                 (fun (code', report', metrics') ->
@@ -273,29 +276,30 @@ let equivalence_tests =
                 rest;
               first
           in
-          let in_modes () =
-            List.combine modes
-              (run_cli_all (List.map (fun mode -> "check", args @ [ "--membership"; mode ]) modes))
-          in
+          (* the runs of [args] with each extra argument list agree *)
+          let identical variants = agree (List.map (fun extra -> "check", args @ extra) variants) in
           match relation with
-          | Modes_agree ->
-            let runs = in_modes () in
-            let gen_code, gen_report, gen_metrics = List.assoc "generic" runs in
-            List.iter
-              (fun (mode, (code, report, metrics)) ->
-                Alcotest.(check int) (mode ^ " exit code") gen_code code;
-                if mode = "auto" then Alcotest.(check string) "auto report" gen_report report;
-                List.iter
-                  (fun k ->
-                    Alcotest.(check int) (mode ^ " " ^ k) (counter k gen_metrics)
-                      (counter k metrics))
-                  [ "histories_distinct"; "histories_fingerprint" ])
-              runs
-          | Modes_fail ->
-            List.iter
-              (fun (mode, (code, _, _)) -> Alcotest.(check int) ("--membership " ^ mode) 1 code)
-              (in_modes ())
           | Identical variants -> ignore (identical variants)
+          | Por_preserves -> (
+            match run_cli_all [ "check", args; "check", args @ [ "--por" ] ] with
+            | [ (off_code, _, off); (on_code, _, on) ] ->
+              Alcotest.(check int) "exit code" 0 off_code;
+              Alcotest.(check int) "--por exit code" 0 on_code;
+              List.iter
+                (fun k -> Alcotest.(check int) k (counter k off) (counter k on))
+                [ "analyze.lineup.histories_distinct"; "analyze.lineup.histories_fingerprint" ];
+              let executions = counter "explore.phase2.executions" in
+              Alcotest.(check bool) "no more executions under --por" true
+                (executions on <= executions off)
+            | _ -> assert false)
+          | Shard_agrees ->
+            with_temp_dir (fun dir ->
+                ignore
+                  (agree
+                     [
+                       "check", args @ [ "-j"; "4"; "-v" ];
+                       "shard-server", args @ [ "--dir"; dir; "--local"; "4"; "-v" ];
+                     ]))
           | Default_is_sc ->
             let _, _, metrics = identical [ []; [ "--memory"; "sc" ] ] in
             Alcotest.(check bool) "no flushes key in the sc metrics" false

@@ -1,17 +1,18 @@
-(* Phase 2's spec-specialized membership route — one history fed whole to
-   the engine of its class ([Engine.decide]) — cross-validated against the
-   generic machinery it replaces:
+(* The engines of [lineup monitor], each fed one whole history
+   ([decide]), cross-validated against the Wing–Gong oracle ([Lin_check]),
+   and phase 2's verdicts:
 
-   - the queue/stack decrease-and-conquer engines against the Wing–Gong
-     oracle on random synthetic histories — both accepting and rejecting
-     ones, which harness-produced histories of correct implementations
-     cannot provide;
-   - the per-key set/dictionary engine against the whole-history oracle,
-     on synthetic set histories and on every history the harness actually
-     produces for the set/dictionary adapters (correct and seeded-bug);
-   - [Check.run] end-to-end: --membership auto against generic on
-     correct, seeded-bug and blocking adapters — same verdict, same
-     distinct-history count (the modes may only differ in wall-clock);
+   - the queue/stack decrease-and-conquer engines against the oracle on
+     random synthetic histories — both accepting and rejecting ones,
+     which harness-produced histories of correct implementations cannot
+     provide;
+   - the per-key set/dictionary engine against the oracle on synthetic
+     set histories;
+   - every engine against the oracle on every complete history the
+     harness explores for the queue, stack, set and dictionary adapters
+     (correct and seeded-bug);
+   - [Check.run] end-to-end on correct, seeded-bug and blocking adapters:
+     the verdict and the distinct-history count;
    - [Lin_check]'s structured [`Unsupported] on >62-operation histories
      (the legacy entry points still raise), and the per-key engine
      deciding a 63-operation history the direct search refuses;
@@ -92,8 +93,15 @@ let random_set_ops rng =
 
 let seed_arb = QCheck.make QCheck.Gen.small_signed_int
 
-(* The engine route of phase 2 for a declared spec. *)
-let engine spec h = Engine.decide ~spec:(Spec.Packed spec) h
+(* [decide spec h]: a fresh engine of [spec]'s class with [lineup
+   monitor]'s default bounds, fed every event of [h], then finalized *)
+let decide spec h =
+  let e =
+    Engine.create ~spec:(Spec.Packed spec) ~min_batch:Engine.default_min_batch
+      ~max_window:Engine.default_max_window
+  in
+  List.iter (Engine.feed e) (History.events h);
+  Engine.finalize e
 
 (* ---------------- monitor vs the Wing–Gong oracle ---------------- *)
 
@@ -102,7 +110,7 @@ let monitor_agrees ~name ~spec ~insert ~remove =
     (QCheck.Test.make ~name ~count:500 seed_arb (fun seed ->
          let rng = Random.State.make [| seed |] in
          let h = interleave rng (random_lifo_fifo_ops rng ~insert ~remove) in
-         match engine spec h, Lin_check.decide spec h with
+         match decide spec h, Lin_check.decide spec h with
          | Monitor.Accept, Monitor.Accept | Monitor.Reject, Monitor.Reject -> true
          | Monitor.Unsupported _, _ ->
            (* distinct insert values + complete histories: the monitor must
@@ -133,7 +141,7 @@ let monitor_units =
               call 1 1 "TryDequeue" (); ret 1 1 (Value.int 1);
             ]
         in
-        Alcotest.(check bool) "rejected" true (engine Specs.queue h = Monitor.Reject);
+        Alcotest.(check bool) "rejected" true (decide Specs.queue h = Monitor.Reject);
         Alcotest.check verdict "oracle agrees" Spec.Reject (Lin_check.decide Specs.queue h));
     test "monitor: covered empty dequeue rejected" (fun () ->
         let h =
@@ -143,7 +151,7 @@ let monitor_units =
               call 1 0 "TryDequeue" (); ret 1 0 Value.Fail;
             ]
         in
-        Alcotest.(check bool) "rejected" true (engine Specs.queue h = Monitor.Reject));
+        Alcotest.(check bool) "rejected" true (decide Specs.queue h = Monitor.Reject));
     test "monitor: overlapping enqueues accept either dequeue order" (fun () ->
         let h =
           history
@@ -155,7 +163,7 @@ let monitor_units =
               call 1 1 "TryDequeue" (); ret 1 1 (Value.int 1);
             ]
         in
-        Alcotest.(check bool) "accepted" true (engine Specs.queue h = Monitor.Accept));
+        Alcotest.(check bool) "accepted" true (decide Specs.queue h = Monitor.Accept));
     test "monitor: LIFO pop order rejected on a queue, accepted on a stack" (fun () ->
         let events insert remove =
           [
@@ -166,21 +174,20 @@ let monitor_units =
           ]
         in
         Alcotest.(check bool) "stack accepts" true
-          (engine Specs.stack (history (events "Push" "TryPop")) = Monitor.Accept);
+          (decide Specs.stack (history (events "Push" "TryPop")) = Monitor.Accept);
         Alcotest.(check bool) "queue rejects" true
-          (engine Specs.queue (history (events "Enqueue" "TryDequeue")) = Monitor.Reject));
+          (decide Specs.queue (history (events "Enqueue" "TryDequeue")) = Monitor.Reject));
     test "monitor: pending operation is Unsupported" (fun () ->
         let h =
           history ~stuck:true [ call 0 0 "Enqueue" ~arg:(Value.int 1) (); ret 0 0 u; call 1 0 "TryDequeue" () ]
         in
-        match engine Specs.queue h with
+        match decide Specs.queue h with
         | Monitor.Unsupported _ -> ()
         | _ -> Alcotest.fail "expected Unsupported on a pending op");
     test "monitor: a value removed twice, then inserted again, is Unsupported" (fun () ->
         (* The second dequeue of 1 is called before the second enqueue of
            1 and returns after it: linearizable, but the value is
-           ambiguous. The engine must answer Unsupported (phase 2 then
-           falls back to the generic search), never Reject. *)
+           ambiguous. The engine must answer Unsupported, never Reject. *)
         let h =
           history
             [
@@ -192,7 +199,7 @@ let monitor_units =
             ]
         in
         Alcotest.check verdict "the oracle accepts" Spec.Accept (Lin_check.decide Specs.queue h);
-        match engine Specs.queue h with
+        match decide Specs.queue h with
         | Monitor.Unsupported _ -> ()
         | v -> Alcotest.failf "expected Unsupported, got %a" (Alcotest.pp verdict) v);
   ]
@@ -206,13 +213,13 @@ let pcomp_props =
          ~count:500 seed_arb (fun seed ->
              let rng = Random.State.make [| seed + 31 |] in
              let h = interleave rng (random_set_ops rng) in
-             match engine Specs.key_set h, Lin_check.decide Specs.key_set h with
+             match decide Specs.key_set h, Lin_check.decide Specs.key_set h with
              | Spec.Accept, Spec.Accept | Spec.Reject, Spec.Reject -> true
              | Spec.Unsupported _, _ -> false (* every op here is keyed *)
              | _ -> false));
   ]
 
-(* every history the harness actually produces for the keyed adapters *)
+(* every history the harness actually produces for an adapter *)
 let explore_histories adapter test ~cap =
   let histories = ref [] in
   let config = { Explore.default_config with Explore.max_executions = Some cap } in
@@ -223,17 +230,17 @@ let explore_histories adapter test ~cap =
   in
   !histories
 
-let pcomp_harness_tests =
-  let check_adapter name adapter packed columns =
-    let (Spec.Packed spec) = packed in
-    test (Fmt.str "pcomp agrees on every explored %s history" name) (fun () ->
+let engine_harness_tests =
+  let check_adapter name adapter spec columns =
+    test (Fmt.str "the engine agrees with the oracle on every explored %s history" name)
+      (fun () ->
         let histories = explore_histories adapter (Test_matrix.make columns) ~cap:400 in
         let decided = ref 0 in
         List.iter
           (fun h ->
             if not (History.is_stuck h) then
-              match Engine.decide ~spec:packed h with
-              | Spec.Unsupported _ -> () (* unkeyed op (Count/Clear/...) *)
+              match decide spec h with
+              | Spec.Unsupported _ -> () (* an op outside the engine's fragment *)
               | (Spec.Accept | Spec.Reject) as v ->
                 incr decided;
                 Alcotest.check verdict "the oracle agrees" v (Lin_check.decide spec h))
@@ -241,124 +248,79 @@ let pcomp_harness_tests =
         Alcotest.(check bool) "some histories were decided" true (!decided > 0))
   in
   [
-    check_adapter "LazyListSet" Conc.Lazy_list_set.correct (Spec.Packed Specs.key_set)
+    check_adapter "ConcurrentQueue" Conc.Concurrent_queue.correct Specs.queue
+      [ [ inv_int "Enqueue" 200; inv "TryDequeue" ]; [ inv_int "Enqueue" 400; inv "TryDequeue" ] ];
+    check_adapter "ConcurrentQueue (Pre)" Conc.Concurrent_queue.pre Specs.queue
+      [ [ inv_int "Enqueue" 200; inv_int "Enqueue" 400 ]; [ inv "TryDequeue"; inv "TryDequeue" ] ];
+    check_adapter "MichaelScottQueue" Conc.Michael_scott_queue.adapter Specs.queue
+      [ [ inv_int "Enqueue" 1; inv "TryDequeue" ]; [ inv_int "Enqueue" 2; inv "TryDequeue" ] ];
+    check_adapter "SegmentQueue" Conc.Segment_queue.adapter Specs.queue
+      [ [ inv_int "Enqueue" 1; inv "TryDequeue" ]; [ inv_int "Enqueue" 2; inv "TryDequeue" ] ];
+    check_adapter "ConcurrentStack" Conc.Concurrent_stack.correct Specs.stack
+      [ [ inv_int "Push" 1; inv "TryPop" ]; [ inv_int "Push" 2; inv "TryPop" ] ];
+    check_adapter "LazyListSet" Conc.Lazy_list_set.correct Specs.key_set
       [ [ inv_int "Add" 10; inv_int "Remove" 10 ]; [ inv_int "Add" 15; inv_int "Contains" 10 ] ];
-    check_adapter "LazyListSet (Pre)" Conc.Lazy_list_set.pre (Spec.Packed Specs.key_set)
+    check_adapter "LazyListSet (Pre)" Conc.Lazy_list_set.pre Specs.key_set
       [ [ inv_int "Add" 10; inv_int "Remove" 10 ]; [ inv_int "Contains" 10; inv_int "Add" 10 ] ];
-    check_adapter "ConcurrentDictionary" Conc.Concurrent_dictionary.adapter
-      (Spec.Packed Specs.dictionary)
+    check_adapter "ConcurrentDictionary" Conc.Concurrent_dictionary.adapter Specs.dictionary
       [ [ inv_int "TryAdd" 10; inv_int "TryGet" 10 ]; [ inv_int "Set" 10; inv_int "TryRemove" 10 ] ];
   ]
 
-(* ---------------- Check.run: auto vs generic ---------------- *)
+(* ---------------- Check.run: verdicts ---------------- *)
 
+(* name, adapter, test, whether the check fails, distinct phase-2
+   histories *)
 let e2e_matrix =
   [
-    (* correct keyed/monitored classes *)
+    (* correct collection classes *)
     "ConcurrentQueue", Conc.Concurrent_queue.correct,
     Test_matrix.make
       [ [ inv_int "Enqueue" 200; inv "TryDequeue" ]; [ inv_int "Enqueue" 400; inv "TryDequeue" ] ],
-    false;
+    false, 126;
     "ConcurrentStack", Conc.Concurrent_stack.correct,
     Test_matrix.make [ [ inv_int "Push" 1; inv "TryPop" ]; [ inv_int "Push" 2; inv "TryPop" ] ],
-    false;
+    false, 134;
     "LazyListSet", Conc.Lazy_list_set.correct,
     Test_matrix.make
       [ [ inv_int "Add" 10; inv_int "Remove" 10 ]; [ inv_int "Add" 15; inv_int "Contains" 10 ] ],
-    false;
+    false, 118;
     "ConcurrentDictionary", Conc.Concurrent_dictionary.adapter,
     Test_matrix.make
       [ [ inv_int "TryAdd" 10; inv_int "TryGet" 10 ]; [ inv_int "Set" 20; inv_int "TryRemove" 20 ] ],
-    false;
-    (* seeded bugs: every mode must still fail *)
+    false, 70;
+    (* seeded bugs *)
     "ConcurrentQueue (Pre)", Conc.Concurrent_queue.pre,
     Test_matrix.make
       [ [ inv_int "Enqueue" 200; inv_int "Enqueue" 400 ]; [ inv "TryDequeue"; inv "TryDequeue" ] ],
-    true;
+    true, 6;
     "ConcurrentStack (Pre)", Conc.Concurrent_stack.pre,
     Test_matrix.make [ [ inv_int "Push" 1; inv_int "Push" 2 ]; [ inv_int "TryPopRange" 2 ] ],
-    true;
-    (* the seeded set bug needs a non-empty init, which also exercises the
-       spec-advance-over-init path of the dispatch *)
+    true, 6;
+    (* the seeded set bug needs a non-empty init *)
     "LazyListSet (Pre)", Conc.Lazy_list_set.pre,
     Test_matrix.make ~init:[ inv_int "Add" 10 ]
       [ [ inv_int "Remove" 10 ]; [ inv_int "Add" 15; inv_int "Contains" 15 ] ],
-    true;
+    true, 6;
     "ConcurrentDictionary (Pre)", Conc.Concurrent_dictionary.pre,
     Test_matrix.make [ [ inv_int "TryAdd" 10; inv_int "TryAdd" 20; inv "Clear" ]; [ inv "Count" ] ],
-    true;
-    (* blocking classes: the stuck paths of every mode *)
+    true, 4;
+    (* blocking classes: Definition 2 on stuck histories *)
     "ManualResetEvent (lost signal)", Conc.Manual_reset_event.lost_signal,
-    Test_matrix.make [ [ inv "Wait" ]; [ inv "Set" ] ], true;
+    Test_matrix.make [ [ inv "Wait" ]; [ inv "Set" ] ], true, 3;
     "SemaphoreSlim", Conc.Semaphore_slim.correct,
-    Test_matrix.make [ [ inv "Wait" ]; [ inv "Release" ] ], false;
+    Test_matrix.make [ [ inv "Wait" ]; [ inv "Release" ] ], false, 5;
   ]
-
-let run_with membership adapter matrix =
-  Check.run ~config:(Check.config_with ~membership ()) adapter matrix
 
 let e2e_tests =
   List.map
-    (fun (name, adapter, matrix, expect_fail) ->
-      test (Fmt.str "auto verdicts match generic: %s" name) (fun () ->
-          let generic = run_with Check.Generic adapter matrix in
-          let auto = run_with Check.Auto adapter matrix in
-          Alcotest.(check bool) "generic verdict as expected" expect_fail (Check.failed generic);
-          Alcotest.(check bool) "auto = generic (pass)" (Check.passed generic) (Check.passed auto);
-          Alcotest.(check bool) "auto = generic (fail)" (Check.failed generic) (Check.failed auto);
-          let histories r =
-            match r.Check.phase2 with Some p -> p.Check.histories | None -> -1
-          in
-          Alcotest.(check int) "auto sees the same distinct histories" (histories generic)
-            (histories auto)))
+    (fun (name, adapter, matrix, expect_fail, distinct) ->
+      test (Fmt.str "check verdict and distinct histories: %s" name) (fun () ->
+          let r = Check.run adapter matrix in
+          Alcotest.(check bool) "fails" expect_fail (Check.failed r);
+          Alcotest.(check bool) "passes" (not expect_fail) (Check.passed r);
+          Alcotest.(check int) "distinct histories" distinct
+            (match r.Check.phase2 with Some p -> p.Check.histories | None -> -1)))
     e2e_matrix
-
-(* ---------------- fallback counting ---------------- *)
-
-let lineup_counters ~membership adapter matrix =
-  let m = Lineup_observe.Metrics.create () in
-  let r = Check.run ~config:(Check.config_with ~membership ()) ~metrics:m adapter matrix in
-  Alcotest.(check bool) "passes" true (Check.passed r);
-  fun k -> Lineup_observe.Metrics.get m ("analyze.lineup." ^ k)
-
-let fallback_tests =
-  [
-    test "auto: stuck histories go straight to the generic search, no fallback" (fun () ->
-        (* A declared spec that blocks on the test's init Release, while
-           the implementation runs the init fine: three Waits on one permit
-           leave every phase-2 history stuck with two pending Waits. *)
-        let base = Specs.semaphore ~initial:0 in
-        let spec =
-          {
-            base with
-            Spec.step =
-              (fun st (i : Lineup_history.Invocation.t) ->
-                if i.name = "Release" then Spec.Blocked else base.Spec.step st i);
-          }
-        in
-        let get =
-          lineup_counters ~membership:Check.Auto
-            { Conc.Semaphore_slim.correct with Adapter.spec = Some (Spec.Packed spec) }
-            (Test_matrix.make ~init:[ inv "Release" ]
-               [ [ inv "Wait" ]; [ inv "Wait" ]; [ inv "Wait" ] ])
-        in
-        Alcotest.(check int) "no fallback" 0 (get "membership_fallbacks");
-        Alcotest.(check int) "one generic Definition-2 check per history"
-          (get "histories_distinct") (get "stuck_checks"));
-    test "auto: a queue after an init sequence has no engine, one fallback per history"
-      (fun () ->
-        (* the queue monitor assumes an empty queue *)
-        let get =
-          lineup_counters ~membership:Check.Auto Conc.Concurrent_queue.correct
-            (Test_matrix.make ~init:[ inv_int "Enqueue" 1 ]
-               [ [ inv "TryDequeue" ]; [ inv_int "Enqueue" 2 ] ])
-        in
-        let complete = get "witness_searches" in
-        Alcotest.(check bool) "complete histories were decided" true (complete > 0);
-        Alcotest.(check int) "one fallback per complete history" complete
-          (get "membership_fallbacks");
-        Alcotest.(check int) "no engine decision" 0 (get "membership_monitor"));
-  ]
 
 (* ---------------- the 62-operation boundary ---------------- *)
 
@@ -392,7 +354,7 @@ let oversize_tests =
         (match Lin_check.decide Specs.key_set h with
          | Spec.Unsupported _ -> ()
          | _ -> Alcotest.fail "direct search should refuse 63 ops");
-        match engine Specs.key_set h with
+        match decide Specs.key_set h with
         | Monitor.Accept -> ()
         | Monitor.Reject -> Alcotest.fail "serial alternation is linearizable"
         | Monitor.Unsupported r -> Alcotest.failf "the per-key engine refused: %s" r);
@@ -438,5 +400,5 @@ let minimize_tests =
   ]
 
 let tests =
-  monitor_props @ monitor_units @ pcomp_props @ pcomp_harness_tests @ e2e_tests @ fallback_tests
-  @ oversize_tests @ minimize_tests
+  monitor_props @ monitor_units @ pcomp_props @ engine_harness_tests @ e2e_tests @ oversize_tests
+  @ minimize_tests

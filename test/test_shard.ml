@@ -29,18 +29,6 @@ let bag3_test =
   Test_matrix.make
     [ [ inv_int "Add" 10; inv "TryTake" ]; [ inv_int "Add" 20; inv "TryTake" ]; [ inv "TryTake" ] ]
 
-let with_temp_dir f =
-  let dir = Filename.temp_file "lineup" "shard" in
-  Sys.remove dir;
-  let rec rm path =
-    if Sys.is_directory path then begin
-      Array.iter (fun e -> rm (Filename.concat path e)) (Sys.readdir path);
-      Sys.rmdir path
-    end
-    else Sys.remove path
-  in
-  Fun.protect ~finally:(fun () -> if Sys.file_exists dir then rm dir) (fun () -> f dir)
-
 (* The observation a worker (or a resumed server) sees: the phase-1 set
    written to its Fig. 7 XML, parsed back and rebuilt. *)
 let round_trip observation =
@@ -78,7 +66,7 @@ let stats_t : Explore.stats Alcotest.testable = Alcotest.testable Explore.pp_sta
 (* Plant every partition of a fresh sweep under a [stale] format-version
    header; none of them may load. *)
 let stale_version_skipped stale =
-  Alcotest.(check int) "current format version" 8 Store.format_version;
+  Alcotest.(check int) "current format version" 9 Store.format_version;
   with_temp_dir (fun dir ->
       let adapter = Conc.Counters.correct in
       let fingerprint =
@@ -216,11 +204,11 @@ let store_suite =
                the checkpointed observation XML, and with it the probe
                counts of partitions run on it; version 6 dropped a field
                from the marshaled stats record; version 7 sealed every
-               payload behind its digest; version 8 dropped a counter from
-               the marshaled Line-Up state. An older part must read as
+               payload behind its digest; versions 8 and 9 dropped counters
+               from the marshaled Line-Up state. An older part must read as
                stale, never be unmarshaled or merged into a newer sweep. *)
             stale_version_skipped stale))
-      [ 2; 3; 4; 5; 6; 7 ]
+      [ 2; 3; 4; 5; 6; 7; 8 ]
   @ [
       test "a checkpoint with a flipped payload bit is skipped" (fun () ->
           (* Unmarshaling a corrupt payload is undefined behaviour: without
@@ -319,8 +307,16 @@ let recv_frame recv frame =
       Unix.close a;
       recv b)
 
-(* the length and its complement *)
-let header_bits = 8 * 8
+(* the wire version, the length and its complement *)
+let header_bits = 12 * 8
+
+(* a frame header: [wire], [len] and its complement *)
+let header_of ?(wire = Wire.wire_version) len =
+  let header = Bytes.create 12 in
+  Bytes.set_int32_be header 0 (Int32.of_int wire);
+  Bytes.set_int32_be header 4 (Int32.of_int len);
+  Bytes.set_int32_be header 8 (Int32.lognot (Int32.of_int len));
+  header
 
 let flip s bit =
   let b = Bytes.of_string s in
@@ -336,10 +332,9 @@ let wire_suite =
             (try Unix.close a with Unix.Unix_error _ -> ());
             try Unix.close b with Unix.Unix_error _ -> ())
           (fun () ->
-            Wire.send_to_server a (Wire.Hello { wire = Wire.wire_version });
+            Wire.send_to_server a Wire.Hello;
             (match Wire.recv_to_server b with
-             | Some (Wire.Hello { wire }) ->
-               Alcotest.(check int) "hello carries the wire version" Wire.wire_version wire
+             | Some Wire.Hello -> ()
              | _ -> Alcotest.fail "expected Hello");
             Wire.send_to_server a (Wire.Failed { index = 7; message = "boom" });
             (match Wire.recv_to_server b with
@@ -388,12 +383,8 @@ let wire_suite =
             | _ -> Alcotest.fail "expected Shutdown"));
     test "a truncated frame or closed peer reads as None" (fun () ->
         let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        (* a header promising 100 bytes (the length, then its
-           complement), then EOF *)
-        let partial = Bytes.create 8 in
-        Bytes.set_int32_be partial 0 100l;
-        Bytes.set_int32_be partial 4 (Int32.lognot 100l);
-        ignore (Unix.write a partial 0 8);
+        (* a header promising 100 bytes, then EOF *)
+        ignore (Unix.write a (header_of 100) 0 12);
         Unix.close a;
         Alcotest.(check bool) "truncated frame" true (Option.is_none (Wire.recv_to_server b));
         Alcotest.(check bool) "closed peer" true (Option.is_none (Wire.recv_to_server b));
@@ -412,12 +403,37 @@ let wire_suite =
           if Option.is_some (recv_frame Wire.recv_to_server (flip frame bit)) then
             Alcotest.failf "bit %d flipped: the frame still decoded" bit
         done);
-    test "a version-3 frame, its length without the complement, reads as None" (fun () ->
-        let payload = Lineup_shard.Sealed.marshal (Wire.Hello { wire = 3 }) in
-        let header = Bytes.create 4 in
-        Bytes.set_int32_be header 0 (Int32.of_int (String.length payload));
-        Alcotest.(check bool) "None" true
-          (Option.is_none (recv_frame Wire.recv_to_server (Bytes.to_string header ^ payload))));
+    test "frames of other wire versions read as None" (fun () ->
+        (* version 3 sent the length alone, version 4 the length and its
+           complement, neither the version *)
+        let payload = Lineup_shard.Sealed.marshal Wire.Hello in
+        let header ?wire () = Bytes.to_string (header_of ?wire (String.length payload)) in
+        (match recv_frame Wire.recv_to_server (header () ^ payload) with
+         | Some Wire.Hello -> ()
+         | _ -> Alcotest.fail "the current frame must decode");
+        List.iter
+          (fun (what, header) ->
+            Alcotest.(check bool) what true
+              (Option.is_none (recv_frame Wire.recv_to_server (header ^ payload))))
+          [
+            "version 3", String.sub (header ()) 4 4;
+            "version 4", String.sub (header ()) 4 8;
+            "stamped 4", header ~wire:4 ();
+            "stamped 6", header ~wire:6 ();
+          ]);
+    test "a consistent header claiming max_payload allocates what arrived, not the claim"
+      (fun () ->
+        let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        Fun.protect
+          ~finally:(fun () -> Unix.close b)
+          (fun () ->
+            ignore (Unix.write a (header_of Wire.max_payload) 0 12);
+            ignore (Unix.write a (Bytes.make 100 'x') 0 100);
+            Unix.close a;
+            let before = Gc.allocated_bytes () in
+            Alcotest.(check bool) "None" true (Option.is_none (Wire.recv_to_server b));
+            let grown = Gc.allocated_bytes () -. before in
+            if grown >= 1048576. then Alcotest.failf "recv allocated %.0f bytes" grown));
     test "a frame with any flipped header bit reads as None while the writer stays open"
       (fun () ->
         (* The digest covers the payload only: a flip that grew an
@@ -535,11 +551,10 @@ let merge_suite =
         Alcotest.(check string) "metrics registry" (Metrics.to_json m_ref)
           (Metrics.to_json m_shard));
     test "merge is byte-identical on the generic witness search (3 columns)" (fun () ->
-        (* [config] runs phase 2 on two domains. The counter's histories
-           fall back to the generic search, whose probe counts depend on
-           the order of each key's candidates: the workers' rebuilt
-           observation must probe them in the order of the in-process
-           one. *)
+        (* [config] runs phase 2 on two domains. The witness search's
+           probe counts depend on the order of each key's candidates: the
+           workers' rebuilt observation must probe them in the order of
+           the in-process one. *)
         let adapter = Conc.Counters.correct in
         let m_ref = Metrics.create () in
         let reference = Check.run ~config ~metrics:m_ref adapter counter3_test in
@@ -560,9 +575,7 @@ let merge_suite =
            rebuilds from the XML must decide every history with the same
            probes as the observation phase 1 built. Preemption bound 0
            keeps the complete phase 2 small. *)
-        let config =
-          Check.config_with ~preemption_bound:(Some 0) ~membership:Check.Generic ()
-        in
+        let config = Check.config_with ~preemption_bound:(Some 0) () in
         List.iter
           (fun (adapter, test) ->
             match Check.synthesize ~config adapter test with
@@ -697,7 +710,7 @@ let fuzz_suite =
             && Option.is_none (recv_frame Wire.recv_to_worker f)));
     mutated_frames_decode ~name:"wire: mutated frames to the server read as None or intact"
       Wire.send_to_server Wire.recv_to_server
-      [ Wire.Hello { wire = Wire.wire_version }; Wire.Failed { index = 7; message = "boom" } ];
+      [ Wire.Hello; Wire.Failed { index = 7; message = "boom" } ];
     mutated_frames_decode ~name:"wire: mutated frames to a worker read as None or intact"
       Wire.send_to_worker Wire.recv_to_worker
       [ Wire.Task { index = 3; prefix = "t0.1.c2" }; Wire.Shutdown ];
