@@ -190,15 +190,18 @@ let auto_cmd_run name max_tests pb cap por memory domains metrics_file trace_fil
 let observe_cmd_run name columns output =
   match adapter_and_test name columns with
   | Error e -> `Error (false, e)
-  | Ok (adapter, test) ->
-    let r = Check.run ~config:{ Check.default_config with phase2 = { Explore.serial_config with max_executions = Some 0 } } adapter test in
-    let xml = Observation_file.to_string r.Check.observation in
-    (match output with
-     | Some path ->
-       Observation_file.save ~path r.Check.observation;
-       Fmt.pr "wrote %d serial histories to %s@." r.Check.phase1.Check.histories path
-     | None -> Fmt.pr "%s@." xml);
-    `Ok 0
+  | Ok (adapter, test) -> (
+    match Check.synthesize adapter test with
+    | Error (verdict, phase1) ->
+      Fmt.pr "%s@." (Report.summary (Check.phase1_failed verdict phase1));
+      `Ok exit_violation
+    | Ok (observation, phase1) ->
+      (match output with
+       | Some path ->
+         Observation_file.save ~path observation;
+         Fmt.pr "wrote %d serial histories to %s@." phase1.Check.histories path
+       | None -> Fmt.pr "%s@." (Observation_file.to_string observation));
+      `Ok 0)
 
 let minimize_cmd_run name columns pb memory cancel_polls =
   match adapter_and_test name columns with
@@ -536,7 +539,8 @@ let observe_cmd =
     Arg.(value & opt (some string) None & info [ "o"; "output" ] ~doc:"Observation file path.")
   in
   Cmd.v
-    (Cmd.info "observe" ~doc:"Run phase 1 only and emit the observation file (Fig. 7)")
+    (Cmd.info "observe" ~exits:gate_exits
+       ~doc:"Run phase 1 only and emit the observation file (Fig. 7)")
     Term.(ret (const observe_cmd_run $ name_arg $ columns_arg $ output))
 
 let minimize_cmd =
@@ -741,9 +745,8 @@ let monitor_cmd_run spec_name file replay follow jobs min_batch max_window queue
           end
           else begin
             let outcome = Lineup_monitor.Driver.run ~spec ~opts ?metrics ic in
-            Fmt.pr "monitor: %d ops, %d windows, %d shards, resident peak %d — %s@."
+            Fmt.pr "monitor: %d ops, %d windows, resident peak %d — %s@."
               outcome.Lineup_monitor.Driver.ops outcome.Lineup_monitor.Driver.windows
-              outcome.Lineup_monitor.Driver.shards
               outcome.Lineup_monitor.Driver.resident_peak
               (verdict_name outcome.Lineup_monitor.Driver.verdict);
             if outcome.Lineup_monitor.Driver.sheds > 0 then
@@ -811,9 +814,8 @@ let monitor_cmd =
       & opt domain_count 1
       & info [ "j"; "jobs"; "domains" ] ~docv:"N"
           ~doc:
-            "Shard keyed streams (set, dictionary) per key across $(docv) domains; with \
-             $(b,--replay), check $(docv) histories concurrently. Verdicts and exit codes are \
-             identical for every value.")
+            "With $(b,--replay), check $(docv) histories concurrently; a live stream is checked on \
+             one domain. Verdicts and exit codes are identical for every value.")
   in
   let min_batch_arg =
     Arg.(
@@ -883,14 +885,14 @@ let main =
     [
       `S Manpage.s_exit_status;
       `P
-        "$(b,check), $(b,random), $(b,auto), $(b,compare) and $(b,repro) exit with 0 when the \
-         check completed and found no violation, and with 1 when a linearizability violation or \
-         nondeterministic behavior was reported — so any of them can gate a CI pipeline \
-         directly. A check that was cancelled before completing exits with 2: it carries no \
-         verdict and must not pass a gate. $(b,monitor) adds 3: the stream left the monitored \
-         fragment, so there is no verdict either way. Usage errors use cmdliner's standard \
-         codes (124 command-line error, 125 internal error). The $(b,-j) flag never changes \
-         results or exit codes, only wall-clock time.";
+        "$(b,check), $(b,random), $(b,auto), $(b,observe), $(b,compare) and $(b,repro) exit with 0 \
+         when the check completed and found no violation, and with 1 when a linearizability \
+         violation or nondeterministic behavior was reported — so any of them can gate a CI \
+         pipeline directly. A check that was cancelled before completing exits with 2: it carries \
+         no verdict and must not pass a gate. $(b,monitor) adds 3: the stream left the monitored \
+         fragment, so there is no verdict either way. Usage errors use cmdliner's standard codes \
+         (124 command-line error, 125 internal error). The $(b,-j) flag never changes results or \
+         exit codes, only wall-clock time.";
     ]
   in
   Cmd.group

@@ -1,30 +1,25 @@
-module Spec = Lineup_spec.Spec
 module Monitor = Lineup_spec.Monitor
 module Event = Lineup_history.Event
-module Invocation = Lineup_history.Invocation
-module Value = Lineup_value.Value
 module Pool = Lineup_parallel.Pool
 module Metrics = Lineup_observe.Metrics
 module Trace = Lineup_observe.Trace
 
 (* The streaming driver. Under [Block] (the default) the calling domain
    reads the stream a chunk at a time, scans each line once
-   ({!Mevent.read}) and feeds the engines, looking for a verdict after
+   ({!Mevent.read}) and feeds the engine, looking for a verdict after
    every chunk. Under [Shed] a reader domain reads into a bounded
    {!Ingest} queue, so that it keeps draining the producer while the
-   engines are behind, and the calling domain feeds what it pops.
+   engine is behind, and the calling domain feeds what it pops.
 
-   Either way events reach the engines in rounds: a chunk, or a popped
-   batch. For keyed classes (set, dictionary) the stream shards per key
-   across [domains] engines — by P-compositionality the keys are
-   independent objects, so each shard monitors its own keys in isolation
-   and a round's worth of shard feeding fans out through {!Pool.map_seq}.
-   The per-round join publishes every engine's mutable state back to the
-   calling domain before verdicts are read, so no engine state is ever
-   accessed from two domains at once.
+   Either way one engine checks the stream on the calling domain. For
+   keyed classes (set, dictionary) that engine already checks each key as
+   its own object (P-compositionality, {!Lineup_spec.Kmon}); splitting the
+   stream by key across domains only added a domain spawn per round and
+   let a corrupt stream pass (EXPERIMENTS.md, "Retiring live monitor
+   sharding"). [domains] fans out {!replay}'s independent histories.
 
    Block mode has no reader domain because one only helped while it had
-   somewhere to put its lead: a reader that outran the engines kept the
+   somewhere to put its lead: a reader that outran the engine kept the
    queue full of parsed events, and peak RSS rose by a quarter (DESIGN.md
    §6). *)
 
@@ -55,18 +50,12 @@ type outcome = {
   sheds : int;
   windows : int;
   resident_peak : int;
-  shards : int;
 }
 
-let keyed_cls (Spec.Packed s) =
-  match s.Spec.cls with
-  | Spec.Set | Spec.Dictionary -> true
-  | Spec.Queue | Spec.Stack | Spec.Counter | Spec.Other -> false
-
-(* Reject from any shard dominates (a violation on one key is a violation
-   of the stream); otherwise the lowest-index Unsupported; otherwise
-   Accept. Deterministic for any shard count because sharding by key is a
-   deterministic partition. *)
+(* Reject from any history dominates (a violation in one history is a
+   violation of the recording); otherwise the first Unsupported; otherwise
+   Accept. Deterministic for any [domains] because the histories keep
+   their first-appearance order. *)
 let combine verdicts =
   let rec go unsup = function
     | [] -> ( match unsup with Some u -> u | None -> Monitor.Accept)
@@ -100,117 +89,47 @@ let spawn_reader ~follow queue ic =
       in
       loop ())
 
-(* [resident_peak] samples the engines after every [sample_every]-th fed
+(* [resident_peak] samples the engine after every [sample_every]-th fed
    event and at the end of the stream, until a verdict settles. The samples
-   fall at the same events whatever the reads or rounds, and the keyed
-   engines keep their state per key, so the peak depends on the stream
-   alone: not on timing, on file or pipe input, or on [domains]. *)
+   fall at the same events whatever the reads or rounds, so the peak
+   depends on the stream alone: not on timing, on file or pipe input, or
+   on [domains]. *)
 let sample_every = 256
 
 let run ~spec ~opts ?metrics ic =
-  let shards = if keyed_cls spec && opts.domains > 1 then opts.domains else 1 in
-  let engines =
-    Array.init shards (fun _ ->
-        Engine.create ~spec ~min_batch:opts.min_batch ~max_window:opts.max_window)
-  in
-  (* (tid, op_index) -> shard, recorded at the call, consumed at the return *)
-  let route_tbl : (int * int, int) Hashtbl.t = Hashtbl.create 1024 in
-  let shard_of_call (inv : Invocation.t) =
-    match inv.Invocation.arg with
-    | Value.Int k -> ((k mod shards) + shards) mod shards
-    | _ -> 0
-  in
-  let shard_of_event (ev : Event.t) =
-    let id = ev.Event.tid, ev.Event.op_index in
-    match ev.Event.dir with
-    | Event.Call inv ->
-      let s = shard_of_call inv in
-      Hashtbl.replace route_tbl id s;
-      s
-    | Event.Return _ -> (
-      match Hashtbl.find_opt route_tbl id with
-      | Some s ->
-        Hashtbl.remove route_tbl id;
-        s
-      | None -> 0 (* return without call: any engine reports it *))
-  in
+  let engine = Engine.create ~spec ~min_batch:opts.min_batch ~max_window:opts.max_window in
   let bad = ref None in
   let fed = ref 0 in
   let resident_peak = ref 0 in
   let next_report = ref (if opts.report_every > 0 then opts.report_every else max_int) in
-  let resident () = Array.fold_left (fun acc e -> acc + Engine.resident e) 0 engines in
-  (* a sharded round's items per shard, newest first, fed when it ends *)
-  let per_shard = Array.make shards [] in
-  let end_round () =
-    if shards > 1 then begin
-      let dirty = List.filter (fun s -> per_shard.(s) <> []) (List.init shards Fun.id) in
-      let feed_shard ~cancelled:_ s =
-        List.iter
-          (fun x ->
-            match x with
-            | `Ev ev -> Engine.feed engines.(s) ev
-            | `Shed (call, ret) -> Engine.shed engines.(s) ~call ~ret)
-          (List.rev per_shard.(s))
-      in
-      (match dirty with
-       | [] -> ()
-       | [ s ] -> feed_shard ~cancelled:(fun () -> false) s
-       | _ ->
-         ignore
-           (Pool.map_seq
-              ~domains:(min opts.domains (List.length dirty))
-              ~f:feed_shard (List.to_seq dirty)));
-      Array.fill per_shard 0 shards []
-    end
-  in
-  let settled () =
-    !bad <> None || Array.exists (fun e -> Engine.verdict_now e <> None) engines
-  in
+  let settled () = !bad <> None || Engine.verdict_now engine <> None in
   let sample () =
-    end_round ();
-    if not (settled ()) then resident_peak := max !resident_peak (resident ())
+    if not (settled ()) then resident_peak := max !resident_peak (Engine.resident engine)
   in
   (* nothing after a malformed line is fed *)
   let feed_event ev =
     match !bad with
     | Some _ -> ()
     | None ->
-      if shards = 1 then Engine.feed engines.(0) ev
-      else begin
-        let s = shard_of_event ev in
-        per_shard.(s) <- `Ev ev :: per_shard.(s)
-      end;
+      Engine.feed engine ev;
       incr fed;
       if !fed mod sample_every = 0 then sample ()
   in
   let feed_shed call ret =
-    match !bad with
-    | Some _ -> ()
-    | None ->
-      if shards = 1 then Engine.shed engines.(0) ~call ~ret
-      else begin
-        let s = shard_of_event call in
-        (* the call was never routed through an engine; drop the stale
-           route entry it just created *)
-        Hashtbl.remove route_tbl (call.Event.tid, call.Event.op_index);
-        per_shard.(s) <- `Shed (call, ret) :: per_shard.(s)
-      end
+    match !bad with Some _ -> () | None -> Engine.shed engine ~call ~ret
   in
   let fail e = if !bad = None then bad := Some e in
-  (* The end of a round: feed it, report progress, and say whether the
-     verdict is decided. *)
+  (* The end of a round: report progress, and say whether the verdict is
+     decided. *)
   let round_decided ~depth =
-    end_round ();
     if !fed >= !next_report then begin
       next_report := !fed + opts.report_every;
-      let resident = resident () in
+      let resident = Engine.resident engine in
       Trace.emit "monitor.tick"
         [ "ops", Trace.Int !fed; "depth", Trace.Int depth; "resident", Trace.Int resident ];
       Fmt.epr "monitor: %d events, resident %d@." !fed resident
     end;
-    !bad <> None
-    || Array.exists (fun e -> Engine.verdict_now e = Some Monitor.Reject) engines
-    || Array.for_all (fun e -> Engine.verdict_now e <> None) engines
+    settled ()
   in
   let queue_sheds =
     match opts.on_full with
@@ -263,21 +182,19 @@ let run ~spec ~opts ?metrics ic =
   let verdict =
     match !bad with
     | Some e -> Monitor.Unsupported (Fmt.str "malformed input: %s" e)
-    | None -> combine (Array.to_list (Array.map Engine.finalize engines))
+    | None -> Engine.finalize engine
   in
-  let ops = Array.fold_left (fun acc e -> acc + Engine.ops e) 0 engines in
-  let engine_sheds = Array.fold_left (fun acc e -> acc + Engine.sheds e) 0 engines in
-  let sheds = max queue_sheds engine_sheds in
-  let windows = Array.fold_left (fun acc e -> acc + Engine.windows e) 0 engines in
+  let ops = Engine.ops engine in
+  let sheds = max queue_sheds (Engine.sheds engine) in
+  let windows = Engine.windows engine in
   (match metrics with
    | None -> ()
    | Some m ->
      Metrics.add m "monitor.ops" ops;
      Metrics.add m "monitor.sheds" sheds;
      Metrics.add m "monitor.windows" windows;
-     Metrics.add m "monitor.shards" shards;
      Metrics.add m "monitor.resident_peak" !resident_peak);
-  { verdict; ops; sheds; windows; resident_peak = !resident_peak; shards }
+  { verdict; ops; sheds; windows; resident_peak = !resident_peak }
 
 (* Replay mode: the finite stream is a recording of one or more complete
    histories (a [lineup check --trace] file); group events by their [hist]
@@ -306,7 +223,7 @@ let replay ~spec ~opts ?metrics ic =
   | Some e ->
     let verdict = Monitor.Unsupported (Fmt.str "malformed input: %s" e) in
     ( [],
-      { verdict; ops = 0; sheds = 0; windows = 0; resident_peak = 0; shards = 1 } )
+      { verdict; ops = 0; sheds = 0; windows = 0; resident_peak = 0 } )
   | None ->
     let hists = List.rev !order in
     let session ~cancelled:_ hist =
@@ -331,4 +248,4 @@ let replay ~spec ~opts ?metrics ic =
        Metrics.add m "monitor.windows" windows;
        Metrics.add m "monitor.histories" (List.length results));
     ( per_hist,
-      { verdict; ops; sheds = 0; windows; resident_peak = 0; shards = 1 } )
+      { verdict; ops; sheds = 0; windows; resident_peak = 0 } )

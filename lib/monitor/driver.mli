@@ -1,12 +1,15 @@
 (** The [lineup monitor] driver. Under [Block] the calling domain reads
-    the NDJSON stream a chunk at a time and feeds the engines; under
+    the NDJSON stream a chunk at a time and feeds one engine; under
     [Shed] a reader domain parses it into a bounded {!Ingest} queue that
-    the calling domain drains. Either way the engines are fed in
-    bulk-synchronous rounds, sharding keyed classes (set, dictionary) per
-    key across domains via {!Lineup_parallel.Pool}. *)
+    the calling domain drains into that engine. Keyed classes (set,
+    dictionary) check each key as its own object inside the one engine.
+    Only {!replay} spreads work over domains, one history per task, via
+    {!Lineup_parallel.Pool}. *)
 
 type opts = {
-  domains : int;  (** shards for keyed classes; fan-out for {!replay} *)
+  domains : int;
+      (** {!replay}'s fan-out over histories; a live {!run} checks on the
+          calling domain whatever its value *)
   min_batch : int;  (** window threshold of the fast engines *)
   max_window : int;  (** quiescence bound before [Unsupported] *)
   queue_cap : int;  (** ingest queue bound under [Shed]; [Block] has no queue *)
@@ -32,7 +35,6 @@ type outcome = {
       (** max retained engine state, sampled every 256 fed events and at
           the end of the stream until a verdict settles: a function of the
           events fed alone *)
-  shards : int;  (** engines the stream was sharded across *)
 }
 
 val run :

@@ -3,11 +3,12 @@ module Monitor = Lineup_spec.Monitor
 module Kmon = Lineup_spec.Kmon
 module Event = Lineup_history.Event
 
-(* One checking engine for one shard of the stream. Queues and stacks get
-   the near-linear decrease-and-conquer engines ({!Monitor.Stream});
-   every other class gets the chunked feasible-state engine ({!Kmon}) —
-   keyed (per-integer-key feasible states, P-compositional) for sets and
-   dictionaries, single-key for counters/registers/anything else. *)
+(* One checking engine for one stream: a live run, or one replayed
+   history. Queues and stacks get the near-linear decrease-and-conquer
+   engines ({!Monitor.Stream}); every other class gets the chunked
+   feasible-state engine ({!Kmon}) — keyed (per-integer-key feasible
+   states, P-compositional) for sets and dictionaries, single-key for
+   counters/registers/anything else. *)
 
 type t =
   | Fast of Monitor.Stream.t

@@ -1,4 +1,4 @@
-(** One checking engine for one shard of an event stream, dispatching on
+(** One checking engine for one event stream, dispatching on
     the specification class: queues and stacks run the near-linear
     {!Lineup_spec.Monitor.Stream} engines, sets and dictionaries the
     keyed chunked feasible-state engine ({!Lineup_spec.Kmon}), and every

@@ -37,7 +37,7 @@ let json_string s =
 
 let to_json t =
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n  \"schema\": \"lineup-metrics/5\",\n  \"counters\": {";
+  Buffer.add_string buf "{\n  \"schema\": \"lineup-metrics/6\",\n  \"counters\": {";
   let counters = to_assoc t in
   List.iteri
     (fun i (k, v) ->

@@ -43,7 +43,7 @@ val to_assoc : t -> (string * int) list
 
 val to_json : t -> string
 (** The metrics summary as a stable JSON document:
-    [{"schema": "lineup-metrics/5", "counters": { ... sorted keys ... }}].
+    [{"schema": "lineup-metrics/6", "counters": { ... sorted keys ... }}].
     Byte-identical for equal counter contents. *)
 
 val write_file : t -> path:string -> unit

@@ -1156,15 +1156,19 @@ let tally ~depth (s : stats) (o : exec_outcome) =
       flushes = s.flushes + o.flushes;
     }
 
-(* The general DFS driver: start replaying from [prefix] (its decisions
-   must carry empty [untried] lists when they are meant to stay frozen, as
-   {!explore_from}'s thawed prefixes do) and enumerate the subtree below.
+(* The DFS driver: start replaying from [prefix] (its decisions must carry
+   empty [untried] lists when they are meant to stay frozen, as
+   {!explore_from}'s thawed prefixes do) and enumerate the subtree below,
+   backtracking only into the first [cut] decisions of each execution.
+   [on_execution] sees each reported execution with its decision trace,
+   before {!next_prefix} flips a decision of it; [kind] names the
+   executions in the trace.
 
    POR runs in concurrent mode only: phase 1's serial enumeration is the
    completeness-critical synthesis of the sequential specification (§4.3),
    and every serial interleaving is a distinct history by construction, so
    there is nothing sound to reduce there. *)
-let explore_replay cfg ~prefix ~setup ~on_execution () =
+let explore_dfs cfg ~kind ~cut ~prefix ~setup ~on_execution =
   let backtracks = ref 0 in
   let por =
     if cfg.por && cfg.mode = Concurrent then
@@ -1187,15 +1191,15 @@ let explore_replay cfg ~prefix ~setup ~on_execution () =
          execution of the program — no outcome is reported. *)
       trace_execution ~kind:"dfs-sleep-blocked" ~depth outcome
     else begin
-      trace_execution ~kind:"dfs" ~depth outcome;
-      match on_execution outcome with
+      trace_execution ~kind ~depth outcome;
+      match on_execution d outcome with
       | `Stop ->
         continue_ := false;
         stop ()
       | `Continue -> ()
     end;
     if !continue_ then
-      if not (next_prefix d ~upto:d.len) then continue_ := false
+      if not (next_prefix d ~upto:(min cut depth)) then continue_ := false
       else
         match cfg.max_executions with
         | Some cap when !stats.executions >= cap ->
@@ -1205,7 +1209,11 @@ let explore_replay cfg ~prefix ~setup ~on_execution () =
   done;
   { !stats with pruned_choices = !pruned; backtrack_points = !backtracks }
 
-let explore cfg ~setup ~on_execution () = explore_replay cfg ~prefix:[||] ~setup ~on_execution ()
+let explore_replay cfg ~prefix ~setup ~on_execution =
+  explore_dfs cfg ~kind:"dfs" ~cut:max_int ~prefix ~setup ~on_execution:(fun _ o ->
+      on_execution o)
+
+let explore cfg ~setup ~on_execution () = explore_replay cfg ~prefix:[||] ~setup ~on_execution
 
 (* ------------------------------------------------------------------ *)
 (* Frontier splitting: depth-k prefix partitions for intra-check         *)
@@ -1305,7 +1313,7 @@ let thaw_prefix p =
        p)
 
 let explore_from cfg ~prefix ~setup ~on_execution () =
-  explore_replay cfg ~prefix:(thaw_prefix prefix) ~setup ~on_execution ()
+  explore_replay cfg ~prefix:(thaw_prefix prefix) ~setup ~on_execution
 
 (* The warm-up of {!split} at [depth >= 1]. *)
 let warm_up cfg ~depth ~setup ~on_execution =
@@ -1322,37 +1330,17 @@ let warm_up cfg ~depth ~setup ~on_execution =
      each partition then explores its own subtree reduced. Cross-partition
      redundancy that monolithic POR would have pruned is the price of a
      [-j]-independent frontier. *)
-  let cfg = { cfg with por = false } in
-  let d = dfs [||] in
-  let pruned = ref 0 in
-  let run = runner cfg ~decider:(dfs_decider d) ~pruned in
-  let stats = ref empty_stats in
-  let stop () = stats := { !stats with complete = false } in
   let prefixes = ref [] in
-  let continue_ = ref true in
-  while !continue_ do
-    let outcome = run setup in
-    let len = d.len in
-    let cut = min depth len in
-    stats := tally ~depth:len !stats outcome;
-    trace_execution ~kind:"split-warmup" ~depth:len outcome;
+  let on_execution d outcome =
     (* Freeze before [next_prefix] mutates the shared decision records. *)
-    prefixes := freeze d.trace cut :: !prefixes;
-    (match on_execution outcome with
-     | `Stop ->
-       continue_ := false;
-       stop ()
-     | `Continue -> ());
-    if !continue_ then
-      if not (next_prefix d ~upto:cut) then continue_ := false
-      else
-        match cfg.max_executions with
-        | Some cap when !stats.executions >= cap ->
-          continue_ := false;
-          stop ()
-        | Some _ | None -> ()
-  done;
-  { prefixes = List.rev !prefixes; warmup = { !stats with pruned_choices = !pruned } }
+    prefixes := freeze d.trace (min depth d.len) :: !prefixes;
+    on_execution outcome
+  in
+  let warmup =
+    explore_dfs { cfg with por = false } ~kind:"split-warmup" ~cut:depth ~prefix:[||] ~setup
+      ~on_execution
+  in
+  { prefixes = List.rev !prefixes; warmup }
 
 let split cfg ~depth ~setup ~on_execution =
   if depth < 0 then invalid_arg "Explore.split: depth must be >= 0";

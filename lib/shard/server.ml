@@ -20,14 +20,13 @@ type outcome =
 let epr fmt = Fmt.epr ("shard-server: " ^^ fmt ^^ "@.")
 
 let write_stats ~dir ~halted (st : stats) =
-  let oc = open_out (Store.stats_path ~dir) in
-  Printf.fprintf oc
-    "{\"schema\": \"lineup-shard-stats/1\", \"partitions\": %d, \"dispatched\": %d, \
-     \"completed\": %d, \"checkpoint_hits\": %d, \"retries\": %d, \"workers\": %d, \
-     \"halted\": %b}\n"
-    st.s_partitions st.s_dispatched st.s_completed st.s_checkpoint_hits st.s_retries
-    st.s_workers halted;
-  close_out oc
+  Lineup_observe.Atomic_file.write ~path:(Store.stats_path ~dir)
+    (Printf.sprintf
+       "{\"schema\": \"lineup-shard-stats/1\", \"partitions\": %d, \"dispatched\": %d, \
+        \"completed\": %d, \"checkpoint_hits\": %d, \"retries\": %d, \"workers\": %d, \
+        \"halted\": %b}\n"
+       st.s_partitions st.s_dispatched st.s_completed st.s_checkpoint_hits st.s_retries
+       st.s_workers halted)
 
 (* One connected worker. [w_task] is the partition index in flight — on any
    send/receive failure it goes back to the pending queue. *)

@@ -183,17 +183,20 @@ let with_temp_dir f =
   in
   Fun.protect ~finally:(fun () -> if Sys.file_exists dir then rm dir) (fun () -> f dir)
 
-(* [spawn_cli ?input subcommand args] starts [lineup_cli SUBCOMMAND
-   --metrics FILE ARGS...], reading the file [input] on its stdin if
-   given; the function it returns waits for it and gives its exit code (-1
-   on a signal), stdout and metrics file. Runs started together share the
-   cores. *)
-let spawn_cli ?input subcommand args =
+(* [spawn_cli ?input ?metrics subcommand args] starts [lineup_cli
+   SUBCOMMAND --metrics FILE ARGS...], reading the file [input] on its
+   stdin if given; the function it returns waits for it and gives its exit
+   code (-1 on a signal), stdout and metrics file. With [~metrics:false]
+   it passes no [--metrics] (which [list] and [observe] do not take) and
+   the metrics read as "". Runs started together share the cores. *)
+let spawn_cli ?input ?(metrics = true) subcommand args =
   let report = Filename.temp_file "lineup-golden" ".report" in
-  let metrics = Filename.temp_file "lineup-golden" ".json" in
+  let metrics_file = Filename.temp_file "lineup-golden" ".json" in
   let out = Unix.openfile report [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o644 in
   let inp = Option.map (fun path -> Unix.openfile path [ Unix.O_RDONLY ] 0) input in
-  let argv = cli :: subcommand :: "--metrics" :: metrics :: args in
+  let argv =
+    cli :: subcommand :: (if metrics then "--metrics" :: metrics_file :: args else args)
+  in
   let pid =
     Fun.protect
       ~finally:(fun () ->
@@ -206,17 +209,17 @@ let spawn_cli ?input subcommand args =
   in
   fun () ->
     Fun.protect
-      ~finally:(fun () -> List.iter Sys.remove [ report; metrics ])
+      ~finally:(fun () -> List.iter Sys.remove [ report; metrics_file ])
       (fun () ->
         let code =
           match snd (Unix.waitpid [] pid) with
           | Unix.WEXITED c -> c
           | Unix.WSIGNALED _ | Unix.WSTOPPED _ -> -1
         in
-        code, read report, read metrics)
+        code, read report, read metrics_file)
 
-let run_cli ?input subcommand args = spawn_cli ?input subcommand args ()
+let run_cli ?input ?metrics subcommand args = spawn_cli ?input ?metrics subcommand args ()
 
 (* Start every run, then wait for each, in order. *)
-let run_cli_all runs =
-  List.map (fun wait -> wait ()) (List.map (fun (sub, args) -> spawn_cli sub args) runs)
+let run_cli_all ?metrics runs =
+  List.map (fun wait -> wait ()) (List.map (fun (sub, args) -> spawn_cli ?metrics sub args) runs)

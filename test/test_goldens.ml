@@ -14,8 +14,8 @@
    with each other across --por, -j, shard-server and an explicit --memory
    sc, the exit codes of seeded bugs and of the weak-memory litmus, a
    check's --trace recording that [lineup monitor --replay] must judge as
-   the check did, and the exit-code contract of [lineup monitor] on a live
-   stream. *)
+   the check did, the exit-code contract of [lineup monitor] on a live
+   stream, and the exit codes and -j identity of the other subcommands. *)
 
 open Helpers
 
@@ -26,6 +26,10 @@ let stack_3x3 =
     "--por"; "-p"; "2"; "--max-executions"; "2000"; "ConcurrentStack"; "Push(1),TryPop,Push(2)";
     "Push(3),TryPop,TryPop"; "Push(4),TryPop,Push(5)";
   ]
+
+(* [list] and [observe] take no --metrics; their goldens have no metrics
+   file *)
+let takes_metrics sub = sub <> "list" && sub <> "observe"
 
 (* name, expected exit code, subcommand, arguments after
    [SUBCOMMAND --metrics FILE] *)
@@ -76,16 +80,25 @@ let cases =
         "-v"; "LazyListSet (Pre: remove without marking)"; "Add(1),Add(2)"; "Remove(1)";
         "Contains(2)";
       ] );
+    (* phase 1's observation file, and the phase-1 failure that leaves
+       nothing to write *)
+    "observe-counter", 0, "observe", [ "Counter"; "Inc"; "Get" ];
+    ( "observe-cts-phase1",
+      1,
+      "observe",
+      [ "CancellationTokenSource"; "Cancel"; "IsCancellationRequested" ] );
   ]
 
 let golden_tests =
   List.map
     (fun (name, want_code, subcommand, args) ->
       test (subcommand ^ " output is byte-identical to the golden: " ^ name) (fun () ->
-          let code, report, metrics = run_cli subcommand args in
+          let metrics = takes_metrics subcommand in
+          let code, report, got = run_cli ~metrics subcommand args in
           Alcotest.(check int) "exit code" want_code code;
           Alcotest.(check string) "report" (read (golden name ".report")) report;
-          Alcotest.(check string) "metrics" (read (golden name ".metrics.json")) metrics))
+          if metrics then
+            Alcotest.(check string) "metrics" (read (golden name ".metrics.json")) got))
     cases
 
 (* ---- equivalence ---- *)
@@ -94,9 +107,9 @@ let golden_tests =
    processes, the memory model when it is sc) must never change which
    histories are checked or what the verdict is; and the streaming
    monitor, replaying the histories a check recorded, must reach the
-   check's verdict. Each row names a relation that its runs must satisfy,
-   with the arguments of its [check] (of its stream, for
-   [Stream_exits]). *)
+   check's verdict. Each row names a subcommand, a relation that its runs
+   must satisfy, and the arguments of the subcommand (the lines of its
+   stream, for [Stream_exits]). *)
 type relation =
   | Identical of string list list
       (** one run per extra argument list: byte-identical report, exit code
@@ -112,13 +125,15 @@ type relation =
       (** a run without --memory and one with --memory sc: byte-identical
           report, exit code and metrics, and no flushes key in the
           metrics *)
-  | Exits of int  (** the check exits with this code *)
+  | Exits of int  (** the run exits with this code *)
+  | Writes_nothing of int
+      (** [SUB ARGS -o FILE] exits with this code and leaves no FILE *)
   | Replay_agrees of { spec : string; extra : string list; code : int }
-      (** [check --trace FILE] exits [code], and so does [monitor SPEC FILE
-          --replay EXTRA...] *)
-  | Stream_exits of { spec : string; stdin : bool; code : int }
-      (** the arguments are the lines of a live NDJSON stream, and [monitor
-          SPEC] exits [code] on it, read from a file or from stdin *)
+      (** [SUB ARGS --trace FILE] exits [code], and so does [monitor SPEC
+          FILE --replay EXTRA...] *)
+  | Stream_exits of { spec : string; extra : string list; stdin : bool; code : int }
+      (** the arguments are the lines of a live NDJSON stream, and [SUB SPEC
+          EXTRA...] exits [code] on it, read from a file or from stdin *)
 
 (* the counter [key] of a --metrics file *)
 let counter key metrics =
@@ -137,15 +152,17 @@ let counter key metrics =
    LINEUP_FULL_EQUIVALENCE to run it whole. *)
 let full_equivalence = Option.is_some (Sys.getenv_opt "LINEUP_FULL_EQUIVALENCE")
 
-let equivalences =
-  let j1_j4 = Identical [ [ "-j"; "1" ]; [ "-j"; "4" ] ] in
+let j1_j4 = Identical [ [ "-j"; "1" ]; [ "-j"; "4" ] ]
+let counter1 = [ "Counter1 (unlocked inc)"; "Inc,Get"; "Inc" ]
+
+(* the rows of check runs *)
+let check_rows =
   let fig1 =
     [
       "ConcurrentQueue (Pre: timed lock in TryDequeue)"; "Enqueue(200),Enqueue(400)";
       "TryDequeue,TryDequeue";
     ]
   in
-  let counter1 = [ "Counter1 (unlocked inc)"; "Inc,Get"; "Inc" ] in
   let fence_free = "DekkerCounter (Pre: missing store-load fence)" in
   let replay ?(extra = []) spec code args = Replay_agrees { spec; extra; code }, args in
   [
@@ -204,48 +221,101 @@ let equivalences =
     replay "set" 0 [ "LazyListSet"; "Add(10),Remove(10)"; "Add(15),Contains(10)" ];
     replay ~extra:[ "-j"; "4" ] "set" 0
       [ "LazyListSet"; "Add(10),Remove(10)"; "Add(15),Contains(10)" ];
-    (* lineup monitor's exit codes on a live stream: 0 clean, 1 violation,
-       3 unsupported *)
-    ( Stream_exits { spec = "queue"; stdin = true; code = 0 },
-      [
-        {|{"t":0.0,"ev":"call","tid":0,"op":0,"name":"Enqueue","arg":"1"}|};
-        {|{"t":0.1,"ev":"ret","tid":0,"op":0,"val":"unit"}|};
-        {|{"t":0.2,"ev":"call","tid":1,"op":0,"name":"TryDequeue"}|};
-        {|{"t":0.3,"ev":"ret","tid":1,"op":0,"val":"1"}|};
-      ] );
-    ( Stream_exits { spec = "queue"; stdin = false; code = 1 },
-      [
-        {|{"t":0.0,"ev":"call","tid":0,"op":0,"name":"Enqueue","arg":"1"}|};
-        {|{"t":0.1,"ev":"ret","tid":0,"op":0,"val":"unit"}|};
-        {|{"t":0.2,"ev":"call","tid":0,"op":1,"name":"Enqueue","arg":"2"}|};
-        {|{"t":0.3,"ev":"ret","tid":0,"op":1,"val":"unit"}|};
-        {|{"t":0.4,"ev":"call","tid":1,"op":0,"name":"TryDequeue"}|};
-        {|{"t":0.5,"ev":"ret","tid":1,"op":0,"val":"2"}|};
-        {|{"t":0.6,"ev":"call","tid":1,"op":1,"name":"TryDequeue"}|};
-        {|{"t":0.7,"ev":"ret","tid":1,"op":1,"val":"1"}|};
-      ] );
-    ( Stream_exits { spec = "queue"; stdin = false; code = 3 },
-      [
-        {|{"t":0.0,"ev":"call","tid":0,"op":0,"name":"Frobnicate"}|};
-        {|{"t":0.1,"ev":"ret","tid":0,"op":0,"val":"unit"}|};
-      ] );
+    (* a cancelled check carries no verdict, also under -j *)
+    Exits 2, [ "Counter"; "Inc,Get"; "Inc"; "--cancel-after"; "5"; "-j"; "2" ];
   ]
 
-let row_name (relation, args) =
+let equivalences =
+  let stream ?(extra = []) ~stdin spec code lines =
+    "monitor", Stream_exits { spec; extra; stdin; code }, lines
+  in
+  let auto_counter = [ "Counter"; "--max-tests"; "17"; "--max-executions"; "500" ] in
+  let random_counter1 =
+    [
+      "Counter1 (unlocked inc)"; "-n"; "6"; "--rows"; "2"; "--cols"; "2"; "--max-executions";
+      "300"; "--seed"; "42";
+    ]
+  in
+  List.map (fun (relation, args) -> "check", relation, args) check_rows
+  @ [
+      (* lineup monitor's exit codes on a live stream: 0 clean, 1 violation,
+         3 unsupported *)
+      stream ~stdin:true "queue" 0
+        [
+          {|{"t":0.0,"ev":"call","tid":0,"op":0,"name":"Enqueue","arg":"1"}|};
+          {|{"t":0.1,"ev":"ret","tid":0,"op":0,"val":"unit"}|};
+          {|{"t":0.2,"ev":"call","tid":1,"op":0,"name":"TryDequeue"}|};
+          {|{"t":0.3,"ev":"ret","tid":1,"op":0,"val":"1"}|};
+        ];
+      stream ~stdin:false "queue" 1
+        [
+          {|{"t":0.0,"ev":"call","tid":0,"op":0,"name":"Enqueue","arg":"1"}|};
+          {|{"t":0.1,"ev":"ret","tid":0,"op":0,"val":"unit"}|};
+          {|{"t":0.2,"ev":"call","tid":0,"op":1,"name":"Enqueue","arg":"2"}|};
+          {|{"t":0.3,"ev":"ret","tid":0,"op":1,"val":"unit"}|};
+          {|{"t":0.4,"ev":"call","tid":1,"op":0,"name":"TryDequeue"}|};
+          {|{"t":0.5,"ev":"ret","tid":1,"op":0,"val":"2"}|};
+          {|{"t":0.6,"ev":"call","tid":1,"op":1,"name":"TryDequeue"}|};
+          {|{"t":0.7,"ev":"ret","tid":1,"op":1,"val":"1"}|};
+        ];
+      stream ~stdin:false "queue" 3
+        [
+          {|{"t":0.0,"ev":"call","tid":0,"op":0,"name":"Frobnicate"}|};
+          {|{"t":0.1,"ev":"ret","tid":0,"op":0,"val":"unit"}|};
+        ];
+      (* -j never changes a live verdict: a call id used twice on two keys is
+         a corrupt stream, and the first settled Unsupported stays *)
+      stream ~extra:[ "-j"; "2" ] ~stdin:false "set" 3
+        [
+          {|{"ev":"call","tid":0,"op":0,"name":"Add","arg":"1"}|};
+          {|{"ev":"call","tid":0,"op":0,"name":"Add","arg":"2"}|};
+          {|{"ev":"ret","tid":0,"op":0,"val":"true"}|};
+        ];
+      stream ~extra:[ "-j"; "2" ] ~stdin:true "set" 3
+        [
+          {|{"ev":"call","tid":0,"op":0,"name":"Count"}|};
+          {|{"ev":"ret","tid":0,"op":0,"val":"0"}|};
+          {|{"ev":"call","tid":0,"op":1,"name":"Add","arg":"1"}|};
+          {|{"ev":"ret","tid":0,"op":1,"val":"false"}|};
+        ];
+      (* the other subcommands: the catalog, the exit codes of a parallel
+         sweep and of a seeded bug, and -j byte identity *)
+      "list", Exits 0, [];
+      "auto", Exits 0, auto_counter @ [ "-j"; "2" ];
+      ( "auto",
+        Exits 1,
+        [ "Counter1 (unlocked inc)"; "--max-tests"; "50"; "--max-executions"; "500"; "-j"; "2" ] );
+      "auto", j1_j4, auto_counter;
+      "random", Exits 1, random_counter1;
+      "random", j1_j4, random_counter1;
+      "compare", j1_j4, counter1 @ [ "--tso" ];
+      (* phase 1 fails: nothing is written *)
+      ( "observe",
+        Writes_nothing 1,
+        [ "CancellationTokenSource"; "Cancel"; "IsCancellationRequested" ] );
+    ]
+
+let row_name (sub, relation, args) =
+  (* the subcommand, when it is not check *)
+  let on = if sub = "check" then "" else sub ^ " " in
+  let extras extra = String.concat "" (List.map (( ^ ) " ") extra) in
   match relation with
   | Identical variants ->
-    String.concat " and " (List.map (String.concat " ") variants)
+    on
+    ^ String.concat " and " (List.map (String.concat " ") variants)
     ^ " are byte-identical: " ^ List.hd args
-  | Por_preserves -> "--por preserves the distinct histories: " ^ List.hd args
+  | Por_preserves -> on ^ "--por preserves the distinct histories: " ^ List.hd args
   | Shard_agrees -> "check -j 4 and shard-server --local 4 are byte-identical: " ^ List.hd args
-  | Default_is_sc -> "the default and --memory sc are byte-identical: " ^ List.hd args
-  | Exits code -> Fmt.str "check exits %d: %s" code (String.concat " " args)
+  | Default_is_sc -> on ^ "the default and --memory sc are byte-identical: " ^ List.hd args
+  | Exits code ->
+    Fmt.str "%s exits %d%s" sub code (if args = [] then "" else ": " ^ String.concat " " args)
+  | Writes_nothing code ->
+    Fmt.str "%s -o FILE exits %d and writes nothing: %s" sub code (String.concat " " args)
   | Replay_agrees { spec; extra; code } ->
-    Fmt.str "check --trace and monitor %s --replay%s exit %d: %s" spec
-      (String.concat "" (List.map (( ^ ) " ") extra))
-      code (List.hd args)
-  | Stream_exits { spec; stdin; code } ->
-    Fmt.str "monitor %s exits %d on a live stream (%s)" spec code
+    Fmt.str "%s --trace and monitor %s --replay%s exit %d: %s" sub spec (extras extra) code
+      (List.hd args)
+  | Stream_exits { spec; extra; stdin; code } ->
+    Fmt.str "%s %s%s exits %d on a live stream (%s)" sub spec (extras extra) code
       (if stdin then "stdin" else "file")
 
 (* [f path] with [lines] written to the temporary file [path] *)
@@ -260,14 +330,17 @@ let with_lines lines f =
 
 let equivalence_tests =
   List.map
-    (fun ((relation, args) as row) ->
+    (fun ((sub, relation, args) as row) ->
       test (row_name row) (fun () ->
-          (* the runs agree byte for byte; the first run's exit code, report
-             and metrics *)
+          let metrics = takes_metrics sub in
+          (* the runs agree byte for byte, and are not usage errors, which
+             would agree whatever the runs checked; the first run's exit
+             code, report and metrics *)
           let agree runs =
-            match run_cli_all runs with
+            match run_cli_all ~metrics runs with
             | [] -> invalid_arg "no runs"
             | ((code, report, metrics) as first) :: rest ->
+              Alcotest.(check bool) "not a usage error" true (code <> 124);
               List.iter
                 (fun (code', report', metrics') ->
                   Alcotest.(check int) "exit code" code code';
@@ -277,11 +350,11 @@ let equivalence_tests =
               first
           in
           (* the runs of [args] with each extra argument list agree *)
-          let identical variants = agree (List.map (fun extra -> "check", args @ extra) variants) in
+          let identical variants = agree (List.map (fun extra -> sub, args @ extra) variants) in
           match relation with
           | Identical variants -> ignore (identical variants)
           | Por_preserves -> (
-            match run_cli_all [ "check", args; "check", args @ [ "--por" ] ] with
+            match run_cli_all [ sub, args; sub, args @ [ "--por" ] ] with
             | [ (off_code, _, off); (on_code, _, on) ] ->
               Alcotest.(check int) "exit code" 0 off_code;
               Alcotest.(check int) "--por exit code" 0 on_code;
@@ -305,19 +378,25 @@ let equivalence_tests =
             Alcotest.(check bool) "no flushes key in the sc metrics" false
               (contains ~sub:"flushes" metrics)
           | Exits code ->
-            let got, _, _ = run_cli "check" args in
+            let got, _, _ = run_cli ~metrics sub args in
             Alcotest.(check int) "exit code" code got
+          | Writes_nothing code ->
+            (* a fresh path, removed afterwards if the run wrote it *)
+            with_temp_dir (fun file ->
+                let got, _, _ = run_cli ~metrics sub (args @ [ "-o"; file ]) in
+                Alcotest.(check int) "exit code" code got;
+                Alcotest.(check bool) "no file written" false (Sys.file_exists file))
           | Replay_agrees { spec; extra; code } ->
             with_lines [] (fun trace ->
-                let check_code, _, _ = run_cli "check" (args @ [ "--trace"; trace ]) in
+                let check_code, _, _ = run_cli sub (args @ [ "--trace"; trace ]) in
                 let replay_code, _, _ = run_cli "monitor" ([ spec; trace; "--replay" ] @ extra) in
                 Alcotest.(check int) "check exit code" code check_code;
                 Alcotest.(check int) "replay exit code" check_code replay_code)
-          | Stream_exits { spec; stdin; code } ->
+          | Stream_exits { spec; extra; stdin; code } ->
             with_lines args (fun stream ->
                 let got, _, _ =
-                  if stdin then run_cli ~input:stream "monitor" [ spec; "-" ]
-                  else run_cli "monitor" [ spec; stream ]
+                  if stdin then run_cli ~input:stream sub (spec :: "-" :: extra)
+                  else run_cli sub (spec :: stream :: extra)
                 in
                 Alcotest.(check int) "exit code" code got)))
     equivalences

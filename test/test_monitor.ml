@@ -845,23 +845,6 @@ let driver_units =
         with_file lines (fun ic ->
             let o = Driver.run ~spec:queue_spec ~opts ic in
             Alcotest.check verdict "accept" Monitor.Accept o.Driver.verdict));
-    test "driver: keyed stream shards across domains" (fun () ->
-        let events =
-          List.concat_map
-            (fun k ->
-              [
-                Event.call ~tid:0 ~op_index:k (inv_int "Add" k);
-                Event.return ~tid:0 ~op_index:k (Value.bool true);
-              ])
-            (List.init 8 (fun k -> k))
-        in
-        with_file (render_history events) (fun ic ->
-            let o =
-              Driver.run ~spec:(Spec.Packed Specs.key_set)
-                ~opts:{ opts with domains = 2 } ic
-            in
-            Alcotest.check verdict "accept" Monitor.Accept o.Driver.verdict;
-            Alcotest.(check int) "sharded" 2 o.Driver.shards));
     test "replay: groups by hist tag, rejects if any history rejects" (fun () ->
         let lines =
           render_history ~hist:0 accepting_events
@@ -1133,6 +1116,7 @@ let robustness_units =
         Alcotest.(check bool) "sampled" true (first > 0);
         Alcotest.(check int) "second run" first (peak with_text_file);
         Alcotest.(check int) "pipe" first (peak (with_text_pipe ~seed:11));
+        (* a live run is one engine on the calling domain whatever -j says *)
         Alcotest.(check int) "-j 4" first (peak ~domains:4 with_text_file));
   ]
 

@@ -100,7 +100,7 @@ let suite =
             in
             Alcotest.(check string) "file equals to_json" (Metrics.to_json m) content;
             Alcotest.(check bool) "schema marker" true
-              (contains ~sub:"lineup-metrics/5" content)));
+              (contains ~sub:"lineup-metrics/6" content)));
     test "trace: emits one well-formed NDJSON line per event" (fun () ->
         with_temp_file (fun path ->
             Trace.with_trace ~path:(Some path) (fun () ->
