@@ -13,8 +13,8 @@
    takes ~20 s under tso (619k executions; every spin iteration is a
    choice point). Under a bound, --por explores flush placement lazily —
    a thread step sleeps across the flushes it commutes with — so the
-   fenced weak rows take ~17.5x the sc row's executions (113k); CI
-   asserts at most 25x. *)
+   fenced weak rows take ~17.5x the sc row's executions (113k);
+   test/test_memory.ml asserts this matrix, with at most 25x. *)
 
 open Bench_common
 module Explore = Lineup_scheduler.Explore

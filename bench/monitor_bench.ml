@@ -13,7 +13,8 @@
    Rows land in the lineup-bench/2 JSON with extras: throughput_ops_s
    (completed operations per wall-second — the CI sanity floor),
    resident_peak and windows. Streams are generated deterministically from
-   the --seed option. *)
+   the --seed option; test/test_monitor.ml pins the queue lane's stream at
+   the default seed, accepted over more than one window. *)
 
 open Bench_common
 module Event = H.Event

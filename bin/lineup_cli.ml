@@ -682,8 +682,7 @@ let exit_unsupported = 3
 
 let monitor_exits =
   Cmd.Exit.info 0 ~doc:"if the stream ended (or was replayed) without a violation."
-  :: Cmd.Exit.info exit_violation
-       ~doc:"if the stream is not linearizable — trustworthy even under $(b,--on-full shed)."
+  :: Cmd.Exit.info exit_violation ~doc:"if the stream is not linearizable."
   :: Cmd.Exit.info exit_unsupported
        ~doc:
          "if the stream left the monitored fragment (unsupported operation, malformed line, \
@@ -695,8 +694,8 @@ let verdict_name = function
   | Lineup_spec.Monitor.Reject -> "VIOLATION"
   | Lineup_spec.Monitor.Unsupported reason -> "UNSUPPORTED: " ^ reason
 
-let monitor_cmd_run spec_name file replay follow jobs min_batch max_window queue_cap on_full
-    report_every metrics_file trace_file =
+let monitor_cmd_run spec_name file replay follow jobs min_batch max_window report_every
+    metrics_file trace_file =
   match Lineup_spec.Specs.find spec_name with
   | None ->
     `Error
@@ -704,15 +703,14 @@ let monitor_cmd_run spec_name file replay follow jobs min_batch max_window queue
         Fmt.str "unknown specification %S (expected one of: %s)" spec_name
           (String.concat ", " Lineup_spec.Specs.names) )
   | Some _ when replay && follow ->
-    `Error (false, "--follow waits for more writers; --replay needs a finite recording")
+    `Error (false, "--follow waits for more input; --replay needs a finite recording")
   | Some spec -> (
     let opts =
       {
-        Lineup_monitor.Driver.domains = jobs;
+        Lineup_monitor.Driver.default_opts with
+        domains = jobs;
         min_batch;
         max_window;
-        queue_cap;
-        on_full;
         report_every;
         follow;
       }
@@ -749,9 +747,6 @@ let monitor_cmd_run spec_name file replay follow jobs min_batch max_window queue
               outcome.Lineup_monitor.Driver.ops outcome.Lineup_monitor.Driver.windows
               outcome.Lineup_monitor.Driver.resident_peak
               (verdict_name outcome.Lineup_monitor.Driver.verdict);
-            if outcome.Lineup_monitor.Driver.sheds > 0 then
-              Fmt.pr "monitor: %d ops shed under load — Accept is incomplete@."
-                outcome.Lineup_monitor.Driver.sheds;
             outcome
           end)
     in
@@ -803,10 +798,12 @@ let monitor_cmd =
       value & flag
       & info [ "follow" ]
           ~doc:
-            "Re-arm on end-of-file instead of finalizing: on a FIFO, EOF only means every \
-             current writer closed, so the monitor waits for the next writer session and keeps \
-             checking across sessions. A followed run ends only on a verdict (exit 1 or 3), \
-             never by stream end; incompatible with $(b,--replay).")
+            "Read on at end of input instead of finalizing. On a growing file, end of input \
+             only means that the file has not grown yet, so the monitor waits for what a \
+             producer appends; on a FIFO, it only means that every current writer closed, so \
+             the monitor waits for the next writer session. A line cut at end of input waits \
+             for its rest. A followed run ends only on a verdict (exit 1 or 3), never by \
+             stream end; incompatible with $(b,--replay).")
   in
   let monitor_jobs_arg =
     Arg.(
@@ -836,29 +833,6 @@ let monitor_cmd =
             "Give up (exit 3) if no quiescent point occurs within $(docv) operations — the \
              bound on retained state for adversarial streams.")
   in
-  let queue_cap_arg =
-    Arg.(
-      value
-      & opt int 65536
-      & info [ "queue" ] ~docv:"N"
-          ~doc:
-            "Ingest queue capacity under $(b,--on-full shed), in events. Block mode reads on the \
-             checking domain and has no queue to bound.")
-  in
-  let on_full_arg =
-    Arg.(
-      value
-      & opt
-          (enum [ "block", Lineup_monitor.Ingest.Block; "shed", Lineup_monitor.Ingest.Shed ])
-          Lineup_monitor.Ingest.Block
-      & info [ "on-full" ] ~docv:"POLICY"
-          ~doc:
-            "Backpressure policy when the engines fall behind: $(b,block) (default) is lossless \
-             and stalls the producer; $(b,shed) reads ahead into a bounded queue, drops whole \
-             operations while it is full, and degrades the monitor \
-             accept-lean — a VIOLATION verdict stays trustworthy, a clean exit no longer \
-             guarantees linearizability of the dropped portion.")
-  in
   let report_every_arg =
     Arg.(
       value
@@ -877,8 +851,8 @@ let monitor_cmd =
     Term.(
       ret
         (const monitor_cmd_run $ spec_pos $ file_pos $ replay_arg $ follow_arg
-       $ monitor_jobs_arg $ min_batch_arg $ max_window_arg $ queue_cap_arg $ on_full_arg
-       $ report_every_arg $ metrics_arg $ trace_arg))
+       $ monitor_jobs_arg $ min_batch_arg $ max_window_arg $ report_every_arg $ metrics_arg
+       $ trace_arg))
 
 let main =
   let man =

@@ -4,31 +4,27 @@ module Pool = Lineup_parallel.Pool
 module Metrics = Lineup_observe.Metrics
 module Trace = Lineup_observe.Trace
 
-(* The streaming driver. Under [Block] (the default) the calling domain
-   reads the stream a chunk at a time, scans each line once
-   ({!Mevent.read}) and feeds the engine, looking for a verdict after
-   every chunk. Under [Shed] a reader domain reads into a bounded
-   {!Ingest} queue, so that it keeps draining the producer while the
-   engine is behind, and the calling domain feeds what it pops.
+(* The streaming driver. The calling domain reads the stream a chunk at a
+   time, scans each line once ({!Mevent.read}) and feeds one engine,
+   looking for a verdict after every chunk. A producer that outruns the
+   engine waits on its pipe; nothing is dropped, so a verdict covers every
+   operation of the stream.
 
-   Either way one engine checks the stream on the calling domain. For
-   keyed classes (set, dictionary) that engine already checks each key as
+   For keyed classes (set, dictionary) the engine already checks each key as
    its own object (P-compositionality, {!Lineup_spec.Kmon}); splitting the
-   stream by key across domains only added a domain spawn per round and
-   let a corrupt stream pass (EXPERIMENTS.md, "Retiring live monitor
+   stream by key across domains only added a domain spawn per round and let
+   a corrupt stream pass (EXPERIMENTS.md, "Retiring live monitor
    sharding"). [domains] fans out {!replay}'s independent histories.
 
-   Block mode has no reader domain because one only helped while it had
-   somewhere to put its lead: a reader that outran the engine kept the
-   queue full of parsed events, and peak RSS rose by a quarter (DESIGN.md
-   §6). *)
+   There is no reader domain: one only helped while it had somewhere to put
+   its lead, and a reader that outran the engine kept a queue full of parsed
+   events, so peak RSS rose by a quarter (DESIGN.md §6). *)
 
 type opts = {
   domains : int;
   min_batch : int;
   max_window : int;
   queue_cap : int;
-  on_full : Ingest.policy;
   report_every : int;
   follow : bool;
 }
@@ -39,7 +35,6 @@ let default_opts =
     min_batch = Engine.default_min_batch;
     max_window = Engine.default_max_window;
     queue_cap = 65536;
-    on_full = Ingest.Block;
     report_every = 0;
     follow = false;
   }
@@ -47,7 +42,6 @@ let default_opts =
 type outcome = {
   verdict : Monitor.verdict;
   ops : int;
-  sheds : int;
   windows : int;
   resident_peak : int;
 }
@@ -66,34 +60,10 @@ let combine verdicts =
   in
   go None verdicts
 
-(* Under [Shed], the reader domain. It closes the queue however it exits,
-   so the checking loop never waits on a dead reader. *)
-let spawn_reader ~follow queue ic =
-  Domain.spawn (fun () ->
-      Fun.protect ~finally:(fun () -> Ingest.close queue) @@ fun () ->
-      let r = Mevent.reader ic in
-      let push = Ingest.push_line queue in
-      let rec loop () =
-        match Mevent.read r push with
-        | true -> loop ()
-        | false ->
-          (* --follow: an EOF on a FIFO only means every current writer
-             closed — re-arm and wait for the next writer session instead
-             of finalizing, so the monitor outlives its producers. A
-             followed stream ends by verdict, never by EOF. *)
-          if follow then begin
-            Unix.sleepf 0.05;
-            loop ()
-          end
-        | exception Sys_error e -> push (Mevent.Malformed e)
-      in
-      loop ())
-
 (* [resident_peak] samples the engine after every [sample_every]-th fed
    event and at the end of the stream, until a verdict settles. The samples
-   fall at the same events whatever the reads or rounds, so the peak
-   depends on the stream alone: not on timing, on file or pipe input, or
-   on [domains]. *)
+   fall at the same events whatever the reads, so the peak depends on the
+   stream alone: not on timing, on file or pipe input, or on [domains]. *)
 let sample_every = 256
 
 let run ~spec ~opts ?metrics ic =
@@ -107,77 +77,48 @@ let run ~spec ~opts ?metrics ic =
     if not (settled ()) then resident_peak := max !resident_peak (Engine.resident engine)
   in
   (* nothing after a malformed line is fed *)
-  let feed_event ev =
-    match !bad with
-    | Some _ -> ()
-    | None ->
-      Engine.feed engine ev;
-      incr fed;
-      if !fed mod sample_every = 0 then sample ()
-  in
-  let feed_shed call ret =
-    match !bad with Some _ -> () | None -> Engine.shed engine ~call ~ret
-  in
   let fail e = if !bad = None then bad := Some e in
-  (* The end of a round: report progress, and say whether the verdict is
+  let on_line = function
+    | Mevent.Ev { event; _ } -> (
+      match !bad with
+      | Some _ -> ()
+      | None ->
+        Engine.feed engine event;
+        incr fed;
+        if !fed mod sample_every = 0 then sample ())
+    | Mevent.Malformed e -> fail e
+    | Mevent.Blank | Mevent.Skip -> ()
+  in
+  (* After every read: report progress, and say whether the verdict is
      decided. *)
-  let round_decided ~depth =
+  let decided () =
     if !fed >= !next_report then begin
       next_report := !fed + opts.report_every;
       let resident = Engine.resident engine in
-      Trace.emit "monitor.tick"
-        [ "ops", Trace.Int !fed; "depth", Trace.Int depth; "resident", Trace.Int resident ];
+      Trace.emit "monitor.tick" [ "ops", Trace.Int !fed; "resident", Trace.Int resident ];
       Fmt.epr "monitor: %d events, resident %d@." !fed resident
     end;
     settled ()
   in
-  let queue_sheds =
-    match opts.on_full with
-    | Ingest.Block ->
-      let r = Mevent.reader ic in
-      let on_line = function
-        | Mevent.Ev { event; _ } -> feed_event event
-        | Mevent.Malformed e -> fail e
-        | Mevent.Blank | Mevent.Skip -> ()
-      in
-      let rec loop () =
-        match Mevent.read r on_line with
-        | more ->
-          if not (round_decided ~depth:0) then
-            if more then loop ()
-            else if opts.follow then begin
-              (* see [spawn_reader] *)
-              Unix.sleepf 0.05;
-              loop ()
-            end
-        | exception Sys_error e -> fail e
-      in
-      loop ();
-      0
-    | Ingest.Shed ->
-      let queue = Ingest.create ~cap:opts.queue_cap () in
-      let reader = spawn_reader ~follow:opts.follow queue ic in
-      let rec loop () =
-        match Ingest.pop_batch queue ~max:8192 with
-        | [] -> () (* closed and drained *)
-        | items ->
-          List.iter
-            (function
-              | Ingest.Ev { event; _ } -> feed_event event
-              | Ingest.Shed_op { call; ret } -> feed_shed call ret
-              | Ingest.Bad e -> fail e)
-            items;
-          if round_decided ~depth:(Ingest.depth queue) then Ingest.abandon queue else loop ()
-      in
-      loop ();
-      (* On the normal EOF path the reader has already closed the queue and
-         is exiting, so the join is immediate (and re-raises whatever
-         stopped it). After an early stop it may still be blocked in a read
-         on a FIFO that never ends; [abandon] made its pushes no-ops, and
-         the process exits without it. *)
-      if not (settled ()) then Domain.join reader;
-      Ingest.sheds queue
+  let r = Mevent.reader ic in
+  let rec loop () =
+    match Mevent.read r on_line with
+    | exception Sys_error e -> fail e
+    | true -> if not (decided ()) then loop ()
+    | false when opts.follow ->
+      (* --follow: an end of input only means that the file has not grown
+         yet, or that every current writer of a FIFO closed. Wait and read
+         on; a line cut at the end waits in the reader for its rest. A
+         followed stream ends by verdict, never by end of input. *)
+      if not (decided ()) then begin
+        Unix.sleepf 0.05;
+        loop ()
+      end
+    | false ->
+      Mevent.finish r on_line;
+      ignore (decided ())
   in
+  loop ();
   sample ();
   let verdict =
     match !bad with
@@ -185,16 +126,14 @@ let run ~spec ~opts ?metrics ic =
     | None -> Engine.finalize engine
   in
   let ops = Engine.ops engine in
-  let sheds = max queue_sheds (Engine.sheds engine) in
   let windows = Engine.windows engine in
   (match metrics with
    | None -> ()
    | Some m ->
      Metrics.add m "monitor.ops" ops;
-     Metrics.add m "monitor.sheds" sheds;
      Metrics.add m "monitor.windows" windows;
      Metrics.add m "monitor.resident_peak" !resident_peak);
-  { verdict; ops; sheds; windows; resident_peak = !resident_peak }
+  { verdict; ops; windows; resident_peak = !resident_peak }
 
 (* Replay mode: the finite stream is a recording of one or more complete
    histories (a [lineup check --trace] file); group events by their [hist]
@@ -219,11 +158,11 @@ let replay ~spec ~opts ?metrics ic =
   while Mevent.read r on_line do
     ()
   done;
+  Mevent.finish r on_line;
   match !bad with
   | Some e ->
     let verdict = Monitor.Unsupported (Fmt.str "malformed input: %s" e) in
-    ( [],
-      { verdict; ops = 0; sheds = 0; windows = 0; resident_peak = 0 } )
+    [], { verdict; ops = 0; windows = 0; resident_peak = 0 }
   | None ->
     let hists = List.rev !order in
     let session ~cancelled:_ hist =
@@ -247,5 +186,4 @@ let replay ~spec ~opts ?metrics ic =
        Metrics.add m "monitor.ops" ops;
        Metrics.add m "monitor.windows" windows;
        Metrics.add m "monitor.histories" (List.length results));
-    ( per_hist,
-      { verdict; ops; sheds = 0; windows; resident_peak = 0 } )
+    per_hist, { verdict; ops; windows; resident_peak = 0 }

@@ -1,14 +1,14 @@
 module Spec = Lineup_spec.Spec
 module Monitor = Lineup_spec.Monitor
 module Kmon = Lineup_spec.Kmon
-module Event = Lineup_history.Event
 
 (* One checking engine for one stream: a live run, or one replayed
    history. Queues and stacks get the near-linear decrease-and-conquer
    engines ({!Monitor.Stream}); every other class gets the chunked
    feasible-state engine ({!Kmon}) — keyed (per-integer-key feasible
    states, P-compositional) for sets and dictionaries, single-key for
-   counters/registers/anything else. *)
+   counters/registers/anything else. An engine is fed every operation of
+   its stream, so its [Accept] decides the whole history. *)
 
 type t =
   | Fast of Monitor.Stream.t
@@ -36,11 +36,6 @@ let feed t ev =
   | Fast s -> Monitor.Stream.feed s ev
   | Chunked k -> k.Kmon.feed ev
 
-let shed t ~call ~ret =
-  match t with
-  | Fast s -> Monitor.Stream.shed s ~call ~ret
-  | Chunked k -> k.Kmon.shed ~call ~ret
-
 let verdict_now = function
   | Fast s -> Monitor.Stream.verdict_now s
   | Chunked k -> k.Kmon.verdict_now ()
@@ -52,10 +47,6 @@ let finalize = function
 let ops = function
   | Fast s -> Monitor.Stream.ops s
   | Chunked k -> k.Kmon.ops ()
-
-let sheds = function
-  | Fast s -> Monitor.Stream.sheds s
-  | Chunked k -> k.Kmon.sheds ()
 
 let windows = function
   | Fast s -> Monitor.Stream.windows s

@@ -16,13 +16,9 @@ val default_max_window : int
 val create : spec:Lineup_spec.Spec.packed -> min_batch:int -> max_window:int -> t
 val feed : t -> Lineup_history.Event.t -> unit
 
-val shed :
-  t -> call:Lineup_history.Event.t -> ret:Lineup_history.Event.t -> unit
-
 val verdict_now : t -> Lineup_spec.Monitor.verdict option
 val finalize : t -> Lineup_spec.Monitor.verdict
 val ops : t -> int
-val sheds : t -> int
 
 val windows : t -> int
 (** Window checks (fast engines) or closed chunks (chunked engines). *)

@@ -468,15 +468,12 @@ let read r f =
     r.buf <- b
   end;
   let got = In_channel.input r.ic r.buf r.stop (Bytes.length r.buf - r.stop) in
-  (* the scanner copies out whatever it keeps, so it reads the buffer in place *)
-  let s = Bytes.unsafe_to_string r.buf in
-  if got = 0 then begin
-    (* end of input: a last line without its newline is still a line *)
-    if r.stop > 0 then f (scan s 0 r.stop);
-    r.stop <- 0;
-    false
-  end
+  (* at end of input a line without its newline stays, for a later read
+     to continue or for [finish] to end *)
+  if got = 0 then false
   else begin
+    (* the scanner copies out whatever it keeps, so it reads the buffer in place *)
+    let s = Bytes.unsafe_to_string r.buf in
     let stop = r.stop + got in
     (* the carried bytes hold no newline *)
     let rec lines start p =
@@ -491,3 +488,8 @@ let read r f =
     r.stop <- stop;
     true
   end
+
+let finish r f =
+  if r.stop > r.start then f (scan (Bytes.unsafe_to_string r.buf) r.start r.stop);
+  r.start <- 0;
+  r.stop <- 0

@@ -41,10 +41,15 @@ val read : reader -> (line -> unit) -> bool
 (** [read r f] reads once from the channel (blocking until some input or
     end of input) and applies [f], in order, to the {!parse} of every line
     the read completes. A line cut by the read is carried to the next.
-    At end of input, a last line without its newline is passed to [f] as
-    [input_line] returns it, and the result is [false]; a later [read]
-    tries again (on a FIFO, the next writer's input). Raises [Sys_error]
-    as the channel does. *)
+    At end of input the result is [false], and a last line without its
+    newline stays in [r]: a later [read] tries again and continues it (on
+    a growing file, its next bytes; on a FIFO, the next writer's input),
+    and {!finish} ends it. Raises [Sys_error] as the channel does. *)
+
+val finish : reader -> (line -> unit) -> unit
+(** [finish r f] ends the stream: it applies [f] to the {!parse} of a last
+    line without its newline, as [input_line] returns it, if [r] holds
+    one. *)
 
 val emit_trace : ?hist:int -> Lineup_history.Event.t -> unit
 (** Emit the event into the live {!Lineup_observe.Trace} sink (no-op when

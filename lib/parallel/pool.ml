@@ -207,10 +207,6 @@ let map_parallel ~domains ~depth ~stop ~f jobs =
   in
   match feeder_error with Some e -> raise e | None -> results
 
-let map_seq ?(domains = 1) ?queue_depth ?(stop = fun _ -> false) ~f jobs =
+let map_seq ?(domains = 1) ?(stop = fun _ -> false) ~f jobs =
   if domains <= 1 then map_sequential ~stop ~f jobs
-  else
-    let depth =
-      match queue_depth with Some d -> max 1 d | None -> 2 * domains
-    in
-    map_parallel ~domains ~depth ~stop ~f jobs
+  else map_parallel ~domains ~depth:(2 * domains) ~stop ~f jobs

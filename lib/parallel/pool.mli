@@ -37,7 +37,6 @@ val default_domains : unit -> int
 
 val map_seq :
   ?domains:int ->
-  ?queue_depth:int ->
   ?stop:('b -> bool) ->
   f:(cancelled:cancelled -> 'a -> 'b) ->
   'a Seq.t ->
@@ -46,8 +45,8 @@ val map_seq :
     domains (default [1]: fully sequential on the calling domain, no spawn)
     and returns the results in submission order.
 
-    [queue_depth] (default [2 * domains]) bounds how many jobs are
-    materialized from [jobs] ahead of the workers.
+    At most [2 * domains] jobs are materialized from [jobs] ahead of the
+    workers.
 
     If some result satisfies [stop] (default: never), the returned list is
     the prefix of results up to and including the {e earliest} stopping

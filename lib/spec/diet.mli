@@ -3,7 +3,7 @@
     Purely functional; [add] and [mem] are O(log k) in the number of
     stored intervals, not the number of members. The streaming monitors
     ({!Monitor.Stream}) use these to retain "values ever inserted /
-    removed / shed" over unbounded streams with bounded memory: real
+    removed" over unbounded streams with bounded memory: real
     producers draw values from counters or small pools, so the interval
     count stays tiny even after millions of operations. *)
 

@@ -33,11 +33,9 @@ module Value = Lineup_value.Value
 
 type t = {
   feed : Event.t -> unit;
-  shed : call:Event.t -> ret:Event.t -> unit;
   verdict_now : unit -> Spec.verdict option;
   finalize : unit -> Spec.verdict;
   ops : unit -> int;
-  sheds : unit -> int;
   chunks : unit -> int;
   resident : unit -> int;
 }
@@ -71,9 +69,6 @@ type 'st kstate = {
   mutable chunk : Event.t list; (* reversed *)
   mutable chunk_ops : int; (* completed ops in [chunk] *)
   mutable kpending : int;
-  (* key degraded by load shedding: its events are discarded and it is
-     excluded from the final verdict (accept-lean) *)
-  mutable dead : bool;
 }
 
 let create : type st. st Spec.t -> keyed:bool -> chunk:int -> max_window:int -> t =
@@ -84,21 +79,13 @@ let create : type st. st Spec.t -> keyed:bool -> chunk:int -> max_window:int -> 
   let op_key : (int * int, int) Hashtbl.t = Hashtbl.create 64 in
   let verdict : Spec.verdict option ref = ref None in
   let n_ops = ref 0 in
-  let n_sheds = ref 0 in
   let n_chunks = ref 0 in
   let settle v = if !verdict = None then verdict := Some v in
   let kstate_of k =
     match Hashtbl.find_opt keys k with
     | Some ks -> ks
     | None ->
-      let ks =
-        { feasible = [ spec.Spec.initial ];
-          chunk = [];
-          chunk_ops = 0;
-          kpending = 0;
-          dead = false;
-        }
-      in
+      let ks = { feasible = [ spec.Spec.initial ]; chunk = []; chunk_ops = 0; kpending = 0 } in
       Hashtbl.add keys k ks;
       ks
   in
@@ -166,15 +153,12 @@ let create : type st. st Spec.t -> keyed:bool -> chunk:int -> max_window:int -> 
           | Some k ->
             Hashtbl.replace op_key id k;
             let ks = kstate_of k in
-            if not ks.dead then begin
-              ks.kpending <- ks.kpending + 1;
-              ks.chunk <- ev :: ks.chunk;
-              if ks.chunk_ops + ks.kpending > max_window then
-                settle
-                  (Spec.Unsupported
-                     (Fmt.str "no quiescent point within %d operations"
-                        max_window))
-            end)
+            ks.kpending <- ks.kpending + 1;
+            ks.chunk <- ev :: ks.chunk;
+            if ks.chunk_ops + ks.kpending > max_window then
+              settle
+                (Spec.Unsupported
+                   (Fmt.str "no quiescent point within %d operations" max_window)))
       | Event.Return _ -> (
         match Hashtbl.find_opt op_key id with
         | None ->
@@ -185,32 +169,11 @@ let create : type st. st Spec.t -> keyed:bool -> chunk:int -> max_window:int -> 
         | Some k ->
           Hashtbl.remove op_key id;
           let ks = kstate_of k in
-          if not ks.dead then begin
-            ks.kpending <- ks.kpending - 1;
-            ks.chunk <- ev :: ks.chunk;
-            ks.chunk_ops <- ks.chunk_ops + 1;
-            incr n_ops;
-            if ks.kpending = 0 && ks.chunk_ops >= chunk then close_chunk ks
-          end)
-    end
-  in
-  (* A shed operation permanently degrades its key: we no longer know that
-     key's state, so its remaining events are discarded and it is excluded
-     from the verdict. Other keys are unaffected (P-compositionality). *)
-  let shed ~(call : Event.t) ~ret:_ =
-    if !verdict = None then begin
-      incr n_sheds;
-      match call.Event.dir with
-      | Event.Call inv -> (
-        match key_of inv with
-        | None -> ()
-        | Some k ->
-          let ks = kstate_of k in
-          ks.dead <- true;
-          ks.chunk <- [];
-          ks.chunk_ops <- 0;
-          ks.kpending <- 0)
-      | Event.Return _ -> ()
+          ks.kpending <- ks.kpending - 1;
+          ks.chunk <- ev :: ks.chunk;
+          ks.chunk_ops <- ks.chunk_ops + 1;
+          incr n_ops;
+          if ks.kpending = 0 && ks.chunk_ops >= chunk then close_chunk ks)
     end
   in
   let finalize () =
@@ -224,7 +187,7 @@ let create : type st. st Spec.t -> keyed:bool -> chunk:int -> max_window:int -> 
       let unsupported = ref None in
       let rejected = ref false in
       let check_key _k ks =
-        if (not ks.dead) && ks.chunk <> [] && not !rejected then begin
+        if ks.chunk <> [] && not !rejected then begin
           let h = History.make ~stuck:false (renumber (List.rev ks.chunk)) in
           let key_unsupported = ref None in
           let ok =
@@ -260,11 +223,9 @@ let create : type st. st Spec.t -> keyed:bool -> chunk:int -> max_window:int -> 
   in
   {
     feed;
-    shed;
     verdict_now = (fun () -> !verdict);
     finalize;
     ops = (fun () -> !n_ops);
-    sheds = (fun () -> !n_sheds);
     chunks = (fun () -> !n_chunks);
     resident =
       (fun () ->

@@ -13,19 +13,13 @@
     a violation. Degradation is structured: a chunk that cannot close
     within [max_window] operations, more than 64 feasible states, or
     off-vocabulary operations answer [Unsupported], never a wrong
-    verdict.
-
-    Load shedding permanently degrades the shed operation's key
-    (accept-lean: it is excluded from the verdict); other keys are
-    unaffected, by P-compositionality. *)
+    verdict. *)
 
 type t = {
   feed : Lineup_history.Event.t -> unit;
-  shed : call:Lineup_history.Event.t -> ret:Lineup_history.Event.t -> unit;
   verdict_now : unit -> Spec.verdict option;
   finalize : unit -> Spec.verdict;
   ops : unit -> int;
-  sheds : unit -> int;
   chunks : unit -> int;
   resident : unit -> int;
 }

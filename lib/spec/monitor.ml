@@ -306,14 +306,7 @@ module Stream = struct
        neither cover a slot of that empty's range nor bridge two retained
        intervals across the boundary.
      - Stack peeling is monotone and confluent, so peeled pairs are final
-       and the leftover set is carried forward ([peel_leftover]).
-
-     Load shedding ([shed]) degrades the engine accept-lean: a shed insert
-     grants its value amnesty (later operations on it are swallowed), a
-     shed remove silently consumes its value, and once anything was shed a
-     remove of an unknown value is swallowed rather than rejected. A
-     [Reject] therefore remains trustworthy under shedding; only
-     completeness is lost. *)
+       and the leftover set is carried forward ([peel_leftover]). *)
 
   type cfg = {
     insert_name : string;
@@ -336,7 +329,7 @@ module Stream = struct
     mutable pos : int;
     (* (tid, op_index) of each pending call, with its invocation/position *)
     pending : (int * int, Invocation.t * int) Hashtbl.t;
-    (* value -> the number of its pending inserts (0/1 outside amnesty) *)
+    (* the values whose insert is pending *)
     ins_pending : (int, unit) Hashtbl.t;
     (* value -> its completed insert, not yet removed *)
     live : (int, live) Hashtbl.t;
@@ -346,7 +339,6 @@ module Stream = struct
     early_rem : (int, Op.t) Hashtbl.t;
     mutable inserted : Diet.t;
     mutable removed : Diet.t;
-    mutable amnesty : Diet.t;
     mutable w_pairs : (Op.t * Op.t) list;
     mutable w_empties : Op.t list;
     mutable w_count : int;
@@ -354,7 +346,6 @@ module Stream = struct
     scratch : scratch;
     mutable verdict : verdict option;
     mutable n_ops : int;
-    mutable n_sheds : int;
     mutable n_windows : int;
   }
 
@@ -399,7 +390,6 @@ module Stream = struct
       early_rem = Hashtbl.create 8;
       inserted = Diet.empty;
       removed = Diet.empty;
-      amnesty = Diet.empty;
       w_pairs = [];
       w_empties = [];
       w_count = 0;
@@ -407,7 +397,6 @@ module Stream = struct
       scratch = scratch ();
       verdict = None;
       n_ops = 0;
-      n_sheds = 0;
       n_windows = 0;
     }
 
@@ -470,13 +459,9 @@ module Stream = struct
     if String.equal name t.cfg.insert_name then (
       match inv.Invocation.arg with
       | Value.Int v ->
-        if Diet.mem v t.amnesty then ()
-        else if Diet.mem v t.inserted then
-          unsupported "ambiguous: value inserted twice"
-        else begin
-          t.inserted <- Diet.add v t.inserted;
-          Hashtbl.replace t.ins_pending v ()
-        end
+        if Diet.mem v t.inserted then unsupported "ambiguous: value inserted twice";
+        t.inserted <- Diet.add v t.inserted;
+        Hashtbl.replace t.ins_pending v ()
       | _ -> unsupported "non-integer %s argument" t.cfg.insert_name)
     else if List.mem name t.cfg.remove_names then (
       match inv.Invocation.arg with
@@ -490,16 +475,13 @@ module Stream = struct
     t.w_pairs <- (ins, rem) :: t.w_pairs
 
   let on_insert_return t (op : Op.t) v =
-    if Diet.mem v t.amnesty then Hashtbl.remove t.ins_pending v
-    else begin
-      Hashtbl.remove t.ins_pending v;
-      match Hashtbl.find_opt t.early_rem v with
-      | Some rem ->
-        Hashtbl.remove t.early_rem v;
-        t.removed <- Diet.add v t.removed;
-        add_pair t op rem
-      | None -> add_live t v op
-    end
+    Hashtbl.remove t.ins_pending v;
+    match Hashtbl.find_opt t.early_rem v with
+    | Some rem ->
+      Hashtbl.remove t.early_rem v;
+      t.removed <- Diet.add v t.removed;
+      add_pair t op rem
+    | None -> add_live t v op
 
   let on_remove_return t (op : Op.t) resp =
     match resp with
@@ -513,13 +495,11 @@ module Stream = struct
         t.removed <- Diet.add v t.removed;
         add_pair t ins op
       | None ->
-        if Diet.mem v t.amnesty then ()
-        else if Diet.mem v t.removed then reject () (* removed twice *)
+        if Diet.mem v t.removed then reject () (* removed twice *)
         else if Hashtbl.mem t.ins_pending v then begin
           if Hashtbl.mem t.early_rem v then reject () (* removed twice *)
           else Hashtbl.replace t.early_rem v op
         end
-        else if t.n_sheds > 0 then () (* plausibly pairs with a shed insert *)
         else reject () (* removed but never inserted *))
     | _ -> reject ()
 
@@ -560,30 +540,6 @@ module Stream = struct
         maybe_window t
       with Verdict v -> t.verdict <- Some v)
 
-  (* A shed operation ran in the monitored system but was dropped from the
-     stream under load. [call]/[ret] are the op's two events as captured at
-     drop time; degrade accept-lean (see the module comment). *)
-  let shed t ~(call : Event.t) ~(ret : Event.t) =
-    match t.verdict with
-    | Some _ -> ()
-    | None ->
-      t.n_sheds <- t.n_sheds + 1;
-      (match call.Event.dir with
-       | Event.Call inv when String.equal inv.Invocation.name t.cfg.insert_name
-         -> (
-           match inv.Invocation.arg with
-           | Value.Int v -> t.amnesty <- Diet.add v t.amnesty
-           | _ -> ())
-       | Event.Call inv when List.mem inv.Invocation.name t.cfg.remove_names
-         -> (
-           match ret.Event.dir with
-           | Event.Return (Value.Int v) -> (
-             match take_live t v with
-             | Some _ -> t.removed <- Diet.add v t.removed
-             | None -> t.amnesty <- Diet.add v t.amnesty)
-           | _ -> ())
-       | _ -> ())
-
   let verdict_now t = t.verdict
 
   let finalize t =
@@ -602,7 +558,6 @@ module Stream = struct
       v
 
   let ops t = t.n_ops
-  let sheds t = t.n_sheds
   let windows t = t.n_windows
 
   (* Upper bound on retained tracking state, in operations — what windowed
@@ -614,8 +569,5 @@ module Stream = struct
     + List.length t.w_empties
     + (2 * List.length t.unpeeled)
 
-  let intervals t =
-    Diet.interval_count t.inserted
-    + Diet.interval_count t.removed
-    + Diet.interval_count t.amnesty
+  let intervals t = Diet.interval_count t.inserted + Diet.interval_count t.removed
 end

@@ -46,10 +46,7 @@ type verdict = Spec.verdict =
     engine degrades to [Unsupported] rather than growing without bound.
 
     Verdicts are sticky: after the first [Reject]/[Unsupported], further
-    events are ignored. [shed] records an operation dropped under
-    backpressure and degrades the engine {e accept-lean}: a [Reject]
-    remains trustworthy, but some violations involving shed values may be
-    missed. *)
+    events are ignored. *)
 module Stream : sig
   type t
 
@@ -63,10 +60,6 @@ module Stream : sig
   val feed : t -> Lineup_history.Event.t -> unit
   (** Process one call or return event. No-op once a verdict is reached. *)
 
-  val shed : t -> call:Lineup_history.Event.t -> ret:Lineup_history.Event.t -> unit
-  (** Record an operation dropped under backpressure, given its two events
-      as captured at drop time. *)
-
   val verdict_now : t -> verdict option
   (** [Some] once the verdict is decided (sticky); [None] while the stream
       is still undecided (= accepting so far). *)
@@ -78,9 +71,6 @@ module Stream : sig
   val ops : t -> int
   (** Completed operations processed. *)
 
-  val sheds : t -> int
-  (** Operations dropped via {!shed}. *)
-
   val windows : t -> int
   (** Window checks performed. *)
 
@@ -90,6 +80,6 @@ module Stream : sig
       GC keeps bounded. *)
 
   val intervals : t -> int
-  (** Total interval count across the value Diets (inserted / removed /
-      amnesty) — the engine's only other retained state. *)
+  (** Total interval count across the value Diets (inserted / removed) —
+      the engine's only other retained state. *)
 end

@@ -183,12 +183,18 @@ let with_temp_dir f =
   in
   Fun.protect ~finally:(fun () -> if Sys.file_exists dir then rm dir) (fun () -> f dir)
 
+(* The seconds a CLI run may take from its start; the slowest row takes
+   about 6 s *)
+let cli_deadline = 120.
+
 (* [spawn_cli ?input ?metrics subcommand args] starts [lineup_cli
    SUBCOMMAND --metrics FILE ARGS...], reading the file [input] on its
    stdin if given; the function it returns waits for it and gives its exit
-   code (-1 on a signal), stdout and metrics file. With [~metrics:false]
-   it passes no [--metrics] (which [list] and [observe] do not take) and
-   the metrics read as "". Runs started together share the cores. *)
+   code (-1 on a signal), stdout and metrics file. A run still going
+   [cli_deadline] seconds after its start is killed, and fails the test.
+   With [~metrics:false] it passes no [--metrics] (which [list] and
+   [observe] do not take) and the metrics read as "". Runs started
+   together share the cores. *)
 let spawn_cli ?input ?(metrics = true) subcommand args =
   let report = Filename.temp_file "lineup-golden" ".report" in
   let metrics_file = Filename.temp_file "lineup-golden" ".json" in
@@ -207,14 +213,25 @@ let spawn_cli ?input ?(metrics = true) subcommand args =
           (Option.value inp ~default:Unix.stdin)
           out Unix.stderr)
   in
+  let deadline = Unix.gettimeofday () +. cli_deadline in
+  let rec wait () =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ ->
+      if Unix.gettimeofday () > deadline then begin
+        Unix.kill pid Sys.sigkill;
+        ignore (Unix.waitpid [] pid);
+        Alcotest.failf "no exit within %.0f s: %s" cli_deadline (String.concat " " argv)
+      end;
+      Unix.sleepf 0.005;
+      wait ()
+    | _, status -> status
+  in
   fun () ->
     Fun.protect
       ~finally:(fun () -> List.iter Sys.remove [ report; metrics_file ])
       (fun () ->
         let code =
-          match snd (Unix.waitpid [] pid) with
-          | Unix.WEXITED c -> c
-          | Unix.WSIGNALED _ | Unix.WSTOPPED _ -> -1
+          match wait () with Unix.WEXITED c -> c | Unix.WSIGNALED _ | Unix.WSTOPPED _ -> -1
         in
         code, read report, read metrics_file)
 

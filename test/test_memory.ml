@@ -214,6 +214,15 @@ let suite =
            distinct histories and fingerprint, in ~10.6k (pb=0) and
            ~113k (pb=1) executions since thread steps sleep across the
            flushes they commute with. *)
+        let flushes m = Metrics.get m "explore.phase2.flushes" in
+        (* The litmus matrix at pb=1 with --por, as bench/memory_bench.ml
+           runs it: the fenced variant passes under sc too, and its weak
+           runs below take at most 25x the sc executions (17.5x when this
+           was written); the fence-free variant passes under sc and fails
+           under tso and pso; every weak run flushes. *)
+        let r, m = run_with ~por:true ~pb:1 ~memory:Memory_model.Sc fenced dekker_test in
+        if not (Check.passed r) then Alcotest.failf "sc pb=1: %s" (Report.summary r);
+        let sc = phase2_executions m in
         List.iter
           (fun (pb, histories, fp, max_executions) ->
             List.iter
@@ -225,9 +234,24 @@ let suite =
                 Alcotest.(check int) (what ^ " fingerprint") fp (fingerprint m);
                 if phase2_executions m > max_executions then
                   Alcotest.failf "%s: %d executions, expected at most %d" what
-                    (phase2_executions m) max_executions)
+                    (phase2_executions m) max_executions;
+                if pb = 1 && phase2_executions m > 25 * sc then
+                  Alcotest.failf "%s: %d executions, over 25x the %d under sc" what
+                    (phase2_executions m) sc;
+                if flushes m = 0 then Alcotest.failf "%s: no flushes" what)
               weak_models)
-          [ 0, 21, 10919306494, 15_000; 1, 23, 11896227140, 150_000 ]);
+          [ 0, 21, 10919306494, 15_000; 1, 23, 11896227140, 150_000 ];
+        List.iter
+          (fun memory ->
+            let r, m = run_with ~por:true ~pb:1 ~memory fence_free dekker_test in
+            let what = Fmt.str "fence-free %s pb=1" (Memory_model.to_string memory) in
+            match memory with
+            | Memory_model.Sc ->
+              if not (Check.passed r) then Alcotest.failf "%s: %s" what (Report.summary r)
+            | Memory_model.Tso | Memory_model.Pso ->
+              if not (Check.failed r) then Alcotest.failf "%s: %s" what (Report.summary r);
+              if flushes m = 0 then Alcotest.failf "%s: no flushes" what)
+          [ Memory_model.Sc; Memory_model.Tso; Memory_model.Pso ]);
     test "fence-free litmus: --por fails within 15 executions" (fun () ->
         (* Pins the thread-first DFS order: trying flushes first, so that
            the flushes sleep instead, finds no violation under tso at pb=1

@@ -24,12 +24,12 @@
    - windowing as a memory bound: a long bounded-occupancy stream keeps
      [resident] small, and a stream with no quiescent point inside
      [max_window] answers [Unsupported], never a wrong verdict;
-   - load-shedding amnesty: a shed insert excuses the retained remove of
-     its value (accept-lean, no false reject);
    - the driver end to end over temp NDJSON files: streaming accept and
-     reject verdicts, and [--replay] grouping by the [hist] tag; a value
-     image out of [int] range ends every mode as [Unsupported], and
-     [resident_peak] is a function of the stream. *)
+     reject verdicts, and [--replay] grouping by the [hist] tag; under
+     [follow], a line cut at the end of a growing file or of a FIFO writer
+     session waits for its rest; a value image out of [int] range ends
+     every mode as [Unsupported], and [resident_peak] is a function of the
+     stream. *)
 
 open Helpers
 module Value = Lineup_value.Value
@@ -42,7 +42,6 @@ module Specs = Lineup_spec.Specs
 module Mevent = Lineup_monitor.Mevent
 module Engine = Lineup_monitor.Engine
 module Driver = Lineup_monitor.Driver
-module Ingest = Lineup_monitor.Ingest
 module Ndjson = Lineup_observe.Ndjson
 module Metrics = Lineup_observe.Metrics
 
@@ -685,20 +684,6 @@ let kmon_units =
         (match k.Kmon.finalize () with
          | Monitor.Unsupported _ -> ()
          | v -> Alcotest.failf "expected Unsupported, got %a" (Alcotest.pp verdict) v));
-    test "kmon: shed op degrades only its key" (fun () ->
-        let k = Kmon.create Specs.key_set ~keyed:true ~chunk:1 ~max_window:64 in
-        k.Kmon.shed
-          ~call:(Event.call ~tid:1 ~op_index:0 (inv_int "Add" 1))
-          ~ret:(Event.return ~tid:1 ~op_index:0 (Value.bool true));
-        feed_serial k
-          [
-            (* key 1 is now amnestied: this inconsistent pair is excused *)
-            inv_int "Contains" 1, Value.bool true;
-            (* key 2 is not: its violation must still be caught *)
-            inv_int "Add" 2, Value.bool true;
-            inv_int "Contains" 2, Value.bool false;
-          ];
-        Alcotest.check verdict "rejected" Monitor.Reject (k.Kmon.finalize ()));
   ]
 
 (* ---------------- windowed GC: memory bound and degradation ---------------- *)
@@ -760,17 +745,6 @@ let gc_units =
         | Some (Monitor.Unsupported _) -> ()
         | Some v -> Alcotest.failf "expected Unsupported, got %a" (Alcotest.pp verdict) v
         | None -> Alcotest.fail "window bound not enforced");
-    test "stream: shed insert amnesties its retained remove" (fun () ->
-        let s = Monitor.Stream.create_queue ~min_batch:1 () in
-        Monitor.Stream.shed s
-          ~call:(call 0 0 "Enqueue" ~arg:(Value.int 5) ())
-          ~ret:(ret 0 0 Value.unit);
-        (* the remove of the shed value survived in the stream: accept-lean
-           means this must NOT reject *)
-        Monitor.Stream.feed s (call 1 0 "TryDequeue" ());
-        Monitor.Stream.feed s (ret 1 0 (Value.int 5));
-        Alcotest.check verdict "accepted" Monitor.Accept (Monitor.Stream.finalize s);
-        Alcotest.(check int) "one shed" 1 (Monitor.Stream.sheds s));
     test "stream: reject is sticky and survives later clean traffic" (fun () ->
         let s = Monitor.Stream.create_queue ~min_batch:1 () in
         let feed_complete i v resp_ins =
@@ -798,7 +772,8 @@ let with_text_file text f =
   Out_channel.with_open_bin path (fun oc -> output_string oc text);
   Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> In_channel.with_open_bin path f)
 
-let with_file lines f = with_text_file (String.concat "" (List.map (fun l -> l ^ "\n") lines)) f
+let lines_text lines = String.concat "" (List.map (fun l -> l ^ "\n") lines)
+let with_file lines f = with_text_file (lines_text lines) f
 let queue_spec = Spec.Packed Specs.queue
 
 let render_history ?hist events = List.map (Mevent.render ?hist) events
@@ -818,6 +793,51 @@ let rejecting_events =
     call 1 0 "TryDequeue" (); ret 1 0 (Value.int 2);
     call 1 1 "TryDequeue" (); ret 1 1 (Value.int 1);
   ]
+
+(* [Driver.run] under [follow] on a FIFO that each of [sessions] is written
+   to by its own writer, a pause apart: a writer that closes the FIFO is an
+   end of input at the reader *)
+let follow_fifo sessions =
+  let path = Filename.temp_file "lineup_test_monitor" ".fifo" in
+  Sys.remove path;
+  Unix.mkfifo path 0o600;
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+  @@ fun () ->
+  let writer =
+    Domain.spawn (fun () ->
+        List.iteri
+          (fun i text ->
+            (* give the reader time to meet the end of input and read on *)
+            if i > 0 then Unix.sleepf 0.2;
+            (* open_out_bin blocks until the reader has the FIFO open *)
+            let oc = open_out_bin path in
+            output_string oc text;
+            close_out oc)
+          sessions)
+  in
+  let run =
+    try
+      Ok
+        (within 10. (fun () ->
+             let ic = open_in_bin path in
+             Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
+             Driver.run ~spec:queue_spec
+               ~opts:{ Driver.default_opts with min_batch = 1; follow = true }
+               ic))
+    with e -> Error e
+  in
+  (* A run that ended, or failed to, before the last session leaves the
+     writer blocked opening the FIFO. Hold both of its ends open, so that
+     every session goes through and the writer finishes. *)
+  let ends =
+    List.filter_map
+      (fun flag ->
+        try Some (Unix.openfile path [ flag; Unix.O_NONBLOCK ] 0) with Unix.Unix_error _ -> None)
+      [ Unix.O_RDONLY; Unix.O_WRONLY ]
+  in
+  Domain.join writer;
+  List.iter Unix.close ends;
+  match run with Ok o -> o | Error e -> raise e
 
 let driver_units =
   let opts = { Driver.default_opts with min_batch = 1 } in
@@ -860,12 +880,12 @@ let driver_units =
             Alcotest.check verdict "hist 0" Monitor.Accept
               (List.assoc (Some 0) per_hist)));
     test "follow: reader re-arms across FIFO writer sessions" (fun () ->
-        (* Two separate writer sessions on one FIFO: the first closes its
-           end (EOF at the reader) after a clean prefix; under --follow the
-           monitor re-arms instead of finalizing Accept, so the second
-           session's out-of-order dequeues still settle Reject. The second
-           session continues the same logical stream — same engine state —
-           so it uses fresh op indices and values. *)
+        (* The first session closes its end (end of input at the reader)
+           after a clean prefix; under --follow the monitor reads on instead
+           of finalizing Accept, so the second session's out-of-order
+           dequeues still settle Reject. The second session continues the
+           same logical stream — same engine state — so it uses fresh op
+           indices and values. *)
         let second_session =
           [
             call 0 2 "Enqueue" ~arg:(Value.int 3) (); ret 0 2 Value.unit;
@@ -874,56 +894,52 @@ let driver_units =
             call 1 3 "TryDequeue" (); ret 1 3 (Value.int 3);
           ]
         in
-        let path = Filename.temp_file "lineup_test_monitor" ".fifo" in
-        Sys.remove path;
-        Unix.mkfifo path 0o600;
-        Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-        @@ fun () ->
-        let session lines =
-          (* open_out blocks until the reader has the FIFO open *)
-          let oc = open_out path in
-          List.iter
-            (fun l ->
-              output_string oc l;
-              output_char oc '\n')
-            lines;
-          close_out oc
-        in
-        let writer =
-          Domain.spawn (fun () ->
-              session (render_history accepting_events);
-              (* give the reader time to hit EOF and re-arm *)
-              Unix.sleepf 0.2;
-              session (render_history second_session))
-        in
         let o =
-          match
-            within 10. (fun () ->
-                let ic = open_in path in
-                Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
-                Driver.run ~spec:queue_spec
-                  ~opts:{ Driver.default_opts with min_batch = 1; follow = true }
-                  ic)
-          with
-          | o -> o
-          | exception e ->
-            (* The run did not end. Hold both ends of the FIFO open, so a
-               session blocked opening it goes through and the writer
-               finishes, then fail. *)
-            let ends =
-              List.filter_map
-                (fun flag ->
-                  try Some (Unix.openfile path [ flag; Unix.O_NONBLOCK ] 0)
-                  with Unix.Unix_error _ -> None)
-                [ Unix.O_RDONLY; Unix.O_WRONLY ]
-            in
-            Domain.join writer;
-            List.iter Unix.close ends;
-            raise e
+          follow_fifo
+            [
+              lines_text (render_history accepting_events);
+              lines_text (render_history second_session);
+            ]
         in
-        Domain.join writer;
         Alcotest.check verdict "reject from the second session" Monitor.Reject
           o.Driver.verdict);
+    test "follow: a line cut at the end of a FIFO session waits for the next" (fun () ->
+        (* the first session ends inside the call of a dequeue that the
+           second completes, returning a value never enqueued *)
+        let o =
+          follow_fifo
+            [
+              lines_text (render_history accepting_events) ^ {|{"ev":"call","tid":1,"op":2,"na|};
+              {|me":"TryDequeue"}|} ^ "\n" ^ {|{"ev":"ret","tid":1,"op":2,"val":"7"}|} ^ "\n";
+            ]
+        in
+        Alcotest.check verdict "reject across the cut" Monitor.Reject o.Driver.verdict);
+    test "follow: a line cut at the end of a growing file waits for its rest" (fun () ->
+        (* 1,000 complete operations, then the start of a dequeue's call;
+           what is appended later completes that call and returns a value
+           never enqueued *)
+        let path = Filename.temp_file "lineup_test_monitor" ".ndjson" in
+        Out_channel.with_open_bin path (fun oc ->
+            output_string oc (lines_text (render_history (bounded_stream ~n:1000 ~occupancy:8)));
+            output_string oc {|{"ev":"call","tid":0,"op":5000,"na|});
+        let appender =
+          Domain.spawn (fun () ->
+              (* after the reader has met the end of the file *)
+              Unix.sleepf 0.2;
+              Out_channel.with_open_gen [ Open_append; Open_binary ] 0o600 path (fun oc ->
+                  output_string oc ({|me":"TryDequeue"}|} ^ "\n");
+                  output_string oc ({|{"ev":"ret","tid":0,"op":5000,"val":"1000000"}|} ^ "\n")))
+        in
+        Fun.protect ~finally:(fun () ->
+            Domain.join appender;
+            Sys.remove path)
+        @@ fun () ->
+        let o =
+          within 10. (fun () ->
+              In_channel.with_open_bin path
+                (Driver.run ~spec:queue_spec ~opts:{ Driver.default_opts with follow = true }))
+        in
+        Alcotest.check verdict "reject after the append" Monitor.Reject o.Driver.verdict);
     test "replay: interleaved hist tags are demultiplexed" (fun () ->
         (* events of two histories arrive interleaved, as a sharded
            checker's trace would record them *)
@@ -984,9 +1000,11 @@ let with_text_pipe ?(seed = 7) text f =
 let reader_lines ic =
   let r = Mevent.reader ic in
   let acc = ref [] in
-  while Mevent.read r (fun l -> acc := l :: !acc) do
+  let f l = acc := l :: !acc in
+  while Mevent.read r f do
     ()
   done;
+  Mevent.finish r f;
   List.rev !acc
 
 let reader_units =
@@ -1038,7 +1056,7 @@ let reader_units =
       (List.fold_left (fun acc (_, (_, ops, _)) -> acc + ops) 0 want)
       o.Driver.ops
   in
-  let run ?(opts = opts) ic = Driver.run ~spec:queue_spec ~opts ic in
+  let run ic = Driver.run ~spec:queue_spec ~opts ic in
   let replay ic = Driver.replay ~spec:queue_spec ~opts ic in
   [
     test "reader: lines come out as input_line reads them" (fun () ->
@@ -1047,7 +1065,6 @@ let reader_units =
     test "reader: Driver.run and replay see the same stream" (fun () ->
         check_run "file" (with_text_file text run);
         check_run "pipe" (with_text_pipe text run);
-        check_run "shed" (with_text_pipe text (run ~opts:{ opts with on_full = Ingest.Shed }));
         check_replay "replay" (with_text_file text replay);
         check_replay "replay pipe" (with_text_pipe text replay));
   ]
@@ -1093,13 +1110,9 @@ let robustness_units =
             when String.starts_with ~prefix:"malformed input: Value.of_string: " r -> ()
           | v -> Alcotest.failf "%s: got %a" name (Alcotest.pp verdict) v
         in
-        List.iter
-          (fun (name, on_full) ->
-            let opts = { Driver.default_opts with on_full } in
-            let o = within 10. (fun () -> with_file lines (Driver.run ~spec:queue_spec ~opts)) in
-            expect name o.Driver.verdict)
-          [ "block", Ingest.Block; "shed", Ingest.Shed ];
         let opts = Driver.default_opts in
+        let o = within 10. (fun () -> with_file lines (Driver.run ~spec:queue_spec ~opts)) in
+        expect "run" o.Driver.verdict;
         let _, o = within 10. (fun () -> with_file lines (Driver.replay ~spec:queue_spec ~opts)) in
         expect "replay" o.Driver.verdict);
     test "driver: resident_peak is a function of the stream" (fun () ->
@@ -1122,8 +1135,47 @@ let robustness_units =
 
 (* ---------------- engine dispatch ---------------- *)
 
+(* The producer/consumer queue stream of bench/monitor_bench.ml's
+   queue-direct lane, drawn from [rng] as it draws them: thread 0 enqueues
+   contiguous values, thread 1 dequeues the oldest, or fails on an empty
+   queue. *)
+let bench_queue_stream rng n =
+  let events = ref [] in
+  let bag = Queue.create () in
+  let next = ref 0 in
+  let op = Array.make 2 0 in
+  let complete tid i resp =
+    let op_index = op.(tid) in
+    op.(tid) <- op_index + 1;
+    events := Event.return ~tid ~op_index resp :: Event.call ~tid ~op_index i :: !events
+  in
+  for _ = 1 to n do
+    if Random.State.int rng 2 = 0 || (Queue.is_empty bag && Random.State.bool rng) then begin
+      incr next;
+      complete 0 (inv_int "Enqueue" !next) Value.unit;
+      Queue.add !next bag
+    end
+    else if Queue.is_empty bag then complete 1 (inv "TryDequeue") Value.Fail
+    else complete 1 (inv "TryDequeue") (Value.int (Queue.pop bag))
+  done;
+  List.rev !events
+
 let engine_units =
   [
+    test "engine: the bench's 200,000-op queue stream closes many windows" (fun () ->
+        (* the lane's seed and its smoke-scale length, at the CLI's
+           min_batch: windowed GC must engage *)
+        let events = bench_queue_stream (Random.State.make [| 42; 0x5eed |]) 200_000 in
+        let e =
+          Engine.create ~spec:queue_spec ~min_batch:Engine.default_min_batch
+            ~max_window:Engine.default_max_window
+        in
+        List.iter (Engine.feed e) events;
+        Alcotest.check verdict "accepted" Monitor.Accept (Engine.finalize e);
+        Alcotest.(check bool)
+          (Fmt.str "%d windows" (Engine.windows e))
+          true
+          (Engine.windows e > 1));
     test "engine: any registered spec is monitorable" (fun () ->
         List.iter
           (fun name ->

@@ -50,13 +50,14 @@ let pool_suite =
               i)
         in
         let got =
-          Pool.map_seq ~domains:4 ~queue_depth:4 ~stop:(fun x -> x >= 5)
+          Pool.map_seq ~domains:4 ~stop:(fun x -> x >= 5)
             ~f:(fun ~cancelled:_ x -> x)
             jobs
         in
         Alcotest.(check (list int)) "prefix" [ 0; 1; 2; 3; 4; 5 ] got;
         (* enumeration stops shortly after the stop point: the bounded queue
-           can overrun by at most its depth plus in-flight jobs *)
+           can overrun by at most its depth (8 at 4 domains) plus in-flight
+           jobs *)
         Alcotest.(check bool)
           (Fmt.str "pulled %d of 1000" (Atomic.get pulled))
           true
@@ -82,7 +83,7 @@ let pool_suite =
           x
         in
         (match
-           Pool.map_seq ~domains:4 ~queue_depth:2
+           Pool.map_seq ~domains:4
              ~stop:(fun _ -> raise Exit)
              ~f
              (List.to_seq (List.init 200 Fun.id))

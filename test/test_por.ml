@@ -304,6 +304,53 @@ let unbounded_stats_table =
         (3_031, 112_331, 92_373, 3_062, 32, 13_190, 11_014, 47, 0) );
     ]
 
+(* The reduction floor at the default bound: on the bench's six 2x2 tests
+   (bench/por_bench.ml), each run with and without --por completes within
+   500,000 executions with the same verdict and distinct-history count,
+   and at least three classes need 2x fewer executions or better. *)
+let reduction_floor =
+  test "por: 2x fewer executions on at least three of the bench's 2x2 tests" (fun () ->
+      let enq_deq =
+        [ [ inv_int "Enqueue" 1; inv "TryDequeue" ]; [ inv_int "Enqueue" 2; inv "TryDequeue" ] ]
+      in
+      let cases =
+        [
+          "Counter", [ [ inv "Inc"; inv "Get" ]; [ inv "Inc"; inv "Get" ] ];
+          "ConcurrentQueue", enq_deq;
+          ( "ConcurrentStack",
+            [ [ inv_int "Push" 1; inv "TryPop" ]; [ inv_int "Push" 2; inv "TryPop" ] ] );
+          ( "ConcurrentBag",
+            [ [ inv_int "Add" 1; inv "TryTake" ]; [ inv_int "Add" 2; inv "TryTake" ] ] );
+          "MichaelScottQueue", enq_deq;
+          "SegmentQueue", enq_deq;
+        ]
+      in
+      let reduced =
+        List.filter
+          (fun (name, columns) ->
+            let adapter = (Conc.Registry.find name).Conc.Registry.adapter in
+            let run por =
+              let config = Check.config_with ~max_executions:(Some 500_000) ~por () in
+              let r = Check.run ~config adapter (Test_matrix.make columns) in
+              match r.Check.phase2 with
+              | Some p ->
+                Alcotest.(check bool) (name ^ ": complete") true p.Check.stats.Explore.complete;
+                r, p.Check.stats.Explore.executions, p.Check.histories
+              | None -> Alcotest.failf "%s: no phase 2" name
+            in
+            let r_off, e_off, h_off = run false in
+            let r_on, e_on, h_on = run true in
+            Alcotest.(check bool) (name ^ ": same verdict") true
+              (Check.passed r_off = Check.passed r_on && Check.failed r_off = Check.failed r_on);
+            Alcotest.(check int) (name ^ ": same distinct histories") h_off h_on;
+            e_off >= 2 * e_on)
+          cases
+      in
+      Alcotest.(check bool)
+        (Fmt.str "2x on %s" (String.concat ", " (List.map fst reduced)))
+        true
+        (List.length reduced >= 3))
+
 (* A value choice made inside a step decides how the step ends, and under a
    bound the end decides whether the step's thread may sleep in its
    siblings. Flipping the choice therefore changes the step's sleep scope
@@ -361,6 +408,7 @@ let suite =
     timed_lock_not_pruned;
     jobs_identical_with_por;
     unbounded_stats_table;
+    reduction_floor;
     value_choice_stats_table;
   ]
 
