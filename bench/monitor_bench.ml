@@ -150,7 +150,7 @@ let cli_lane ~cls ~config ~spec_name ~events =
     let oc = open_out path in
     List.iter
       (fun ev ->
-        output_string oc (Mon.Mevent.render ev);
+        output_string oc (Lineup_history.Trace_event.render ev);
         output_char oc '\n')
       events;
     close_out oc;

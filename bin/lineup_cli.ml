@@ -802,7 +802,9 @@ let monitor_cmd =
              only means that the file has not grown yet, so the monitor waits for what a \
              producer appends; on a FIFO, it only means that every current writer closed, so \
              the monitor waits for the next writer session. A line cut at end of input waits \
-             for its rest. A followed run ends only on a verdict (exit 1 or 3), never by \
+             for its rest. Whenever the input pauses, the engine checks the operations it \
+             holds that no pending call overlaps, so a violation is reported without waiting \
+             for more input. A followed run ends only on a verdict (exit 1 or 3), never by \
              stream end; incompatible with $(b,--replay).")
   in
   let monitor_jobs_arg =
@@ -820,9 +822,11 @@ let monitor_cmd =
       & opt int 512
       & info [ "min-batch" ] ~docv:"N"
           ~doc:
-            "Run a window check at the first quiescent point after $(docv) completed \
-             operations, then garbage-collect the decided prefix. Smaller values detect \
-             violations sooner; larger values amortize better.")
+            "Queue and stack engines only: run a window check at the first quiescent point \
+             after $(docv) completed operations, then garbage-collect the decided prefix. \
+             Smaller values detect violations sooner; larger values amortize better. The \
+             other classes check each key in chunks of 16 operations. With $(b,--follow), \
+             every engine also checks what it holds whenever the input pauses.")
   in
   let max_window_arg =
     Arg.(

@@ -287,7 +287,7 @@ let p2_decide config ~observation st h =
      skipped: replay covers the complete-history fragment. *)
   if Trace.enabled () && (not stuck) && History.is_complete h then begin
     let id = Atomic.fetch_and_add trace_hist_counter 1 in
-    List.iter (fun ev -> Lineup_monitor.Mevent.emit_trace ~hist:id ev) (History.events h)
+    List.iter (Lineup_history.Trace_event.emit ~hist:id) (History.events h)
   end;
   let violation =
     if not stuck then begin

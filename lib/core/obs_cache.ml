@@ -69,7 +69,9 @@ let legacy_cache_path ~dir (adapter : Adapter.t) test =
 
 let mincr metrics k = match metrics with Some m -> Metrics.incr m k | None -> ()
 
-let phase1 ?config ?metrics ~dir adapter test =
+(* The cached observation set of [test], counted as a hit; or [None],
+   counted as a miss, once every stale file of the key is evicted. *)
+let lookup ?config ?metrics ~dir adapter test =
   let path = cache_path ?config ~dir adapter test in
   let fingerprint = config_fingerprint config in
   let version = string_of_int format_version in
@@ -97,13 +99,10 @@ let phase1 ?config ?metrics ~dir adapter test =
         None
   in
   match cached with
-  | Some histories -> begin
+  | Some histories ->
     mincr metrics "obs_cache.hit";
-    match Observation_file.observation_of_histories histories with
-    | Ok obs -> Ok (obs, true)
-    | Error (s1, s2) -> Error (Check.Nondeterministic (s1, s2))
-  end
-  | None -> begin
+    Some (Observation_file.observation_of_histories histories)
+  | None ->
     mincr metrics "obs_cache.miss";
     let evict old =
       if Sys.file_exists old then begin
@@ -115,29 +114,45 @@ let phase1 ?config ?metrics ~dir adapter test =
     for version = 2 to format_version - 1 do
       evict (cache_path ~version ?config ~dir adapter test)
     done;
+    None
+
+let save ?config ~dir adapter test obs =
+  Lineup_observe.Atomic_file.mkdir_p dir;
+  Observation_file.save
+    ~root_attrs:
+      [
+        "version", string_of_int format_version;
+        "fingerprint", config_fingerprint config;
+        "digest", content_digest (Observation_file.to_xml obs);
+      ]
+    ~path:(cache_path ?config ~dir adapter test)
+    obs
+
+let phase1 ?config ?metrics ~dir adapter test =
+  match lookup ?config ?metrics ~dir adapter test with
+  | Some (Ok obs) -> Ok (obs, true)
+  | Some (Error (s1, s2)) -> Error (Check.Nondeterministic (s1, s2))
+  | None -> (
     match Check.synthesize ?config ?metrics adapter test with
     | Ok (obs, _report) ->
-      Lineup_observe.Atomic_file.mkdir_p dir;
-      Observation_file.save
-        ~root_attrs:
-          [
-            "version", version;
-            "fingerprint", fingerprint;
-            "digest", content_digest (Observation_file.to_xml obs);
-          ]
-        ~path obs;
+      save ?config ~dir adapter test obs;
       Ok (obs, false)
     | Error (Check.Fail v, _report) -> Error v
     | Error ((Check.Pass | Check.Cancelled), _report) ->
       (* no cancellation token is passed above, so synthesize cannot be
          cancelled, and [Pass] never occurs on the error side *)
-      assert false
-  end
+      assert false)
 
 let check ?config ?cancelled ?metrics ~dir adapter test =
-  match phase1 ?config ?metrics ~dir adapter test with
-  | Ok (observation, _hit) -> Check.run ?config ?cancelled ?metrics ~observation adapter test
-  | Error _ ->
-    (* a phase-1 violation (cached or fresh): run uncached so the result
+  match lookup ?config ?metrics ~dir adapter test with
+  | Some (Ok observation) -> Check.run ?config ?cancelled ?metrics ~observation adapter test
+  | Some (Error _) ->
+    (* a cached set that is nondeterministic: run uncached so the result
        reflects the current implementation *)
     Check.run ?config ?cancelled ?metrics adapter test
+  | None ->
+    (* one run, whose phase 1 is recorded once it completed *)
+    let result = Check.run ?config ?cancelled ?metrics adapter test in
+    if Option.is_some result.Check.phase2 then
+      save ?config ~dir adapter test result.Check.observation;
+    result

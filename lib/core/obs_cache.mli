@@ -39,8 +39,11 @@ val phase1 :
   Test_matrix.t ->
   (Observation.t * bool, Check.violation) result
 
-(** [check ?config ?metrics ~dir adapter test] — [Check.run] with the
-    phase-1 result cached in [dir]. *)
+(** [check ?config ?cancelled ?metrics ~dir adapter test] — [Check.run]
+    with the phase-1 result cached in [dir]. A hit runs phase 2 over the
+    cached set; a miss is one [Check.run], counted as the uncached run
+    plus [obs_cache.miss], and saves the observation set once phase 1
+    completed. *)
 val check :
   ?config:Check.config ->
   ?cancelled:(unit -> bool) ->

@@ -1,5 +1,5 @@
-(** The NDJSON call/return event codec shared between [lineup check
-    --trace] and [lineup monitor].
+(** The trace's call/return event codec: [lineup check --trace] writes
+    it, and [lineup monitor] reads it.
 
     One event per line, in the {!Lineup_observe.Trace} shape:
 
@@ -14,23 +14,30 @@
     check trace replays through the monitor unmodified. *)
 
 type line =
-  | Ev of { hist : int option; event : Lineup_history.Event.t }
+  | Ev of { hist : int option; event : Event.t }
       (** a call or return event *)
   | Skip  (** valid JSON, but not a call/return event — ignored *)
   | Blank  (** empty line — ignored *)
   | Malformed of string  (** not valid input; the stream is corrupt *)
 
-val render : ?hist:int -> ?t:float -> Lineup_history.Event.t -> string
-(** One NDJSON line (without the trailing newline). [t] defaults to 0. *)
+val render : ?hist:int -> ?t:float -> Event.t -> string
+(** One NDJSON line (without the trailing newline). [t] defaults to 0.
+    It is {!Lineup_observe.Trace.line} of the event's fields, the line
+    {!emit} writes. *)
+
+val emit : ?hist:int -> Event.t -> unit
+(** Emit the event into the live {!Lineup_observe.Trace} sink (no-op when
+    tracing is disabled): {!render}'s line at the sink's clock. *)
 
 val parse : string -> line
 (** Classify and decode one input line. Total — never raises.
 
     One pass over the line, with no JSON tree: the line is accepted
-    exactly when {!Lineup_observe.Ndjson.parse} accepts it after
-    [String.trim], a failure reads as [Ndjson]'s message and offset, and
-    a field repeated in the object reads as its first occurrence. Only
-    [ev], [tid], [op], [name], [arg], [val] and [hist] are decoded. *)
+    exactly when the test suite's JSON reader, its oracle ([Ndjson.parse]
+    in [test/]), accepts it after [String.trim], a failure reads as that
+    reader's message and offset, and a field repeated in the object reads
+    as its first occurrence. Only [ev], [tid], [op], [name], [arg], [val]
+    and [hist] are decoded. *)
 
 type reader
 (** Lines of a channel, read a chunk at a time into one reused buffer. *)
@@ -50,7 +57,3 @@ val finish : reader -> (line -> unit) -> unit
 (** [finish r f] ends the stream: it applies [f] to the {!parse} of a last
     line without its newline, as [input_line] returns it, if [r] holds
     one. *)
-
-val emit_trace : ?hist:int -> Lineup_history.Event.t -> unit
-(** Emit the event into the live {!Lineup_observe.Trace} sink (no-op when
-    tracing is disabled), with the same field layout as {!render}. *)

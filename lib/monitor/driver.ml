@@ -3,9 +3,10 @@ module Event = Lineup_history.Event
 module Pool = Lineup_parallel.Pool
 module Metrics = Lineup_observe.Metrics
 module Trace = Lineup_observe.Trace
+module Trace_event = Lineup_history.Trace_event
 
 (* The streaming driver. The calling domain reads the stream a chunk at a
-   time, scans each line once ({!Mevent.read}) and feeds one engine,
+   time, scans each line once ({!Trace_event.read}) and feeds one engine,
    looking for a verdict after every chunk. A producer that outruns the
    engine waits on its pipe; nothing is dropped, so a verdict covers every
    operation of the stream.
@@ -79,15 +80,15 @@ let run ~spec ~opts ?metrics ic =
   (* nothing after a malformed line is fed *)
   let fail e = if !bad = None then bad := Some e in
   let on_line = function
-    | Mevent.Ev { event; _ } -> (
+    | Trace_event.Ev { event; _ } -> (
       match !bad with
       | Some _ -> ()
       | None ->
         Engine.feed engine event;
         incr fed;
         if !fed mod sample_every = 0 then sample ())
-    | Mevent.Malformed e -> fail e
-    | Mevent.Blank | Mevent.Skip -> ()
+    | Trace_event.Malformed e -> fail e
+    | Trace_event.Blank | Trace_event.Skip -> ()
   in
   (* After every read: report progress, and say whether the verdict is
      decided. *)
@@ -100,22 +101,36 @@ let run ~spec ~opts ?metrics ic =
     end;
     settled ()
   in
-  let r = Mevent.reader ic in
+  let r = Trace_event.reader ic in
+  (* whether the engine was flushed since the last input *)
+  let paused = ref false in
   let rec loop () =
-    match Mevent.read r on_line with
+    match Trace_event.read r on_line with
     | exception Sys_error e -> fail e
-    | true -> if not (decided ()) then loop ()
+    | true ->
+      paused := false;
+      if not (decided ()) then loop ()
     | false when opts.follow ->
       (* --follow: an end of input only means that the file has not grown
          yet, or that every current writer of a FIFO closed. Wait and read
          on; a line cut at the end waits in the reader for its rest. A
-         followed stream ends by verdict, never by end of input. *)
+         followed stream ends by verdict, never by end of input, so once
+         per pause the engine checks what it holds: a producer that paused
+         after a violation hears of it now, not after [min_batch] more
+         operations. *)
+      if not !paused then begin
+        paused := true;
+        if !bad = None then begin
+          sample ();
+          Engine.flush engine
+        end
+      end;
       if not (decided ()) then begin
         Unix.sleepf 0.05;
         loop ()
       end
     | false ->
-      Mevent.finish r on_line;
+      Trace_event.finish r on_line;
       ignore (decided ())
   in
   loop ();
@@ -145,20 +160,20 @@ let replay ~spec ~opts ?metrics ic =
   let order = ref [] in
   let bad = ref None in
   let on_line = function
-    | Mevent.Blank | Mevent.Skip -> ()
-    | Mevent.Malformed e -> if !bad = None then bad := Some e
-    | Mevent.Ev { hist; event } ->
+    | Trace_event.Blank | Trace_event.Skip -> ()
+    | Trace_event.Malformed e -> if !bad = None then bad := Some e
+    | Trace_event.Ev { hist; event } ->
       if not (Hashtbl.mem groups hist) then begin
         order := hist :: !order;
         Hashtbl.add groups hist []
       end;
       Hashtbl.replace groups hist (event :: Hashtbl.find groups hist)
   in
-  let r = Mevent.reader ic in
-  while Mevent.read r on_line do
+  let r = Trace_event.reader ic in
+  while Trace_event.read r on_line do
     ()
   done;
-  Mevent.finish r on_line;
+  Trace_event.finish r on_line;
   match !bad with
   | Some e ->
     let verdict = Monitor.Unsupported (Fmt.str "malformed input: %s" e) in

@@ -9,7 +9,7 @@ type opts = {
   domains : int;
       (** {!replay}'s fan-out over histories; a live {!run} checks on the
           calling domain whatever its value *)
-  min_batch : int;  (** window threshold of the fast engines *)
+  min_batch : int;  (** window threshold of the queue and stack engines *)
   max_window : int;  (** quiescence bound before [Unsupported] *)
   queue_cap : int;
       (** No effect: the queue bound of the retired [--on-full shed] mode,
@@ -20,8 +20,11 @@ type opts = {
       (** read on at end of input instead of finalizing: a growing file
           may not have grown yet, and on a FIFO it only means every current
           writer closed, so the monitor waits for more. A line cut at end
-          of input waits for its rest. A followed run ends by verdict
-          ([Reject] / [Unsupported]), never by stream end. *)
+          of input waits for its rest. At each such pause the engine
+          checks what it holds ({!Engine.flush}), so a violation shows
+          without waiting for [min_batch] more operations. A followed run
+          ends by verdict ([Reject] / [Unsupported]), never by stream
+          end. *)
 }
 
 val default_opts : opts
@@ -35,7 +38,8 @@ type outcome = {
   resident_peak : int;
       (** max retained engine state, sampled every 256 fed events and at
           the end of the stream until a verdict settles: a function of the
-          events fed alone *)
+          events fed alone (under [follow], also of where the producer
+          paused) *)
 }
 
 val run :

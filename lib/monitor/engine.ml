@@ -36,6 +36,10 @@ let feed t ev =
   | Fast s -> Monitor.Stream.feed s ev
   | Chunked k -> k.Kmon.feed ev
 
+let flush = function
+  | Fast s -> Monitor.Stream.flush s
+  | Chunked k -> k.Kmon.flush ()
+
 let verdict_now = function
   | Fast s -> Monitor.Stream.verdict_now s
   | Chunked k -> k.Kmon.verdict_now ()

@@ -16,6 +16,13 @@ val default_max_window : int
 val create : spec:Lineup_spec.Spec.packed -> min_batch:int -> max_window:int -> t
 val feed : t -> Lineup_history.Event.t -> unit
 
+val flush : t -> unit
+(** The producer paused: check what the engine holds up to its quiescent
+    points, whatever [min_batch] or chunk size (queues and stacks run
+    their window; the chunked engines close each key's chunk that has no
+    pending call). An [Accept] or [Reject] stays what it would be; it may
+    only come sooner. *)
+
 val verdict_now : t -> Lineup_spec.Monitor.verdict option
 val finalize : t -> Lineup_spec.Monitor.verdict
 val ops : t -> int

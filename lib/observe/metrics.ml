@@ -18,21 +18,23 @@ let to_assoc (t : t) =
 
 (* Counter keys are dotted identifiers ([a-z0-9._-]); escaping covers the
    general case anyway so a stray key can never corrupt the document. *)
+let add_json_string buf s =
+  Buffer.add_char buf '"';
+  for i = 0 to String.length s - 1 do
+    match String.unsafe_get s i with
+    | '"' -> Buffer.add_string buf "\\\""
+    | '\\' -> Buffer.add_string buf "\\\\"
+    | '\n' -> Buffer.add_string buf "\\n"
+    | '\r' -> Buffer.add_string buf "\\r"
+    | '\t' -> Buffer.add_string buf "\\t"
+    | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+    | c -> Buffer.add_char buf c
+  done;
+  Buffer.add_char buf '"'
+
 let json_string s =
   let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
+  add_json_string buf s;
   Buffer.contents buf
 
 let to_json t =

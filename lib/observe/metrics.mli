@@ -55,4 +55,8 @@ val write_file : t -> path:string -> unit
 (**/**)
 
 val json_string : string -> string
-(** JSON string literal with escaping — shared with {!Trace}. *)
+(** JSON string literal with escaping. *)
+
+val add_json_string : Buffer.t -> string -> unit
+(** {!json_string} appended to a buffer — what {!Trace} writes keys and
+    strings with. *)

@@ -42,24 +42,27 @@ let json_float f =
 
 let add_field buf (k, v) =
   Buffer.add_char buf ',';
-  Buffer.add_string buf (Metrics.json_string k);
+  Metrics.add_json_string buf k;
   Buffer.add_char buf ':';
   match v with
   | Int n -> Buffer.add_string buf (string_of_int n)
   | Float f -> Buffer.add_string buf (json_float f)
-  | Str s -> Buffer.add_string buf (Metrics.json_string s)
+  | Str s -> Metrics.add_json_string buf s
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
+
+let line ~t ev fields =
+  let buf = Buffer.create 128 in
+  Buffer.add_string buf (Printf.sprintf "{\"t\":%.6f,\"ev\":" t);
+  Metrics.add_json_string buf ev;
+  List.iter (add_field buf) fields;
+  Buffer.add_char buf '}';
+  Buffer.contents buf
 
 let emit ev fields =
   match Atomic.get state with
   | None -> ()
   | Some s ->
-    let t = Monotonic.elapsed_since s.t0 in
-    let buf = Buffer.create 128 in
-    Buffer.add_string buf (Printf.sprintf "{\"t\":%.6f,\"ev\":" t);
-    Buffer.add_string buf (Metrics.json_string ev);
-    List.iter (add_field buf) fields;
-    Buffer.add_string buf "}\n";
+    let line = line ~t:(Monotonic.elapsed_since s.t0) ev fields in
     Mutex.lock s.mutex;
     Fun.protect
       ~finally:(fun () -> Mutex.unlock s.mutex)
@@ -68,7 +71,8 @@ let emit ev fields =
            the lock; dropping the event is the documented behavior. *)
         match Atomic.get state with
         | Some s' when s' == s ->
-          output_string s.oc (Buffer.contents buf);
+          output_string s.oc line;
+          output_char s.oc '\n';
           (* Flush per event: the stream is a crash-forensics channel, so a
              killed process must leave every completed event on disk as a
              complete, parseable line — only the event being written at the

@@ -46,6 +46,11 @@ val emit : string -> (string * field) list -> unit
     with six decimal places; non-finite floats (nan, ±inf) render as
     [null] so every emitted line is valid JSON. *)
 
+val line : t:float -> string -> (string * field) list -> string
+(** [line ~t ev fields] is the line {!emit} appends for [ev] at [t]
+    seconds, without its newline: [{"t":…,"ev":…] with [t] to six
+    decimal places, then [fields] in order. Pure. *)
+
 val with_trace : path:string option -> (unit -> 'a) -> 'a
 (** [with_trace ~path f] runs [f] with tracing enabled when [path] is
     [Some] (closing the sink afterwards, even on exceptions); with [None]

@@ -28,6 +28,12 @@ let write_stats ~dir ~halted (st : stats) =
        st.s_partitions st.s_dispatched st.s_completed st.s_checkpoint_hits st.s_retries
        st.s_workers halted)
 
+(* A worker socket's receive timeout. The server reads only sockets that
+   [select] reported readable, so this bounds silence inside a frame, not
+   the time a partition takes: a peer that starts a frame and stops reads
+   as gone, and its partition is retried. *)
+let recv_deadline = 2.0
+
 (* One connected worker. [w_task] is the partition index in flight — on any
    send/receive failure it goes back to the pending queue. *)
 type worker = {
@@ -166,6 +172,7 @@ let serve ~config ~listen ~local ~halt_after ~max_retries ~dir ~fingerprint ~(st
            (fun fd ->
              if fd == lsock then begin
                let cfd, _ = Unix.accept lsock in
+               Unix.setsockopt_float cfd Unix.SO_RCVTIMEO recv_deadline;
                st.s_workers <- st.s_workers + 1;
                Hashtbl.replace workers cfd { w_fd = cfd; w_task = None }
              end

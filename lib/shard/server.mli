@@ -25,6 +25,12 @@ type outcome =
           directory is durable, no verdict was produced (exit code 2) *)
   | Failed_run of string  (** operational failure (bad directory, workers kept dying) *)
 
+val recv_deadline : float
+(** 2 s: how long a worker may fall silent inside a frame. A worker that
+    starts a frame and stops for longer is dropped, and its partition is
+    re-dispatched and counted in [s_retries]; the time a partition takes
+    is not bounded. *)
+
 (** [run ~dir ~adapter ~test ()] drives one sweep.
 
     [listen] (default [DIR/sock]) is a Unix-domain path or ["host:port"].

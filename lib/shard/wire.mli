@@ -9,7 +9,8 @@
     differing OCaml runtime, which is fine — server and workers are the
     same binary ([--local]) or the same build deployed across machines.
 
-    Receive functions return [None] on a cleanly closed peer, a truncated
+    Receive functions return [None] on a cleanly closed peer, a read that
+    outlasts the socket's receive timeout ([SO_RCVTIMEO]), a truncated
     frame, a frame of another wire version, a length that does not match
     its complement (both checked before the payload is read), a length
     above {!max_payload}, a payload whose digest does not match, or an

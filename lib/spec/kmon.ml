@@ -33,6 +33,7 @@ module Value = Lineup_value.Value
 
 type t = {
   feed : Event.t -> unit;
+  flush : unit -> unit;
   verdict_now : unit -> Spec.verdict option;
   finalize : unit -> Spec.verdict;
   ops : unit -> int;
@@ -176,6 +177,14 @@ let create : type st. st Spec.t -> keyed:bool -> chunk:int -> max_window:int -> 
           if ks.kpending = 0 && ks.chunk_ops >= chunk then close_chunk ks)
     end
   in
+  (* A key with no pending call is at a quiescent point, where [feed] may
+     already close its chunk: closing it here only brings a verdict
+     forward. *)
+  let flush () =
+    Hashtbl.iter
+      (fun _ ks -> if !verdict = None && ks.kpending = 0 && ks.chunk_ops > 0 then close_chunk ks)
+      keys
+  in
   let finalize () =
     match !verdict with
     | Some v -> v
@@ -223,6 +232,7 @@ let create : type st. st Spec.t -> keyed:bool -> chunk:int -> max_window:int -> 
   in
   {
     feed;
+    flush;
     verdict_now = (fun () -> !verdict);
     finalize;
     ops = (fun () -> !n_ops);

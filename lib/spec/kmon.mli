@@ -17,6 +17,11 @@
 
 type t = {
   feed : Lineup_history.Event.t -> unit;
+  flush : unit -> unit;
+      (** the producer paused: close each key's open chunk that has no
+          pending call, whatever [chunk]. Such a cut turns no [Accept] into
+          a [Reject] or back; only the feasible-state bound may then be met
+          at another chunk. *)
   verdict_now : unit -> Spec.verdict option;
   finalize : unit -> Spec.verdict;
   ops : unit -> int;

@@ -540,6 +540,12 @@ module Stream = struct
         maybe_window t
       with Verdict v -> t.verdict <- Some v)
 
+  (* A quiescent point is one at which [maybe_window] may already cut the
+     stream, so checking the window here only brings its verdict forward. *)
+  let flush t =
+    if t.verdict = None && Hashtbl.length t.pending = 0 && t.w_count > 0 then
+      try run_window t with Verdict v -> t.verdict <- Some v
+
   let verdict_now t = t.verdict
 
   let finalize t =

@@ -60,6 +60,12 @@ module Stream : sig
   val feed : t -> Lineup_history.Event.t -> unit
   (** Process one call or return event. No-op once a verdict is reached. *)
 
+  val flush : t -> unit
+  (** The producer paused: if no call is pending, run the window now,
+      whatever [min_batch]. A no-op on an empty window. Windows may end at
+      any quiescent point, so only the moment a verdict is found changes,
+      not the verdict. *)
+
   val verdict_now : t -> verdict option
   (** [Some] once the verdict is decided (sticky); [None] while the stream
       is still undecided (= accepting so far). *)

@@ -1,9 +1,8 @@
-(* A minimal recursive-descent JSON parser for the NDJSON streams this
-   repository itself produces (the Trace sink, the metrics summary, the
-   bench results) — one line, one document. Kept dependency-free on
-   purpose: lib/observe sits below every other library, so the streaming
-   monitor, the tests and the bench can all share the same reader without
-   pulling a JSON package into the build. *)
+(* A minimal recursive-descent JSON parser, one line, one document: the
+   test suite's oracle for the trace codec's one-pass scanner
+   ([Lineup_history.Trace_event.parse]) and its reader of trace lines,
+   metrics summaries and shard stats. Kept dependency-free on purpose, so
+   the suite pulls no JSON package into the build. *)
 
 type t =
   | Null

@@ -1,15 +1,15 @@
-(** A minimal JSON parser for the NDJSON streams this repository itself
-    produces and consumes — one line of a {!Trace} file, one metrics
-    summary, one bench row.
+(** A minimal JSON parser for the test suite: one line of a
+    {!Lineup_observe.Trace} file, one metrics summary, one shard stats
+    file.
 
     It accepts standard JSON (objects, arrays, strings with the usual
     escapes including [\uXXXX], numbers, booleans, [null]); numbers are
     represented as [float], the only number type JSON has. The parser is a
     total function: malformed input is an [Error], never an exception.
 
-    It lives in [lib/observe], below every other library, so the streaming
-    monitor, the test suite and the bench harness can share one reader
-    without an external JSON dependency. *)
+    It is the oracle of the trace codec's scanner
+    ({!Lineup_history.Trace_event.parse}), which accepts exactly what it
+    accepts after [String.trim]. *)
 
 type t =
   | Null

@@ -253,8 +253,10 @@ let suite =
        let test = Test_matrix.make [ [ inv_int "Enqueue" 200; inv "TryDequeue" ]; [ inv "TryDequeue" ] ] in
        let render r = Report.check_result_to_string ~adapter ~test r in
        let fresh = Check.run adapter test in
-       let whole, reference =
+       (* a miss reports the uncached run; a hit, phase 2 over the file *)
+       let whole, hit_reference =
          with_temp_dir (fun dir ->
+             ignore (Obs_cache.check ~dir adapter test);
              let r = Obs_cache.check ~dir adapter test in
              let path = Obs_cache.cache_path ~dir adapter test in
              In_channel.with_open_bin path In_channel.input_all, render r)
@@ -269,7 +271,12 @@ let suite =
            with_temp_dir (fun dir ->
                let path = Obs_cache.cache_path ~dir adapter test in
                Out_channel.with_open_bin path (fun oc -> output_string oc mutated);
-               let r = Obs_cache.check ~dir adapter test in
+               let m = Lineup_observe.Metrics.create () in
+               let r = Obs_cache.check ~metrics:m ~dir adapter test in
+               let reference =
+                 if Lineup_observe.Metrics.get m "obs_cache.hit" = 1 then hit_reference
+                 else render fresh
+               in
                Check.passed r = Check.passed fresh && String.equal (render r) reference)));
     test "obs_cache: concurrent writers create the cache dir race-free" (fun () ->
         (* a nested, not-yet-existing directory, populated by four domains
@@ -505,4 +512,29 @@ let suite =
              ]));
   ]
 
-let tests = suite
+(* A miss is one uncached run: phase 1 runs once, also when it fails, and
+   is counted as it is without the cache. *)
+let cache_miss_tests =
+  List.map
+    (fun (what, adapter, test) ->
+      Helpers.test ("obs_cache: a miss counts the uncached run plus the miss: " ^ what) (fun () ->
+          with_temp_dir (fun dir ->
+              let uncached = Lineup_observe.Metrics.create () in
+              let miss = Lineup_observe.Metrics.create () in
+              let r = Check.run ~metrics:uncached adapter test in
+              let r' = Obs_cache.check ~metrics:miss ~dir adapter test in
+              Alcotest.(check string) "report"
+                (Report.check_result_to_string ~adapter ~test r)
+                (Report.check_result_to_string ~adapter ~test r');
+              Lineup_observe.Metrics.incr uncached "obs_cache.miss";
+              Alcotest.(check string) "metrics"
+                (Lineup_observe.Metrics.to_json uncached)
+                (Lineup_observe.Metrics.to_json miss))))
+    [
+      "a pass", Conc.Counters.correct, counter_test;
+      ( "a phase-1 failure",
+        Conc.Cancellation_token_source.adapter,
+        Test_matrix.make [ [ inv "Cancel" ]; [ inv "IsCancellationRequested" ] ] );
+    ]
+
+let tests = suite @ cache_miss_tests

@@ -139,10 +139,10 @@ type relation =
 let counter key metrics =
   let ( let* ) = Option.bind in
   match
-    let* json = Result.to_option (Lineup_observe.Ndjson.parse metrics) in
-    let* counters = Lineup_observe.Ndjson.member "counters" json in
-    let* v = Lineup_observe.Ndjson.member key counters in
-    Lineup_observe.Ndjson.to_int v
+    let* json = Result.to_option (Ndjson.parse metrics) in
+    let* counters = Ndjson.member "counters" json in
+    let* v = Ndjson.member key counters in
+    Ndjson.to_int v
   with
   | Some n -> n
   | None -> Alcotest.failf "no counter %s in the metrics" key
@@ -262,8 +262,18 @@ let equivalences =
       stream ~stdin:false "queue" 1 fifo_violation;
       (* a followed file ends by its verdict, not by its end; the
          violation shows at a window's check, so a window per quiescent
-         point *)
+         point, or one when the producer pauses *)
       stream ~extra:[ "--follow"; "--min-batch"; "1" ] ~stdin:false "queue" 1 fifo_violation;
+      stream ~extra:[ "--follow" ] ~stdin:false "queue" 1 fifo_violation;
+      (* a key's chunk closes when the producer pauses, short of its
+         chunk size *)
+      stream ~extra:[ "--follow" ] ~stdin:false "set" 1
+        [
+          {|{"ev":"call","tid":0,"op":0,"name":"Add","arg":"1"}|};
+          {|{"ev":"ret","tid":0,"op":0,"val":"true"}|};
+          {|{"ev":"call","tid":1,"op":0,"name":"Add","arg":"1"}|};
+          {|{"ev":"ret","tid":1,"op":0,"val":"true"}|};
+        ];
       stream ~stdin:false "queue" 3
         [
           {|{"t":0.0,"ev":"call","tid":0,"op":0,"name":"Frobnicate"}|};

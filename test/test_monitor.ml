@@ -1,6 +1,6 @@
 (* The streaming monitor stack, bottom to top:
 
-   - the NDJSON event codec ([Mevent.render]/[parse]): qcheck round-trip
+   - the NDJSON event codec ([Trace_event.render]/[parse]): qcheck round-trip
      over random events (the [arg]/[val] strings are [Value.to_string]
      images, so any value round-trips), plus the skip/blank/malformed
      line taxonomy;
@@ -13,14 +13,16 @@
    - the fast streaming engines ([Monitor.Stream]) against the Wing–Gong
      oracle on random accepting AND rejecting queue/stack histories —
      windowed GC must never change the verdict, so the property runs at
-     min_batch 1 (a window per quiescent point) and 4;
+     min_batch 1 (a window per quiescent point) and 4, and at 512 with
+     [flush] after random events (a followed run's pauses);
    - the same engines on long producer/consumer streams of 2–3 threads,
      honest or with one seeded defect (a value removed twice, an order
      swap, a failed remove while a value is present): min_batch 1, 4 and
      64 give the one-window verdict, which equals the checks as they were
      before a window cost only what it holds ([Monitor_reference]);
    - the chunked feasible-state engine ([Kmon]) against the Wing–Gong
-     oracle on random keyed set histories and unkeyed counter histories;
+     oracle on random keyed set histories and unkeyed counter histories,
+     also flushed after random events;
    - windowing as a memory bound: a long bounded-occupancy stream keeps
      [resident] small, and a stream with no quiescent point inside
      [max_window] answers [Unsupported], never a wrong verdict;
@@ -39,10 +41,9 @@ module Kmon = Lineup_spec.Kmon
 module Lin_check = Lineup_spec.Lin_check
 module Spec = Lineup_spec.Spec
 module Specs = Lineup_spec.Specs
-module Mevent = Lineup_monitor.Mevent
+module Trace_event = Lineup_history.Trace_event
 module Engine = Lineup_monitor.Engine
 module Driver = Lineup_monitor.Driver
-module Ndjson = Lineup_observe.Ndjson
 module Metrics = Lineup_observe.Metrics
 
 let verdict : Monitor.verdict Alcotest.testable =
@@ -74,15 +75,15 @@ let codec_roundtrip =
     (QCheck.Test.make ~name:"render/parse round-trips any event" ~count:500
        QCheck.(pair event_arb (option (int_bound 1000)))
        (fun (ev, hist) ->
-         match Mevent.parse (Mevent.render ?hist ev) with
-         | Mevent.Ev { hist = h; event } -> h = hist && Event.equal event ev
+         match Trace_event.parse (Trace_event.render ?hist ev) with
+         | Trace_event.Ev { hist = h; event } -> h = hist && Event.equal event ev
          | _ -> false))
 
 let codec_units =
   [
     test "codec: blank and whitespace lines" (fun () ->
-        Alcotest.(check bool) "empty" true (Mevent.parse "" = Mevent.Blank);
-        Alcotest.(check bool) "spaces" true (Mevent.parse "   \t " = Mevent.Blank));
+        Alcotest.(check bool) "empty" true (Trace_event.parse "" = Trace_event.Blank);
+        Alcotest.(check bool) "spaces" true (Trace_event.parse "   \t " = Trace_event.Blank));
     test "codec: non-event lines are skipped, not errors" (fun () ->
         (* a raw check --trace interleaves scheduler/pool records *)
         let skippable =
@@ -94,11 +95,11 @@ let codec_units =
         in
         List.iter
           (fun l ->
-            Alcotest.(check bool) l true (Mevent.parse l = Mevent.Skip))
+            Alcotest.(check bool) l true (Trace_event.parse l = Trace_event.Skip))
           skippable);
     test "codec: malformed lines are malformed" (fun () ->
         let is_malformed l =
-          match Mevent.parse l with Mevent.Malformed _ -> true | _ -> false
+          match Trace_event.parse l with Trace_event.Malformed _ -> true | _ -> false
         in
         Alcotest.(check bool) "not json" true (is_malformed "{not json");
         Alcotest.(check bool) "no tid" true
@@ -107,9 +108,28 @@ let codec_units =
           (is_malformed {|{"ev":"call","tid":0,"op":0}|});
         Alcotest.(check bool) "bad value image" true
           (is_malformed {|{"ev":"ret","tid":0,"op":0,"val":"<junk>"}|}));
+    test "codec: the trace emitter writes render's lines" (fun () ->
+        let events =
+          [ call 0 0 "Enqueue" ~arg:(Value.int 1) (); ret 0 0 Value.unit;
+            call 1 0 "TryDequeue" (); ret 1 0 (Value.int 1) ]
+        in
+        let path = Filename.temp_file "lineup" "trace" in
+        Fun.protect
+          ~finally:(fun () -> Sys.remove path)
+          (fun () ->
+            Lineup_observe.Trace.with_trace ~path:(Some path) (fun () ->
+                List.iter (Trace_event.emit ~hist:3) events);
+            (* each line without its clock: what follows [{"t":…,] *)
+            let untimed l =
+              let i = String.index l ',' in
+              String.sub l i (String.length l - i)
+            in
+            Alcotest.(check (list string)) "lines"
+              (List.map (fun ev -> untimed (Trace_event.render ~hist:3 ev)) events)
+              (List.map untimed (String.split_on_char '\n' (String.trim (read path))))));
     test "codec: missing arg decodes as Unit" (fun () ->
-        match Mevent.parse {|{"ev":"call","tid":1,"op":2,"name":"TryPop"}|} with
-        | Mevent.Ev { event; hist } ->
+        match Trace_event.parse {|{"ev":"call","tid":1,"op":2,"name":"TryPop"}|} with
+        | Trace_event.Ev { event; hist } ->
           Alcotest.(check bool) "no hist" true (hist = None);
           Alcotest.(check bool) "is unit call" true
             (Event.equal event (call 1 2 "TryPop" ()))
@@ -118,17 +138,17 @@ let codec_units =
 
 (* ---------------- the scanner against the Ndjson oracle ---------------- *)
 
-(* [Mevent.parse] before its scanner, kept as the oracle: trim, a whole
+(* [Trace_event.parse] before its scanner, kept as the oracle: trim, a whole
    [Ndjson] tree, field lookups, [Value.of_string]. *)
 let oracle_parse s =
   let s = String.trim s in
-  if s = "" then Mevent.Blank
+  if s = "" then Trace_event.Blank
   else
     match Ndjson.parse s with
-    | Error e -> Mevent.Malformed e
+    | Error e -> Trace_event.Malformed e
     | Ok json -> (
       match Option.bind (Ndjson.member "ev" json) Ndjson.to_str with
-      | None -> Mevent.Skip
+      | None -> Trace_event.Skip
       | Some (("call" | "ret") as ev) -> (
         let int_field k = Option.bind (Ndjson.member k json) Ndjson.to_int in
         let str_field k = Option.bind (Ndjson.member k json) Ndjson.to_str in
@@ -138,20 +158,20 @@ let oracle_parse s =
           try
             if ev = "call" then
               match str_field "name" with
-              | None -> Mevent.Malformed "call event without a name"
+              | None -> Trace_event.Malformed "call event without a name"
               | Some name ->
                 let arg =
                   match str_field "arg" with None -> Value.Unit | Some a -> Value.of_string a
                 in
-                Mevent.Ev { hist; event = Event.call ~tid ~op_index (inv ~arg name) }
+                Trace_event.Ev { hist; event = Event.call ~tid ~op_index (inv ~arg name) }
             else
               match str_field "val" with
-              | None -> Mevent.Malformed "ret event without a val"
+              | None -> Trace_event.Malformed "ret event without a val"
               | Some v ->
-                Mevent.Ev { hist; event = Event.return ~tid ~op_index (Value.of_string v) }
-          with Invalid_argument e -> Mevent.Malformed e)
-        | _ -> Mevent.Malformed (Printf.sprintf "%s event without tid/op" ev))
-      | Some _ -> Mevent.Skip)
+                Trace_event.Ev { hist; event = Event.return ~tid ~op_index (Value.of_string v) }
+          with Invalid_argument e -> Trace_event.Malformed e)
+        | _ -> Trace_event.Malformed (Printf.sprintf "%s event without tid/op" ev))
+      | Some _ -> Trace_event.Skip)
 
 (* A JSON string literal for [s], each byte spelled plainly or, at random,
    as a [\u] escape (upper or lower case hex, or with a '_' that
@@ -286,7 +306,7 @@ let field_object_gen =
 let rendered_gen =
   QCheck.Gen.(
     map3
-      (fun ev hist t -> Mevent.render ?hist ~t ev)
+      (fun ev hist t -> Trace_event.render ?hist ~t ev)
       event_gen (opt (int_bound 1000)) (float_bound_inclusive 100.))
 
 (* a generic edit, or one only a line has: wrapped in [[...]], or spaces
@@ -304,15 +324,15 @@ let mutate_line_gen s =
     ]
 
 let show_line = function
-  | Mevent.Malformed e -> "Malformed " ^ e
-  | Mevent.Skip -> "Skip"
-  | Mevent.Blank -> "Blank"
-  | Mevent.Ev _ -> "Ev"
+  | Trace_event.Malformed e -> "Malformed " ^ e
+  | Trace_event.Skip -> "Skip"
+  | Trace_event.Blank -> "Blank"
+  | Trace_event.Ev _ -> "Ev"
 
 let scanner_agrees ~name ~count gen =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~name ~count (QCheck.make ~print:(Printf.sprintf "%S") gen) (fun l ->
-         let want = oracle_parse l and got = Mevent.parse l in
+         let want = oracle_parse l and got = Trace_event.parse l in
          want = got
          || QCheck.Test.fail_reportf "oracle %s@.scanner %s" (show_line want) (show_line got)))
 
@@ -383,9 +403,14 @@ let stream_of_cls ~min_batch = function
   | Spec.Stack -> Monitor.Stream.create_stack ~min_batch ()
   | _ -> assert false
 
-let stream_verdict ~cls ~min_batch events =
+let stream_verdict ?pauses ~cls ~min_batch events =
   let s = stream_of_cls ~min_batch cls in
-  List.iter (Monitor.Stream.feed s) events;
+  List.iter
+    (fun ev ->
+      Monitor.Stream.feed s ev;
+      (* a followed run's producer pausing after [ev] *)
+      match pauses with Some rng when Random.State.bool rng -> Monitor.Stream.flush s | _ -> ())
+    events;
   Monitor.Stream.finalize s
 
 let stream_agrees ~name ~cls ~spec ~insert ~remove =
@@ -397,7 +422,8 @@ let stream_agrees ~name ~cls ~spec ~insert ~remove =
          (* min_batch 1 windows at every quiescent point — the most GC
             pressure possible; both must equal the oracle's verdict *)
          stream_verdict ~cls ~min_batch:1 events = oracle
-         && stream_verdict ~cls ~min_batch:4 events = oracle))
+         && stream_verdict ~cls ~min_batch:4 events = oracle
+         && stream_verdict ~pauses:rng ~cls ~min_batch:512 events = oracle))
 
 let stream_props =
   [
@@ -607,9 +633,13 @@ let random_counter_ops rng =
       | 1 -> inv "Get", Value.int (Random.State.int rng 3)
       | _ -> inv_int "Set" (Random.State.int rng 2), Value.unit)
 
-let kmon_verdict ~spec ~keyed ~chunk events =
+let kmon_verdict ?pauses ~spec ~keyed ~chunk events =
   let k = Kmon.create spec ~keyed ~chunk ~max_window:1_048_576 in
-  List.iter k.Kmon.feed events;
+  List.iter
+    (fun ev ->
+      k.Kmon.feed ev;
+      match pauses with Some rng when Random.State.bool rng -> k.Kmon.flush () | _ -> ())
+    events;
   k.Kmon.finalize ()
 
 let kmon_agrees ~name ~spec ~keyed ~gen =
@@ -621,7 +651,8 @@ let kmon_agrees ~name ~spec ~keyed ~gen =
          (* chunk 1 closes a chunk at every quiescent point, maximally
             exercising the feasible-state propagation *)
          kmon_verdict ~spec ~keyed ~chunk:1 events = oracle
-         && kmon_verdict ~spec ~keyed ~chunk:4 events = oracle))
+         && kmon_verdict ~spec ~keyed ~chunk:4 events = oracle
+         && kmon_verdict ~pauses:rng ~spec ~keyed ~chunk:16 events = oracle))
 
 let kmon_props =
   [
@@ -776,7 +807,7 @@ let lines_text lines = String.concat "" (List.map (fun l -> l ^ "\n") lines)
 let with_file lines f = with_text_file (lines_text lines) f
 let queue_spec = Spec.Packed Specs.queue
 
-let render_history ?hist events = List.map (Mevent.render ?hist) events
+let render_history ?hist events = List.map (Trace_event.render ?hist) events
 
 let accepting_events =
   [
@@ -969,7 +1000,7 @@ let awkward_text ~n =
       if i mod 70 = 3 then Buffer.add_string b "{\"ev\":\"scheduler.step\",\"t\":0.5}\n";
       if i = last / 2 then
         Buffer.add_string b ("{\"ev\":\"pad\",\"x\":\"" ^ String.make 100_000 'a' ^ "\"}\n");
-      Buffer.add_string b (Mevent.render ~hist:ev.Event.tid ev);
+      Buffer.add_string b (Trace_event.render ~hist:ev.Event.tid ev);
       if i < last then Buffer.add_string b (if i mod 3 = 0 then "\r\n" else "\n"))
     events;
   Buffer.contents b
@@ -998,29 +1029,31 @@ let with_text_pipe ?(seed = 7) text f =
     (fun () -> f ic)
 
 let reader_lines ic =
-  let r = Mevent.reader ic in
+  let r = Trace_event.reader ic in
   let acc = ref [] in
   let f l = acc := l :: !acc in
-  while Mevent.read r f do
+  while Trace_event.read r f do
     ()
   done;
-  Mevent.finish r f;
+  Trace_event.finish r f;
   List.rev !acc
 
 let reader_units =
   let text = awkward_text ~n:3000 in
-  (* what line-by-line [Mevent.parse] of [input_line]'s lines gives *)
+  (* what line-by-line [Trace_event.parse] of [input_line]'s lines gives *)
   let expected =
     with_text_file text (fun ic ->
         let rec go acc =
           match input_line ic with
-          | l -> go (Mevent.parse l :: acc)
+          | l -> go (Trace_event.parse l :: acc)
           | exception End_of_file -> List.rev acc
         in
         go [])
   in
   let events =
-    List.filter_map (function Mevent.Ev { hist; event } -> Some (hist, event) | _ -> None) expected
+    List.filter_map
+      (function Trace_event.Ev { hist; event } -> Some (hist, event) | _ -> None)
+      expected
   in
   let opts = { Driver.default_opts with min_batch = 64 } in
   let engine_over evs =
@@ -1098,9 +1131,9 @@ let robustness_units =
     test "driver: an int image out of range is Unsupported, never a hang" (fun () ->
         let lines =
           [
-            Mevent.render (call 0 0 "Enqueue" ~arg:(Value.int 1) ());
-            Mevent.render (ret 0 0 Value.unit);
-            Mevent.render (call 1 0 "TryDequeue" ());
+            Trace_event.render (call 0 0 "Enqueue" ~arg:(Value.int 1) ());
+            Trace_event.render (ret 0 0 Value.unit);
+            Trace_event.render (call 1 0 "TryDequeue" ());
             {|{"ev":"ret","tid":1,"op":0,"val":"99999999999999999999"}|};
           ]
         in

@@ -163,7 +163,6 @@ let suite =
 
 (* -------- the NDJSON parser, non-finite floats, atomic writes -------- *)
 
-module Ndjson = Lineup_observe.Ndjson
 module Atomic_file = Lineup_observe.Atomic_file
 
 let crash_path_suite =

@@ -792,8 +792,8 @@ let kill_point_suite =
           let ( let* ) = Option.bind in
           let json = read (Filename.concat dir "shard-stats.json") in
           match
-            let* doc = Result.to_option (Lineup_observe.Ndjson.parse json) in
-            Lineup_observe.Ndjson.member key doc
+            let* doc = Result.to_option (Ndjson.parse json) in
+            Ndjson.member key doc
           with
           | Some v -> v
           | None -> Alcotest.failf "no %s in shard-stats.json: %s" key json
@@ -810,16 +810,57 @@ let kill_point_suite =
               Alcotest.(check string) (Fmt.str "N=%d: report" n) want_report report;
               Alcotest.(check string) (Fmt.str "N=%d: metrics" n) want_metrics metrics;
               Alcotest.(check (option int)) (Fmt.str "N=%d: partitions" n) (Some 14)
-                (Lineup_observe.Ndjson.to_int (stat dir "partitions"));
-              (match Lineup_observe.Ndjson.to_int (stat dir "checkpoint_hits") with
+                (Ndjson.to_int (stat dir "partitions"));
+              (match Ndjson.to_int (stat dir "checkpoint_hits") with
                | Some hits when hits >= n -> ()
                | hits ->
                  Alcotest.failf "N=%d: %a checkpoint hits" n
                    Fmt.(option ~none:(any "no") int)
                    hits);
               Alcotest.(check bool) (Fmt.str "N=%d: not halted" n) true
-                (stat dir "halted" = Lineup_observe.Ndjson.Bool false))
+                (stat dir "halted" = Ndjson.Bool false))
         done);
   ]
 
-let tests = store_suite @ wire_suite @ eintr_suite @ merge_suite @ fuzz_suite @ kill_point_suite
+(* A client that sends the first 4 bytes of a frame header and then
+   nothing, connected before the one real worker: the server drops it at
+   its receive deadline, and the sweep ends with check -j's report. *)
+let silent_peer_suite =
+  [
+    test "a silent peer does not stall the sweep" (fun () ->
+        let args = [ "Counter"; "Inc,Get"; "Inc" ] in
+        let want_code, want_report, want_metrics = run_cli "check" (args @ [ "-j"; "2"; "-v" ]) in
+        with_temp_dir (fun dir ->
+            let server = spawn_cli "shard-server" (args @ [ "--dir"; dir; "--local"; "0"; "-v" ]) in
+            let sock = Filename.concat dir "sock" in
+            let silent = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+            Fun.protect
+              ~finally:(fun () -> Unix.close silent)
+              (fun () ->
+                (* the socket appears once phase 1 and the frontier are done *)
+                let rec connect tries =
+                  try Unix.connect silent (Unix.ADDR_UNIX sock)
+                  with Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _) when tries > 0 ->
+                    Unix.sleepf 0.01;
+                    connect (tries - 1)
+                in
+                connect 1000;
+                ignore (Unix.write_substring silent "\000\000\000\005" 0 4);
+                Unix.sleepf 0.5;
+                let start = Unix.gettimeofday () in
+                let worker = spawn_cli ~metrics:false "shard-worker" [ "--connect"; sock ] in
+                let code, report, metrics = server () in
+                let elapsed = Unix.gettimeofday () -. start in
+                ignore (worker ());
+                Alcotest.(check int) "exit code" want_code code;
+                Alcotest.(check string) "report" want_report report;
+                Alcotest.(check string) "metrics" want_metrics metrics;
+                Alcotest.(check bool)
+                  (Fmt.str "the sweep ended %.1f s after the worker started" elapsed)
+                  true
+                  (elapsed < Server.recv_deadline +. 10.))));
+  ]
+
+let tests =
+  store_suite @ wire_suite @ eintr_suite @ merge_suite @ fuzz_suite @ kill_point_suite
+  @ silent_peer_suite
