@@ -8,7 +8,7 @@ module Explore = Lineup_scheduler.Explore
 open Lineup
 
 (* §4.3: "we found it necessary to use the preemption bounding heuristic".
-   Sweep PB = 0..3 over the seeded defects with their targeted tests:
+   Sweep PB = 0..3 over the failing entries with their regression tests:
    executions explored and whether the bug is found. *)
 let pb_sweep opts =
   hr "Ablation: preemption-bound sweep (§4.3)";
@@ -21,15 +21,15 @@ let pb_sweep opts =
      spurious misses, so the sweep keeps a floor of its own. *)
   let cap = max opts.cap 20_000 in
   List.iter
-    (fun (name, cols) ->
-      let e = Conc.Registry.find name in
+    (fun (_, (e : Conc.Registry.entry)) ->
+      let name = e.adapter.Adapter.name in
       Fmt.pr "%-50s |" name;
       List.iter
         (fun pb ->
           let config =
             Check.config_with ~preemption_bound:(Some pb) ~max_executions:(Some cap) ()
           in
-          let r = Check.run ~config e.adapter (Test_matrix.make cols) in
+          let r = Check.run ~config e.adapter (Option.get e.regression) in
           let execs =
             match r.Check.phase2 with
             | Some p -> p.Check.stats.Explore.executions
@@ -39,7 +39,7 @@ let pb_sweep opts =
           Fmt.pr " %5s in %6d e |" verdict execs)
         [ 0; 1; 2; 3 ];
       Fmt.pr "@.")
-    targeted_tests;
+    Conc.Registry.failing_entries;
   Fmt.pr
     "@.Shape to expect: every seeded defect is found at PB=2 (the paper's default); several \
      need at least one preemption, and exploration cost grows with the bound.@."
@@ -59,10 +59,9 @@ let sampling opts =
       Fmt.pr "%-50s |" e.adapter.Adapter.name;
       List.iter
         (fun (rows, cols) ->
-          let rng = Random.State.make [| opts.seed |] in
           let report =
-            Random_check.run ~config:(check_config opts) ~rng
-              ~invocations:e.adapter.Adapter.universe ~rows ~cols ~samples:opts.samples
+            Random_check.run ~config:(check_config opts) ~seed:opts.seed ~samples:opts.samples
+              ~draw:(random_draw e.adapter ~rows ~cols)
               e.adapter
           in
           Fmt.pr " %4d/%-3d |" report.Random_check.failed
@@ -164,9 +163,8 @@ let icb opts =
   Fmt.pr "%-50s %10s %12s@." "Defect" "bound" "executions";
   Fmt.pr "%s@." (String.make 80 '-');
   List.iter
-    (fun (name, cols) ->
-      let e = Conc.Registry.find name in
-      let test = Test_matrix.make cols in
+    (fun (_, (e : Conc.Registry.entry)) ->
+      let name = e.adapter.Adapter.name and test = Option.get e.regression in
       (* phase 1 once *)
       match Check.synthesize e.adapter test with
       | Error _ -> Fmt.pr "%-50s %10s %12s@." name "p1" "-"
@@ -202,7 +200,7 @@ let icb opts =
         (match !found_at with
          | Some b -> Fmt.pr "%-50s %10d %12d@." name b !execs
          | None -> Fmt.pr "%-50s %10s %12d@." name "miss" !execs))
-    targeted_tests;
+    Conc.Registry.failing_entries;
   Fmt.pr
     "@.Most defects surface at bound 1 — the small-bound hypothesis behind CHESS's iterative \
      search order.@."

@@ -121,6 +121,11 @@ let observed obs h =
 let inv ?arg name = H.Invocation.make ?arg name
 let inv_int name n = H.Invocation.make ~arg:(Value.int n) name
 
+(* Fig. 8's draw: one uniform [rows]x[cols] test over the adapter's
+   universe, as Table 2 and [lineup random] draw it. *)
+let random_draw (adapter : Adapter.t) ~rows ~cols rng =
+  Test_matrix.random ~rng ~invocations:adapter.Adapter.universe ~rows ~cols ()
+
 let check_config opts =
   Check.config_with ~max_executions:(Some opts.cap) ()
 
@@ -128,30 +133,3 @@ let hr title =
   Fmt.pr "@.============================================================@.";
   Fmt.pr "%s@." title;
   Fmt.pr "============================================================@.@."
-
-(* The targeted failing tests used for minimal-dimension reporting — the
-   regression tests of §5.1. *)
-let targeted_tests =
-  [
-    "ManualResetEvent (Pre: lost signal)", [ [ inv "Wait" ]; [ inv "Set" ] ];
-    ( "ManualResetEvent (Pre: CAS typo)",
-      [ [ inv "Wait"; inv "IsSet" ]; [ inv "Set"; inv "Reset" ] ] );
-    ( "ConcurrentQueue (Pre: timed lock in TryDequeue)",
-      [ [ inv_int "Enqueue" 200; inv_int "Enqueue" 400 ]; [ inv "TryDequeue"; inv "TryDequeue" ] ]
-    );
-    "SemaphoreSlim (Pre: unlocked release)", [ [ inv "Release" ]; [ inv "Release" ] ];
-    "CountdownEvent (Pre: racy signal)", [ [ inv "Signal" ]; [ inv "Signal" ] ];
-    ( "ConcurrentStack (Pre: non-atomic TryPopRange)",
-      [ [ inv_int "Push" 1; inv_int "Push" 2 ]; [ inv_int "TryPopRange" 2 ] ] );
-    "LazyInit (Pre: early publish)", [ [ inv "Value" ]; [ inv "Value" ] ];
-    ( "TaskCompletionSource (Pre: racy TrySetResult)",
-      [ [ inv_int "TrySetResult" 10 ]; [ inv_int "TrySetResult" 20 ] ] );
-    "ConcurrentBag", [ [ inv_int "Add" 10; inv_int "Add" 20 ]; [ inv "TryTake" ] ];
-    ( "BlockingCollection (segmented)",
-      [ [ inv_int "Add" 200; inv_int "Add" 400 ]; [ inv "Count" ] ] );
-    "CancellationTokenSource", [ [ inv "Cancel" ]; [ inv "IsCancellationRequested" ] ];
-    "Barrier", [ [ inv "SignalAndWait" ]; [ inv "SignalAndWait" ] ];
-    "Counter1 (unlocked inc)", [ [ inv "Inc"; inv "Get" ]; [ inv "Inc" ] ];
-  ]
-
-let targeted_test_for name = List.assoc_opt name targeted_tests

@@ -45,8 +45,9 @@ let run opts =
   let sample j =
     let t0 = Monotonic.now () in
     let report =
-      Random_check.run_parallel ~config ?metrics:(bench_metrics ()) ~domains:j ~seed:opts.seed
-        ~invocations:adapter.Adapter.universe ~rows:opts.rows ~cols:opts.cols ~samples adapter
+      Random_check.run ~config ?metrics:(bench_metrics ()) ~domains:j ~seed:opts.seed ~samples
+        ~draw:(random_draw adapter ~rows:opts.rows ~cols:opts.cols)
+        adapter
     in
     report, Monotonic.elapsed_since t0
   in

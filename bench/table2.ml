@@ -31,11 +31,11 @@ let average = function [] -> 0.0 | l -> List.fold_left ( +. ) 0.0 l /. float (Li
 let avg_opt = function [] -> None | l -> Some (average l)
 
 let run_row opts (e : Conc.Registry.entry) =
-  let rng = Random.State.make [| opts.seed |] in
   let report =
-    Random_check.run ~config:(check_config opts) ?metrics:(bench_metrics ()) ~rng
-      ~invocations:e.adapter.Adapter.universe ~rows:opts.rows ~cols:opts.cols
-      ~samples:opts.samples e.adapter
+    Random_check.run ~config:(check_config opts) ?metrics:(bench_metrics ()) ~seed:opts.seed
+      ~samples:opts.samples
+      ~draw:(random_draw e.adapter ~rows:opts.rows ~cols:opts.cols)
+      e.adapter
   in
   let outcomes = report.Random_check.outcomes in
   let p1_hists = List.map (fun (o : Random_check.test_outcome) -> o.result.Check.phase1.Check.histories) outcomes in
@@ -58,11 +58,10 @@ let run_row opts (e : Conc.Registry.entry) =
     if not opts.minimize then
       match e.min_dims with Some (r, c) -> Fmt.str "%dx%d" r c | None -> "-"
     else begin
-      (* recompute live from the recorded targeted failing test *)
-      match targeted_test_for e.adapter.Adapter.name with
+      (* recompute live from the entry's regression test *)
+      match e.regression with
       | None -> "-"
-      | Some cols -> (
-        let test = Test_matrix.make cols in
+      | Some test -> (
         match Minimize.reduce ~config:(check_config opts) e.adapter test with
         | r ->
           let rows, cols = Test_matrix.dims r.Minimize.test in

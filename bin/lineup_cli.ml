@@ -44,6 +44,9 @@ let with_observability ~metrics_file ~trace_file f =
 let exit_violation = 1
 let exit_cancelled = 2
 
+let exit_of_result r =
+  if Check.passed r then 0 else if Check.cancelled r then exit_cancelled else exit_violation
+
 let gate_exits =
   Cmd.Exit.info 0 ~doc:"if the check completed without reporting a violation."
   :: Cmd.Exit.info exit_violation
@@ -144,9 +147,7 @@ let check_cmd_run name columns pb cap classic por memory jobs frontier_depth can
     in
     if verbose then Fmt.pr "%s@." (Report.check_result_to_string ~adapter ~test r)
     else Fmt.pr "%s@." (Report.summary r);
-    if Check.passed r then `Ok 0
-    else if Check.cancelled r then `Ok exit_cancelled
-    else `Ok exit_violation
+    `Ok (exit_of_result r)
 
 let random_cmd_run name rows cols samples seed pb cap por memory stop_at_first domains
     metrics_file trace_file =
@@ -156,8 +157,10 @@ let random_cmd_run name rows cols samples seed pb cap por memory stop_at_first d
     let config = config_of ~por ~memory ~pb ~cap ~classic:false () in
     let report =
       with_observability ~metrics_file ~trace_file (fun metrics ->
-          Random_check.run_parallel ~config ~stop_at_first ?metrics ~domains ~seed
-            ~invocations:adapter.Adapter.universe ~rows ~cols ~samples adapter)
+          Random_check.run ~config ~stop_at_first ?metrics ~domains ~seed ~samples
+            ~draw:(fun rng ->
+              Test_matrix.random ~rng ~invocations:adapter.Adapter.universe ~rows ~cols ())
+            adapter)
     in
     Fmt.pr "%d tests: %d passed, %d failed@." (List.length report.Random_check.outcomes)
       report.Random_check.passed report.Random_check.failed;
@@ -250,9 +253,7 @@ let compare_cmd_run name columns por memory jobs frontier_depth tso metrics_file
     in
     List.iter (fun a -> Fmt.pr "%s" a.Check.a_render) r.Check.analyses;
     Fmt.pr "line-up: %s@." (Report.summary r);
-    if Check.passed r then `Ok 0
-    else if Check.cancelled r then `Ok exit_cancelled
-    else `Ok exit_violation
+    `Ok (exit_of_result r)
 
 (* Multi-process sharding: `shard-server` runs phase 1 and the frontier
    warm-up locally, fans partitions out to `shard-worker` processes over a
@@ -276,9 +277,7 @@ let shard_server_cmd_run name columns pb cap classic por memory frontier_depth d
     | Lineup_shard.Server.Report r ->
       if verbose then Fmt.pr "%s@." (Report.check_result_to_string ~adapter ~test r)
       else Fmt.pr "%s@." (Report.summary r);
-      if Check.passed r then `Ok 0
-      else if Check.cancelled r then `Ok exit_cancelled
-      else `Ok exit_violation
+      `Ok (exit_of_result r)
     | Lineup_shard.Server.Halted _ ->
       (* Checkpoints are durable but there is no verdict: exit like a
          cancelled check so a halted sweep can never pass a gate. *)
@@ -293,54 +292,23 @@ let shard_worker_cmd_run connect =
   in
   `Ok (Lineup_shard.Worker.run ~connect ~lookup ())
 
-(* Repro: run every registered defect's targeted regression test and
-   compare against the expected verdict — the §5.1 regression workflow. *)
-let repro_targets =
-  [
-    "A", "ManualResetEvent (Pre: lost signal)", [ "Wait" ], [ "Set" ];
-    "A'", "ManualResetEvent (Pre: CAS typo)", [ "Wait"; "IsSet" ], [ "Set"; "Reset" ];
-    ( "B",
-      "ConcurrentQueue (Pre: timed lock in TryDequeue)",
-      [ "Enqueue(200)"; "Enqueue(400)" ],
-      [ "TryDequeue"; "TryDequeue" ] );
-    "C", "SemaphoreSlim (Pre: unlocked release)", [ "Release" ], [ "Release" ];
-    "D", "CountdownEvent (Pre: racy signal)", [ "Signal" ], [ "Signal" ];
-    ( "E",
-      "ConcurrentStack (Pre: non-atomic TryPopRange)",
-      [ "Push(1)"; "Push(2)" ],
-      [ "TryPopRange(2)" ] );
-    "F", "LazyInit (Pre: early publish)", [ "Value" ], [ "Value" ];
-    ( "G",
-      "TaskCompletionSource (Pre: racy TrySetResult)",
-      [ "TrySetResult(10)" ],
-      [ "TrySetResult(20)" ] );
-    "H", "ConcurrentBag", [ "Add(10)"; "Add(20)" ], [ "TryTake" ];
-    "I+J", "BlockingCollection (segmented)", [ "Add(200)"; "Add(400)" ], [ "Count" ];
-    "K", "CancellationTokenSource", [ "Cancel" ], [ "IsCancellationRequested" ];
-    "L", "Barrier", [ "SignalAndWait" ], [ "SignalAndWait" ];
-    "M", "ReaderWriterLockSlim (Pre: racy EnterRead)", [ "EnterRead" ], [ "EnterRead"; "CurrentReadCount" ];
-    "O", "ConcurrentDictionary (Pre: non-atomic Clear)", [ "TryAdd(10)"; "TryAdd(20)"; "Clear" ], [ "Count" ];
-  ]
-
+(* Repro: run every failing entry's regression test and expect it to fail
+   — the §5.1 regression workflow. *)
 let repro_cmd_run which =
   let selected =
-    match which with
-    | None -> repro_targets
-    | Some id -> List.filter (fun (i, _, _, _) -> String.equal i id) repro_targets
+    List.filter
+      (fun (id, _) -> Option.fold ~none:true ~some:(String.equal id) which)
+      Conc.Registry.failing_entries
   in
   if selected = [] then `Error (false, "unknown root cause id")
   else begin
     let all_ok = ref true in
     List.iter
-      (fun (id, name, col1, col2) ->
-        let adapter = (Conc.Registry.find name).Conc.Registry.adapter in
-        let test =
-          Test_matrix.make [ List.map parse_invocation col1; List.map parse_invocation col2 ]
-        in
-        let r = Check.run adapter test in
+      (fun (id, (e : Conc.Registry.entry)) ->
+        let r = Check.run e.adapter (Option.get e.regression) in
         let ok = not (Check.passed r) in
         if not ok then all_ok := false;
-        Fmt.pr "%-5s %-50s %s %s@." id name
+        Fmt.pr "%-8s %-50s %s %s@." id e.adapter.Adapter.name
           (if ok then "reproduced:" else "NOT REPRODUCED:")
           (Report.summary r))
       selected;
@@ -665,7 +633,8 @@ let repro_cmd =
     Arg.(
       value
       & pos 0 (some string) None
-      & info [] ~docv:"ID" ~doc:"Root cause id (A, B, ... O); all when omitted.")
+      & info [] ~docv:"ID"
+          ~doc:"Root cause id (A, A', B, ... O, Counter1; see $(b,list)); all when omitted.")
   in
   Cmd.v
     (Cmd.info "repro" ~exits:gate_exits

@@ -78,10 +78,11 @@ let () =
      sequence), then hunt with RandomCheck. *)
   let init = [ Invocation.make ~arg:(Value.int 9) "TryPut" ] in
   Fmt.pr "Hunting with RandomCheck (40 random 2x2 tests, pre-seeded buffer)...@.@.";
+  let draw (a : Adapter.t) rng =
+    Test_matrix.random ~init ~rng ~invocations:a.Adapter.universe ~rows:2 ~cols:2 ()
+  in
   let report =
-    Random_check.run ~stop_at_first:true ~init
-      ~rng:(Random.State.make [| 2025 |])
-      ~invocations:buggy.Adapter.universe ~rows:2 ~cols:2 ~samples:40 buggy
+    Random_check.run ~stop_at_first:true ~seed:2025 ~samples:40 ~draw:(draw buggy) buggy
   in
   (match report.Random_check.first_failure with
    | Some o ->
@@ -106,10 +107,6 @@ let () =
   let fixed = adapter ~atomic_size:true "ring buffer (locked Size)" in
   let result = Check.run fixed targeted in
   Fmt.pr "Fixed version on the same test: %s@." (Report.summary result);
-  let report =
-    Random_check.run ~init
-      ~rng:(Random.State.make [| 2025 |])
-      ~invocations:fixed.Adapter.universe ~rows:2 ~cols:2 ~samples:40 fixed
-  in
+  let report = Random_check.run ~seed:2025 ~samples:40 ~draw:(draw fixed) fixed in
   Fmt.pr "Fixed version under RandomCheck: %d/40 random tests passed@."
     report.Random_check.passed

@@ -17,7 +17,11 @@ type entry = {
   expected : expected;
   defect : string option;  (** one-line description of the seeded defect *)
   min_dims : (int * int) option;
-      (** smallest failing test dimensions (rows × columns), when failing *)
+      (** smallest failing test dimensions (rows × columns), when failing:
+          Table 2's recorded column *)
+  regression : Lineup.Test_matrix.t option;
+      (** the minimal regression test of §5.1 that this entry fails; [Some]
+          exactly for the {!failing_entries} *)
 }
 
 val all : entry list
@@ -28,7 +32,9 @@ val table2_rows : entry list
 (** The known-good subjects (expected PASS). *)
 val correct_entries : entry list
 
-(** The entries expected to fail, with their root-cause letter. *)
+(** The entries expected to fail, with their root-cause letter, in
+    registry order. [lineup repro], the bench's targeted tests and the
+    registry sweep of the tests all run their [regression] tests. *)
 val failing_entries : (string * entry) list
 
 val find : string -> entry

@@ -1,5 +1,4 @@
 module Explore = Lineup_scheduler.Explore
-module Pool = Lineup_parallel.Pool
 module Metrics = Lineup_observe.Metrics
 
 type outcome =
@@ -34,37 +33,13 @@ let test_seq (adapter : Adapter.t) =
   let rec levels n () = Seq.Cons (level n, levels (n + 1)) in
   Seq.concat (levels 1)
 
-let result_stats (r : Check.result) =
-  match r.Check.phase2 with
-  | None -> r.Check.phase1.Check.stats
-  | Some p2 -> Explore.merge_stats r.Check.phase1.Check.stats p2.Check.stats
-
-let run ?config ?(domains = 1) ?metrics ~max_tests adapter =
-  let with_metrics = Option.is_some metrics in
-  let results =
-    Pool.map_seq ~domains
-      ~stop:(fun (_, r, _) -> Check.failed r)
-      ~f:(fun ~cancelled test ->
-        (* Per-job registry, returned with the result: the pool discards
-           cancelled/post-stop jobs wholesale, so only the deterministic
-           result prefix ever contributes counters — the merged totals are
-           the sequential run's totals for every [domains] value. *)
-        let jm = if with_metrics then Some (Metrics.create ()) else None in
-        (test, Check.run ?config ~cancelled ?metrics:jm adapter test, jm))
+let run ?config ?domains ?metrics ~max_tests adapter =
+  let results, stats =
+    Check.run_seq ?config ?domains ?metrics ~stop_at_first:true adapter
       (Seq.take max_tests (test_seq adapter))
   in
-  (match metrics with
-   | Some m ->
-     List.iter (fun (_, _, jm) -> Option.iter (fun jm -> Metrics.merge_into ~into:m jm) jm) results;
-     Metrics.add m "auto.tests_run" (List.length results)
-   | None -> ());
   let tests_run = List.length results in
-  let stats =
-    List.fold_left
-      (fun acc (_, r, _) -> Explore.merge_stats acc (result_stats r))
-      Explore.empty_stats results
-  in
+  Option.iter (fun m -> Metrics.add m "auto.tests_run" tests_run) metrics;
   match List.rev results with
-  | (test, result, _) :: _ when Check.failed result ->
-    Failed { test; result; tests_run; stats }
+  | (test, result) :: _ when Check.failed result -> Failed { test; result; tests_run; stats }
   | _ -> Budget_exhausted { tests_run; stats }

@@ -503,3 +503,29 @@ let run ?(config = default_config) ?(cancelled = never_cancelled) ?metrics ?obse
     let p2_start = now () in
     run_pipeline (lineup_analyzer config ~observation :: analyzers)
     |> finish ?metrics ~observation ~phase1 ~p2_start
+
+(* Both phases' statistics of one check. *)
+let result_stats r =
+  match r.phase2 with
+  | None -> r.phase1.stats
+  | Some p2 -> Explore.merge_stats r.phase1.stats p2.stats
+
+let run_seq ?config ?domains ?metrics ?(stop_at_first = false) adapter tests =
+  let results =
+    Lineup_parallel.Pool.map_seq ?domains
+      ~stop:(fun (_, r, _) -> stop_at_first && failed r)
+      ~f:(fun ~cancelled test ->
+        (* Per-job registry, returned with the result: the pool discards
+           cancelled and post-stop jobs wholesale, so only the kept prefix
+           contributes counters, whatever [domains]. *)
+        let jm = Option.map (fun _ -> Metrics.create ()) metrics in
+        test, run ?config ~cancelled ?metrics:jm adapter test, jm)
+      tests
+  in
+  Option.iter
+    (fun m -> List.iter (fun (_, _, jm) -> Option.iter (Metrics.merge_into ~into:m) jm) results)
+    metrics;
+  ( List.map (fun (test, r, _) -> test, r) results,
+    List.fold_left
+      (fun acc (_, r, _) -> Explore.merge_stats acc (result_stats r))
+      Explore.empty_stats results )

@@ -207,6 +207,28 @@ val run :
     its verdict counted into [metrics] as {!run} counts them. *)
 val phase1_failed : ?metrics:Lineup_observe.Metrics.t -> verdict -> phase_report -> result
 
+(** [run_seq ?config ?domains ?metrics ?stop_at_first adapter tests] runs
+    {!run} on each test of the lazy sequence [tests] and returns each test
+    with its result, in sequence order, together with both phases'
+    statistics of every returned check, merged in that order. It is the
+    one fan-out behind [Random_check.run] and [Auto_check.run].
+
+    [domains] (default [1]) spreads the checks over that many OCaml domains
+    through {!Lineup_parallel.Pool.map_seq}, which pulls [tests] on the
+    calling domain, one element per job, in sequence order. With
+    [stop_at_first] (default [false]) the list ends at the first failing
+    check; later checks in flight are cancelled and dropped. [metrics]
+    receives the counters of the returned checks only. So the list, the
+    statistics and the counters are the same for every [domains]. *)
+val run_seq :
+  ?config:config ->
+  ?domains:int ->
+  ?metrics:Lineup_observe.Metrics.t ->
+  ?stop_at_first:bool ->
+  Adapter.t ->
+  Test_matrix.t Seq.t ->
+  (Test_matrix.t * result) list * Lineup_scheduler.Explore.stats
+
 (** {1 Phase-2 dedup}
 
     The table of distinct histories one phase-2 exploration has checked

@@ -1,7 +1,3 @@
-module Explore = Lineup_scheduler.Explore
-module Pool = Lineup_parallel.Pool
-module Metrics = Lineup_observe.Metrics
-
 type test_outcome = {
   test : Test_matrix.t;
   result : Check.result;
@@ -12,79 +8,27 @@ type report = {
   passed : int;
   failed : int;
   first_failure : test_outcome option;
-  stats : Explore.stats;
+  stats : Lineup_scheduler.Explore.stats;
 }
 
-let result_stats (r : Check.result) =
-  match r.Check.phase2 with
-  | None -> r.Check.phase1.Check.stats
-  | Some p2 -> Explore.merge_stats r.Check.phase1.Check.stats p2.Check.stats
-
-let report_of_outcomes outcomes =
+let run ?config ?stop_at_first ?metrics ?domains ~seed ~samples ~draw adapter =
+  let rng = Random.State.make [| seed |] in
+  (* [Seq.init] draws sample i when the pool pulls job i, on the calling
+     domain and in submission order: one stream, whatever [domains]. *)
+  let results, stats =
+    Check.run_seq ?config ?domains ?metrics ?stop_at_first adapter
+      (Seq.init samples (fun _ -> draw rng))
+  in
+  let outcomes = List.map (fun (test, result) -> { test; result }) results in
+  Option.iter
+    (fun m -> Lineup_observe.Metrics.add m "random.samples" (List.length outcomes))
+    metrics;
   let failing o = Check.failed o.result in
+  let failed = List.length (List.filter failing outcomes) in
   {
     outcomes;
-    passed = List.length (List.filter (fun o -> not (failing o)) outcomes);
-    failed = List.length (List.filter failing outcomes);
+    passed = List.length outcomes - failed;
+    failed;
     first_failure = List.find_opt failing outcomes;
-    stats =
-      List.fold_left
-        (fun acc o -> Explore.merge_stats acc (result_stats o.result))
-        Explore.empty_stats outcomes;
+    stats;
   }
-
-let record_samples metrics outcomes =
-  match metrics with
-  | Some m -> Metrics.add m "random.samples" (List.length outcomes)
-  | None -> ()
-
-let run_custom ?config ?(stop_at_first = false) ?metrics ~gen ~samples adapter =
-  let outcomes = ref [] in
-  (try
-     for _ = 1 to samples do
-       let test = gen () in
-       let result = Check.run ?config ?metrics adapter test in
-       outcomes := { test; result } :: !outcomes;
-       if Check.failed result && stop_at_first then raise Exit
-     done
-   with Exit -> ());
-  let outcomes = List.rev !outcomes in
-  record_samples metrics outcomes;
-  report_of_outcomes outcomes
-
-let run ?config ?stop_at_first ?metrics ?(init = []) ?(final = []) ~rng ~invocations ~rows ~cols
-    ~samples adapter =
-  let gen () = Test_matrix.random ~init ~final ~rng ~invocations ~rows ~cols () in
-  run_custom ?config ?stop_at_first ?metrics ~gen ~samples adapter
-
-let run_seqs ?config ?stop_at_first ?(init = []) ?(final = []) ~rng ~sequences ~rows ~cols
-    ~samples adapter =
-  let gen () = Test_matrix.random_seqs ~init ~final ~rng ~sequences ~rows ~cols () in
-  run_custom ?config ?stop_at_first ~gen ~samples adapter
-
-let run_parallel ?config ?(stop_at_first = false) ?metrics ?(init = []) ?(final = []) ~domains
-    ~seed ~invocations ~rows ~cols ~samples adapter =
-  if domains < 1 then invalid_arg "Random_check.run_parallel: domains must be >= 1";
-  let with_metrics = Option.is_some metrics in
-  let results =
-    Pool.map_seq ~domains
-      ~stop:(fun (o, _) -> stop_at_first && Check.failed o.result)
-      ~f:(fun ~cancelled i ->
-        (* Sample i draws from its own PRNG stream derived from (seed, i),
-           so the sample set is a function of the seed alone — the domain
-           count affects wall-clock time and nothing else. The per-job
-           metrics registry rides with the result so that discarded jobs
-           drop their counters (see Auto_check). *)
-        let rng = Random.State.make [| seed; i |] in
-        let test = Test_matrix.random ~init ~final ~rng ~invocations ~rows ~cols () in
-        let jm = if with_metrics then Some (Metrics.create ()) else None in
-        ({ test; result = Check.run ?config ~cancelled ?metrics:jm adapter test }, jm))
-      (Seq.init samples Fun.id)
-  in
-  (match metrics with
-   | Some m ->
-     List.iter (fun (_, jm) -> Option.iter (fun jm -> Metrics.merge_into ~into:m jm) jm) results
-   | None -> ());
-  let outcomes = List.map fst results in
-  record_samples metrics outcomes;
-  report_of_outcomes outcomes

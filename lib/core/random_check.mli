@@ -20,80 +20,35 @@ type report = {
       (** both phases of every outcome's [Check], merged in sample order *)
 }
 
-(** [run ?config ?stop_at_first ~rng ~invocations ~rows ~cols ~samples
-    adapter] samples [samples] tests of dimension [rows × cols] (threads =
-    columns, as in the paper's matrix view) with entries from [invocations]
-    and checks each. When [stop_at_first] is set (default [false]), sampling
-    stops after the first failing test.
+(** [run ?config ?stop_at_first ?metrics ?domains ~seed ~samples ~draw
+    adapter] checks [samples] random tests. Sample [i] is the [i]-th call
+    of [draw] on the one stream [Random.State.make [|seed|]]: for Fig. 8's
+    tests, [draw] is [fun rng -> Test_matrix.random ~rng ~invocations
+    ~rows ~cols ()]; for §4.3's invocation sequences it is
+    {!Test_matrix.random_seqs}. When [stop_at_first] is set (default
+    [false]), sampling stops after the first failing test.
 
-    [metrics], here and in {!run_custom}/{!run_parallel}, receives the
-    counters of every counted [Check] (see {!Check.run}) plus
-    [random.samples]; in {!run_parallel} the per-job registries of
-    discarded jobs are dropped, keeping the totals [domains]-independent. *)
+    [domains] (default [1]) fans the checks out over that many OCaml
+    domains through {!Check.run_seq} — §4.3: random sampling "is
+    embarrassingly parallel: it is very easy to distribute the various
+    tests and let each core run Check independently". The samples are
+    drawn on the calling domain in sample order as the pool pulls them, and
+    results come back in sample order, so the report (outcomes, verdicts,
+    first failure, merged stats) is a function of [seed] alone: [~domains:8]
+    returns exactly what [~domains:1] returns, only faster. With
+    [stop_at_first], the first failing sample cancels later in-flight
+    samples and the report is the prefix ending at that failure.
+
+    [metrics] receives the counters of every reported [Check] (see
+    {!Check.run}) plus [random.samples]; those of cancelled samples are
+    dropped, so the totals are [domains]-independent. *)
 val run :
   ?config:Check.config ->
   ?stop_at_first:bool ->
   ?metrics:Lineup_observe.Metrics.t ->
-  ?init:Lineup_history.Invocation.t list ->
-  ?final:Lineup_history.Invocation.t list ->
-  rng:Random.State.t ->
-  invocations:Lineup_history.Invocation.t list ->
-  rows:int ->
-  cols:int ->
-  samples:int ->
-  Adapter.t ->
-  report
-
-(** [run_custom ~gen ~samples] samples tests from an arbitrary generator. *)
-val run_custom :
-  ?config:Check.config ->
-  ?stop_at_first:bool ->
-  ?metrics:Lineup_observe.Metrics.t ->
-  gen:(unit -> Test_matrix.t) ->
-  samples:int ->
-  Adapter.t ->
-  report
-
-(** Like {!run}, but each matrix cell is a whole invocation sequence drawn
-    from [sequences] (§4.3). *)
-val run_seqs :
-  ?config:Check.config ->
-  ?stop_at_first:bool ->
-  ?init:Lineup_history.Invocation.t list ->
-  ?final:Lineup_history.Invocation.t list ->
-  rng:Random.State.t ->
-  sequences:Lineup_history.Invocation.t list list ->
-  rows:int ->
-  cols:int ->
-  samples:int ->
-  Adapter.t ->
-  report
-
-(** [run_parallel ~domains ~seed ...] fans the sample out across [domains]
-    OCaml domains through {!Lineup_parallel.Pool} — §4.3: random sampling
-    "is embarrassingly parallel: it is very easy to distribute the various
-    tests and let each core run Check independently".
-
-    Sample [i] is generated from its own PRNG stream derived from
-    [(seed, i)], and results are reported in sample order, so the report
-    (outcomes, verdicts, first failure, merged stats) is a function of
-    [seed] alone: [~domains:8] returns exactly what [~domains:1] returns,
-    only faster. With [stop_at_first] (default [false]), the first failing
-    sample cancels later in-flight samples at their next execution boundary
-    and the report is the deterministic prefix ending at that failure.
-    Per-execution state is domain-local, so explorations do not
-    interfere. *)
-val run_parallel :
-  ?config:Check.config ->
-  ?stop_at_first:bool ->
-  ?metrics:Lineup_observe.Metrics.t ->
-  ?init:Lineup_history.Invocation.t list ->
-  ?final:Lineup_history.Invocation.t list ->
-  domains:int ->
+  ?domains:int ->
   seed:int ->
-  invocations:Lineup_history.Invocation.t list ->
-  rows:int ->
-  cols:int ->
   samples:int ->
+  draw:(Random.State.t -> Test_matrix.t) ->
   Adapter.t ->
   report

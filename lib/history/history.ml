@@ -43,7 +43,6 @@ let make ?(stuck = false) events =
 let events h = h.events
 let is_stuck h = h.stuck
 let length h = List.length h.events
-let is_empty h = match h.events with [] -> true | _ :: _ -> false
 
 let threads h =
   List.sort_uniq Int.compare (List.map (fun (e : Event.t) -> e.tid) h.events)

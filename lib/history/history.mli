@@ -18,7 +18,6 @@ val make : ?stuck:bool -> Event.t list -> t
 val events : t -> Event.t list
 val is_stuck : t -> bool
 val length : t -> int
-val is_empty : t -> bool
 
 (** Threads that have at least one event in the history. *)
 val threads : t -> int list

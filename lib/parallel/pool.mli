@@ -6,8 +6,9 @@
     random sampling "is embarrassingly parallel: it is very easy to
     distribute the various tests and let each core run Check independently".
     This pool is the one piece of machinery behind every parallel entry
-    point ([Auto_check.run ~domains], [Random_check.run_parallel], the CLI
-    [-j] flag).
+    point ([Check.run_seq], which [Auto_check.run ~domains] and
+    [Random_check.run ~domains] share; [check -j]'s frontier partitions;
+    the CLI [-j] flag).
 
     Design constraints, all load-bearing for the checker:
 

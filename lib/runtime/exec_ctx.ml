@@ -28,7 +28,7 @@ type flush_unit = {
 }
 
 (* All per-execution state is domain-local so that independent explorations
-   (e.g. Random_check.run_parallel, §4.3: random sampling "is embarrassingly
+   (e.g. Random_check.run ~domains, §4.3: random sampling "is embarrassingly
    parallel") can run on separate domains without interference. *)
 type state = {
   mutable next_loc : int;
@@ -110,11 +110,6 @@ let buffer_push ~loc ~loc_name ~commit =
 
 let flush_unit_count () = (state ()).n_units
 
-let flush_unit_owner u =
-  let s = state () in
-  if u < 0 || u >= s.n_units then invalid_arg "Exec_ctx.flush_unit_owner";
-  s.units.(u).fu_owner
-
 let flush_unit_loc u =
   let s = state () in
   if u < 0 || u >= s.n_units || Queue.is_empty s.units.(u).fu_q then -1
@@ -133,8 +128,6 @@ let rec owner_empty s tid i =
 
 let buffer_empty tid = owner_empty (state ()) tid 0
 
-let rec all_empty s i = i >= s.n_units || (Queue.is_empty s.units.(i).fu_q && all_empty s (i + 1))
-let buffers_all_empty () = all_empty (state ()) 0
 let set_logging b = (state ()).logging <- b
 let logging_enabled () = (state ()).logging
 

@@ -66,9 +66,6 @@ val buffer_push : loc:int -> loc_name:string -> commit:(unit -> unit) -> unit
     indices are never recycled within an execution). *)
 val flush_unit_count : unit -> int
 
-(** Owning thread of a flush unit. *)
-val flush_unit_owner : int -> int
-
 (** [flush_unit_loc u] is the location id (always [>= 0]) of the oldest
     buffered store in unit [u], or [-1] if [u] is unknown or empty. It does
     not allocate. *)
@@ -81,9 +78,6 @@ val flush_one : int -> unit
 (** [buffer_empty tid] holds when thread [tid] has no pending buffered
     stores in any unit. Always true under [Sc]. *)
 val buffer_empty : int -> bool
-
-(** No pending buffered stores in any unit. Always true under [Sc]. *)
-val buffers_all_empty : unit -> bool
 
 (** Access logging is off by default (exploration-speed); the comparison
     checkers enable it. *)

@@ -24,7 +24,6 @@ val init : ?volatile:bool -> name:string -> int -> (int -> 'a) -> 'a t
 val make : ?volatile:bool -> name:string -> int -> 'a -> 'a t
 
 val length : 'a t -> int
-val base_name : 'a t -> string
 
 (** The underlying cell, for passing to code that works on a single
     {!Shared_var.t} (e.g. wake predicates, footprint declarations). *)

@@ -270,6 +270,9 @@ type engine = {
   mutable exec_end : exec_end;
   mutable prerun : bool;
   mutable killing : bool;
+  mutable kill_budget : int;
+      (** effects the thread being killed may still perform inline *)
+  mutable kill_blocked : bool;  (** it has performed a [Block] since its kill *)
   mutable por_blocked : bool;
   mutable preemptions : int;
   mutable steps : int;
@@ -319,6 +322,8 @@ let runner cfg ~(decider : decider) ~pruned =
       exec_end = All_finished;
       prerun = false;
       killing = false;
+      kill_budget = 0;
+      kill_blocked = false;
       por_blocked = false;
       preemptions = 0;
       steps = 0;
@@ -564,10 +569,27 @@ let runner cfg ~(decider : decider) ~pruned =
   let block_wake = ref no_wake in
   let block_fp = ref Footprint.unknown in
   let arity = ref 0 in
+  (* A killed thread may catch [Killed] and take more steps, as
+     [Mutex_.with_lock]'s release does; they run inline, and its first
+     [Block] is answered with [Killed] again. One that swallows the kill and
+     keeps going would never return, so past [max_steps] such effects, or at
+     its second [Block], its continuation is dropped: never resumed, and
+     named on the trace. OCaml does not free the stack of a continuation
+     that is never resumed. *)
+  let drop () =
+    if Lineup_observe.Trace.enabled () then
+      Lineup_observe.Trace.emit "explore.kill_drop" [ "tid", Lineup_observe.Trace.Int e.running ]
+  in
+  let kill_step () =
+    e.kill_budget <- e.kill_budget - 1;
+    if e.kill_budget < 0 then drop ();
+    e.kill_budget >= 0
+  in
   let on_access =
     Some
       (fun (k : (unit, unit) continuation) ->
-        if e.killing || serial then
+        if e.killing then (if kill_step () then continue k ())
+        else if serial then
           (* no mid-operation scheduling in serial mode; an operation runs
              atomically through its return *)
           continue k ()
@@ -579,7 +601,7 @@ let runner cfg ~(decider : decider) ~pruned =
   let on_sched =
     Some
       (fun (k : (unit, unit) continuation) ->
-        if e.killing then continue k ()
+        if e.killing then (if kill_step () then continue k ())
         else
           match !reason with
           | Rt.Boundary -> suspend Ready ~voluntary:true Footprint.event k
@@ -595,7 +617,13 @@ let runner cfg ~(decider : decider) ~pruned =
   let on_block =
     Some
       (fun (k : (unit, unit) continuation) ->
-        if e.killing then discontinue k Killed
+        if e.killing then begin
+          if e.kill_blocked then drop ()
+          else if kill_step () then begin
+            e.kill_blocked <- true;
+            discontinue k Killed
+          end
+        end
         else begin
           e.wakes.(e.running) <- !block_wake;
           suspend Blocked ~voluntary:true !block_fp k
@@ -604,7 +632,8 @@ let runner cfg ~(decider : decider) ~pruned =
   let on_yield =
     Some
       (fun (k : (unit, unit) continuation) ->
-        if e.killing || serial then
+        if e.killing then (if kill_step () then continue k ())
+        else if serial then
           (* no mid-operation scheduling in serial mode; spin loops that
              genuinely wait on another thread hit the step budget and
              classify as stuck *)
@@ -618,7 +647,8 @@ let runner cfg ~(decider : decider) ~pruned =
   let on_choose =
     Some
       (fun (k : (int, unit) continuation) ->
-        if e.killing then continue k 0 else continue k (decider.decide_value ~arity:!arity))
+        if e.killing then (if kill_step () then continue k 0)
+        else continue k (decider.decide_value ~arity:!arity))
   in
   let handler =
     {
@@ -659,6 +689,8 @@ let runner cfg ~(decider : decider) ~pruned =
            release, must see its own thread *)
         e.running <- i;
         Exec_ctx.set_current_tid i;
+        e.kill_budget <- cfg.max_steps;
+        e.kill_blocked <- false;
         discontinue e.conts.(i) Killed
       | Finished -> ()
     done

@@ -24,14 +24,6 @@ type 'st t = {
 
 type packed = Packed : 'st t -> packed
 
-let cls_name = function
-  | Queue -> "queue"
-  | Stack -> "stack"
-  | Set -> "set"
-  | Dictionary -> "dictionary"
-  | Counter -> "counter"
-  | Other -> "other"
-
 let run spec invs =
   let rec go st = function
     | [] -> []

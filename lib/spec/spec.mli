@@ -50,8 +50,6 @@ type 'st t = {
 (** A specification with its state type hidden. *)
 type packed = Packed : 'st t -> packed
 
-val cls_name : cls -> string
-
 (** [run spec invs] applies the invocations in order from the initial state,
     returning the responses; stops early at the first blocked invocation
     (returning [None] in that slot and ending the list there). *)

@@ -1,7 +1,7 @@
 (* Sequential unit tests of every implementation under test (driven through
    the inline effect handler), plus the full Line-Up sweep of the registry:
-   every known-good subject must PASS a generic test and every seeded defect
-   must FAIL its targeted test — the Table 2 ground truth. *)
+   every known-good subject must PASS a generic test and every failing entry
+   must FAIL its regression test — the Table 2 ground truth. *)
 
 open Helpers
 module Value = Lineup_value.Value
@@ -166,29 +166,6 @@ let registry_sweep =
     let pick i = u.(i mod Array.length u) in
     Test_matrix.make [ [ pick 0; pick 2 ]; [ pick 1; pick 3 ] ]
   in
-  let targeted =
-    [
-      "ManualResetEvent (Pre: lost signal)", [ [ inv "Wait" ]; [ inv "Set" ] ];
-      ( "ManualResetEvent (Pre: CAS typo)",
-        [ [ inv "Wait"; inv "IsSet" ]; [ inv "Set"; inv "Reset" ] ] );
-      ( "ConcurrentQueue (Pre: timed lock in TryDequeue)",
-        [ [ inv_int "Enqueue" 200; inv_int "Enqueue" 400 ]; [ inv "TryDequeue"; inv "TryDequeue" ] ]
-      );
-      "SemaphoreSlim (Pre: unlocked release)", [ [ inv "Release" ]; [ inv "Release" ] ];
-      "CountdownEvent (Pre: racy signal)", [ [ inv "Signal" ]; [ inv "Signal" ] ];
-      ( "ConcurrentStack (Pre: non-atomic TryPopRange)",
-        [ [ inv_int "Push" 1; inv_int "Push" 2 ]; [ inv_int "TryPopRange" 2 ] ] );
-      "LazyInit (Pre: early publish)", [ [ inv "Value" ]; [ inv "Value" ] ];
-      ( "TaskCompletionSource (Pre: racy TrySetResult)",
-        [ [ inv_int "TrySetResult" 10 ]; [ inv_int "TrySetResult" 20 ] ] );
-      "ConcurrentBag", [ [ inv_int "Add" 10; inv_int "Add" 20 ]; [ inv "TryTake" ] ];
-      ( "BlockingCollection (segmented)",
-        [ [ inv_int "Add" 200; inv_int "Add" 400 ]; [ inv "Count" ] ] );
-      "CancellationTokenSource", [ [ inv "Cancel" ]; [ inv "IsCancellationRequested" ] ];
-      "Barrier", [ [ inv "SignalAndWait" ]; [ inv "SignalAndWait" ] ];
-      "Counter1 (unlocked inc)", [ [ inv "Inc"; inv "Get" ]; [ inv "Inc" ] ];
-    ]
-  in
   List.map
     (fun (e : Conc.Registry.entry) ->
       test ("registry PASS: " ^ e.adapter.Adapter.name) (fun () ->
@@ -197,11 +174,21 @@ let registry_sweep =
             Alcotest.failf "%s should pass: %s" e.adapter.Adapter.name (Report.summary r)))
     Conc.Registry.correct_entries
   @ List.map
-      (fun (name, cols) ->
-        test ("registry FAIL: " ^ name) (fun () ->
-            let e = Conc.Registry.find name in
-            let r = Check.run e.adapter (Test_matrix.make cols) in
-            if Check.passed r then Alcotest.failf "%s should fail" name))
-      targeted
+      (fun (id, (e : Conc.Registry.entry)) ->
+        test ("registry FAIL: " ^ e.adapter.Adapter.name) (fun () ->
+            match e.regression with
+            | None -> Alcotest.failf "root cause %s has no regression test" id
+            | Some test ->
+              if Check.passed (Check.run e.adapter test) then
+                Alcotest.failf "%s should fail its regression test" e.adapter.Adapter.name))
+      Conc.Registry.failing_entries
+  @ [
+      test "registry: no passing entry carries a regression test" (fun () ->
+          List.iter
+            (fun (e : Conc.Registry.entry) ->
+              if Option.is_some e.regression then
+                Alcotest.failf "%s passes but has a regression test" e.adapter.Adapter.name)
+            Conc.Registry.correct_entries);
+    ]
 
 let tests = sequential @ registry_sweep

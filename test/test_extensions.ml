@@ -340,29 +340,16 @@ let suite =
             in
             Alcotest.(check bool) "well-formed column" true (ok names))
           m.Test_matrix.columns);
-    test "run_seqs finds the semaphore bug with release-heavy sequences" (fun () ->
+    test "random_seqs draws find the semaphore bug with release-heavy sequences" (fun () ->
         let report =
-          Random_check.run_seqs ~stop_at_first:true
-            ~rng:(Random.State.make [| 5 |])
-            ~sequences:[ [ inv "Release" ]; [ inv "Release"; inv "CurrentCount" ] ]
-            ~rows:1 ~cols:2 ~samples:20 Conc.Semaphore_slim.pre
+          Random_check.run ~stop_at_first:true ~seed:5 ~samples:20
+            ~draw:(fun rng ->
+              Test_matrix.random_seqs ~rng
+                ~sequences:[ [ inv "Release" ]; [ inv "Release"; inv "CurrentCount" ] ]
+                ~rows:1 ~cols:2 ())
+            Conc.Semaphore_slim.pre
         in
         Alcotest.(check bool) "found" true (report.Random_check.failed > 0));
-    test "run_parallel agrees with the sequential sampler" (fun () ->
-        (* domains share nothing; with the same per-domain seeds the merged
-           verdict counts must be stable *)
-        let run domains =
-          let r =
-            Random_check.run_parallel ~domains ~seed:3
-              ~invocations:[ inv "Inc"; inv "Get" ]
-              ~rows:2 ~cols:2 ~samples:6 Conc.Counters.buggy_unlocked
-          in
-          r.Random_check.passed, r.Random_check.failed
-        in
-        let p1, f1 = run 2 in
-        let p2, f2 = run 2 in
-        Alcotest.(check (pair int int)) "reproducible" (p1, f1) (p2, f2);
-        Alcotest.(check int) "all sampled" 6 (p1 + f1));
     (* the two bonus subjects *)
     test "rwlock: correct version passes reader/writer mix" (fun () ->
         let r =

@@ -27,9 +27,9 @@ let stack_3x3 =
     "Push(3),TryPop,TryPop"; "Push(4),TryPop,Push(5)";
   ]
 
-(* [list] and [observe] take no --metrics; their goldens have no metrics
-   file *)
-let takes_metrics sub = sub <> "list" && sub <> "observe"
+(* [list], [observe] and [repro] take no --metrics; their goldens have no
+   metrics file *)
+let takes_metrics sub = sub <> "list" && sub <> "observe" && sub <> "repro"
 
 (* name, expected exit code, subcommand, arguments after
    [SUBCOMMAND --metrics FILE] *)
@@ -87,6 +87,8 @@ let cases =
       1,
       "observe",
       [ "CancellationTokenSource"; "Cancel"; "IsCancellationRequested" ] );
+    (* every failing registry entry's regression test fails (§5.1) *)
+    "repro", 0, "repro", [];
   ]
 
 let golden_tests =

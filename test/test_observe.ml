@@ -9,6 +9,8 @@ module Trace = Lineup_observe.Trace
 open Lineup
 
 let counter_test = Test_matrix.make [ [ inv "Inc"; inv "Get" ]; [ inv "Inc" ] ]
+let inc_get_2x2 rng =
+  Test_matrix.random ~rng ~invocations:[ inv "Inc"; inv "Get" ] ~rows:2 ~cols:2 ()
 
 let with_temp_file f =
   let path = Filename.temp_file "lineup" "observe" in
@@ -47,25 +49,23 @@ let suite =
           Metrics.to_json m
         in
         Alcotest.(check string) "j=1 equals j=4" (collect 1) (collect 4));
-    test "random run_parallel: metrics are -j independent" (fun () ->
+    test "random run: metrics are -j independent" (fun () ->
         let collect domains =
           let m = Metrics.create () in
           ignore
-            (Random_check.run_parallel ~domains ~metrics:m ~seed:7
-               ~invocations:[ inv "Inc"; inv "Get" ]
-               ~rows:2 ~cols:2 ~samples:8 Conc.Counters.correct);
+            (Random_check.run ~domains ~metrics:m ~seed:7 ~samples:8 ~draw:inc_get_2x2
+               Conc.Counters.correct);
           Metrics.to_json m
         in
         Alcotest.(check string) "j=1 equals j=3" (collect 1) (collect 3));
-    test "random run_parallel with stop_at_first: metrics are -j independent" (fun () ->
+    test "random run with stop_at_first: metrics are -j independent" (fun () ->
         (* the deterministic prefix cut: discarded jobs must not leak
            counters into the merged summary *)
         let collect domains =
           let m = Metrics.create () in
           ignore
-            (Random_check.run_parallel ~domains ~stop_at_first:true ~metrics:m ~seed:3
-               ~invocations:[ inv "Inc"; inv "Get" ]
-               ~rows:2 ~cols:2 ~samples:12 Conc.Counters.buggy_unlocked);
+            (Random_check.run ~domains ~stop_at_first:true ~metrics:m ~seed:3 ~samples:12
+               ~draw:inc_get_2x2 Conc.Counters.buggy_unlocked);
           Metrics.to_json m
         in
         let j1 = collect 1 in

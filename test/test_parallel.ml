@@ -149,8 +149,10 @@ let render_random (adapter : Adapter.t) (r : Random_check.report) =
      | Some o -> Report.check_result_to_string ~adapter ~test:o.test o.result)
 
 let random_report ~domains ~stop_at_first ~seed (adapter : Adapter.t) =
-  Random_check.run_parallel ~config ~stop_at_first ~domains ~seed
-    ~invocations:adapter.Adapter.universe ~rows:2 ~cols:2 ~samples:8 adapter
+  Random_check.run ~config ~stop_at_first ~domains ~seed ~samples:8
+    ~draw:(fun rng ->
+      Test_matrix.random ~rng ~invocations:adapter.Adapter.universe ~rows:2 ~cols:2 ())
+    adapter
 
 let determinism_suite =
   [

@@ -3,41 +3,55 @@ module Conc = Lineup_conc
 open Lineup
 
 let counter1_invs = [ inv "Inc"; inv "Get"; inv_int "Set" 5 ]
+let draw ?(invocations = counter1_invs) ~rows ~cols rng =
+  Test_matrix.random ~rng ~invocations ~rows ~cols ()
 
 let suite =
   [
     test "random_check finds the counter1 bug" (fun () ->
         let report =
-          Random_check.run ~stop_at_first:true
-            ~rng:(Random.State.make [| 1 |])
-            ~invocations:counter1_invs ~rows:2 ~cols:2 ~samples:50 Conc.Counters.buggy_unlocked
+          Random_check.run ~stop_at_first:true ~seed:1 ~samples:50 ~draw:(draw ~rows:2 ~cols:2)
+            Conc.Counters.buggy_unlocked
         in
         Alcotest.(check bool) "found" true (report.Random_check.failed > 0));
     test "random_check passes the correct counter" (fun () ->
         let report =
-          Random_check.run
-            ~rng:(Random.State.make [| 2 |])
-            ~invocations:counter1_invs ~rows:2 ~cols:2 ~samples:10 Conc.Counters.correct
+          Random_check.run ~seed:2 ~samples:10 ~draw:(draw ~rows:2 ~cols:2) Conc.Counters.correct
         in
         Alcotest.(check int) "failures" 0 report.Random_check.failed;
         Alcotest.(check int) "passes" 10 report.Random_check.passed);
     test "random_check is reproducible from the seed" (fun () ->
         let run () =
           let r =
-            Random_check.run
-              ~rng:(Random.State.make [| 3 |])
-              ~invocations:counter1_invs ~rows:2 ~cols:2 ~samples:8 Conc.Counters.buggy_unlocked
+            Random_check.run ~seed:3 ~samples:8 ~draw:(draw ~rows:2 ~cols:2)
+              Conc.Counters.buggy_unlocked
           in
           List.map
             (fun (o : Random_check.test_outcome) -> Check.passed o.result)
             r.Random_check.outcomes
         in
         Alcotest.(check (list bool)) "same verdicts" (run ()) (run ()));
+    test "random_check samples the draws of one seeded stream, at any domain count" (fun () ->
+        (* sample i is the i-th draw on [Random.State.make [|seed|]]: the
+           sample of Table 2 and of [lineup random --seed] *)
+        let rng = Random.State.make [| 42 |] in
+        let expected = List.init 6 (fun _ -> draw ~rows:2 ~cols:2 rng) in
+        List.iter
+          (fun domains ->
+            let r =
+              Random_check.run ~domains ~seed:42 ~samples:6 ~draw:(draw ~rows:2 ~cols:2)
+                Conc.Counters.correct
+            in
+            Alcotest.(check (list (testable Test_matrix.pp Test_matrix.equal)))
+              (Fmt.str "domains %d: the drawn tests, in order" domains)
+              expected
+              (List.map (fun (o : Random_check.test_outcome) -> o.test) r.Random_check.outcomes))
+          [ 1; 4 ]);
     test "random_check stop_at_first stops early" (fun () ->
         let report =
-          Random_check.run ~stop_at_first:true
-            ~rng:(Random.State.make [| 4 |])
-            ~invocations:[ inv "Release" ] ~rows:1 ~cols:2 ~samples:100 Conc.Semaphore_slim.pre
+          Random_check.run ~stop_at_first:true ~seed:4 ~samples:100
+            ~draw:(draw ~invocations:[ inv "Release" ] ~rows:1 ~cols:2)
+            Conc.Semaphore_slim.pre
         in
         Alcotest.(check int) "stopped after first failure" 1
           (List.length report.Random_check.outcomes));

@@ -111,6 +111,48 @@ let kill_and_replay_contract =
         in
         Alcotest.(check (list (triple exec_end_t int int)))
           "ends" [ Explore.Diverged, 20, 0 ] ends);
+  ]
+  @ List.map
+      (fun (what, body) ->
+        test ("kill: a thread that swallows Killed and " ^ what ^ " is dropped") (fun () ->
+            let path = Filename.temp_file "lineup" ".ndjson" in
+            Fun.protect
+              ~finally:(fun () -> Sys.remove path)
+              (fun () ->
+                let ends =
+                  Lineup_observe.Trace.with_trace ~path:(Some path) (fun () ->
+                      within 20. (fun () ->
+                          execution_ends unbounded (fun () ->
+                              let v = Var.make 0 in
+                              [| body v; (fun () -> ignore (Var.read v)) |])))
+                in
+                Alcotest.(check (list (triple exec_end_t int int)))
+                  "ends" [ Explore.Deadlock [ 0 ], 1, 0 ] ends;
+                Alcotest.(check bool) "the trace names the dropped thread" true
+                  (contains ~sub:{|"ev":"explore.kill_drop","tid":0}|} (read path)))))
+      (* hostile adapter bodies: each catches every exception *)
+      [
+        ( "blocks again",
+          fun _ () ->
+            while true do
+              try Rt.block ~wake:(fun () -> false) "w" with _ -> ()
+            done );
+        ( "yields forever",
+          fun _ () ->
+            try Rt.block ~wake:(fun () -> false) "w"
+            with _ ->
+              while true do
+                Rt.yield ()
+              done );
+        ( "reads forever",
+          fun v () ->
+            try Rt.block ~wake:(fun () -> false) "w"
+            with _ ->
+              while true do
+                ignore (Var.read v)
+              done );
+      ]
+  @ [
     test "replay: a setup that is not deterministic given its decisions raises" (fun () ->
         let runs = ref 0 in
         let setup () =
