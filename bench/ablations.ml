@@ -30,19 +30,23 @@ let pb_sweep opts =
             Check.config_with ~preemption_bound:(Some pb) ~max_executions:(Some cap) ()
           in
           let r = Check.run ~config e.adapter (Option.get e.regression) in
-          let execs =
+          let execs, complete =
             match r.Check.phase2 with
-            | Some p -> p.Check.stats.Explore.executions
-            | None -> 0
+            | Some p -> p.Check.stats.Explore.executions, p.Check.stats.Explore.complete
+            | None -> 0, true
           in
-          let verdict = if Check.passed r then "miss" else "FOUND" in
+          (* a pass that stopped at the cap has not shown the defect absent *)
+          let verdict =
+            if not (Check.passed r) then "FOUND" else if complete then "miss" else "cut"
+          in
           Fmt.pr " %5s in %6d e |" verdict execs)
         [ 0; 1; 2; 3 ];
       Fmt.pr "@.")
     Conc.Registry.failing_entries;
   Fmt.pr
     "@.Shape to expect: every seeded defect is found at PB=2 (the paper's default); several \
-     need at least one preemption, and exploration cost grows with the bound.@."
+     need at least one preemption, and exploration cost grows with the bound. \"cut\" is a \
+     pass that stopped at the execution cap; \"miss\" one that explored every schedule.@."
 
 (* §4.3: random sampling efficiency — the fraction of random tests that
    expose each defect, by dimension. *)
@@ -171,6 +175,7 @@ let icb opts =
       | Ok (obs, _) ->
         let execs = ref 0 in
         let found_at = ref None in
+        let complete = ref true in
         (* Same exhaustion floor as the PB sweep: the point is the bound at
            which the defect surfaces, not whether it beats the CI cap. *)
         let cap = max opts.cap 20_000 in
@@ -184,7 +189,7 @@ let icb opts =
                 max_executions = Some cap;
               }
             in
-            let _ =
+            let stats =
               Harness.run_phase config ~adapter:e.adapter ~test ~on_history:(fun h ->
                   incr execs;
                   if not (observed obs h.history) then begin
@@ -193,17 +198,19 @@ let icb opts =
                   end
                   else `Continue)
             in
+            complete := stats.Explore.complete;
             try_bound (b + 1)
           end
         in
         try_bound 0;
         (match !found_at with
          | Some b -> Fmt.pr "%-50s %10d %12d@." name b !execs
-         | None -> Fmt.pr "%-50s %10s %12d@." name "miss" !execs))
+         | None ->
+           Fmt.pr "%-50s %10s %12d@." name (if !complete then "miss" else "cut") !execs))
     Conc.Registry.failing_entries;
   Fmt.pr
     "@.Most defects surface at bound 1 — the small-bound hypothesis behind CHESS's iterative \
-     search order.@."
+     search order. \"cut\": bound 3 stopped at the execution cap without finding the defect.@."
 
 (* The history-dedup optimization in phase 2. *)
 let dedup opts =

@@ -1,7 +1,8 @@
 (* Bechamel micro-benchmarks: one Test.make per table/figure driver, timing
    the hot paths that regenerate them — phase 1 (serial enumeration), the
    two-phase check, witness search, and the direct WGL checker used as the
-   oracle — and two of the explorer's own executions, reported per step. *)
+   oracle — two of the explorer's own executions, reported per step, and
+   phase 1 of seven classes, reported per serial execution. *)
 
 open Bench_common
 module Conc = Lineup_conc
@@ -75,12 +76,75 @@ let dekker_tso () =
   Harness.run_phase dekker_tso_config ~adapter:Conc.Dekker.fenced ~test:dekker_test
     ~on_history:(fun _ -> `Continue)
 
-(* Steps per run of the per-step cases, for the per-step columns. *)
-let per_step () =
+(* Phase 1 against the operations it runs: for each of seven classes, the
+   3x3 test [u0;u1;u2] | [u3;u4;u0] | [u1;u2;u3] over its universe, timed as
+   a whole synthesis, as the harness's serial exploration alone (no
+   observation set), and as [create] plus the nine operations run inline in
+   column order (an operation that would block ends that run). The inline
+   case runs once per serial execution of the test, so all three read per
+   serial execution; it also runs long enough for the minor-word count,
+   which moves only at minor collections. *)
+let phase1_classes =
   [
-    "bare-step 2x400 reads, pb 1 (explorer)", (bare_step ()).Explore.total_steps;
-    "dekker-fenced-tso execution (explorer)", (dekker_tso ()).Explore.total_steps;
+    Conc.Concurrent_stack.correct;
+    Conc.Concurrent_queue.correct;
+    Conc.Concurrent_dictionary.adapter;
+    Conc.Lazy_list_set.correct;
+    Conc.Concurrent_bag.adapter;
+    Conc.Counters.correct;
+    Conc.Semaphore_slim.correct;
   ]
+
+let phase1_test (adapter : Adapter.t) =
+  let universe = Array.of_list adapter.universe in
+  (* Counter's universe has four invocations: u4 is u0 again *)
+  let u i = universe.(i mod Array.length universe) in
+  Test_matrix.make [ [ u 0; u 1; u 2 ]; [ u 3; u 4; u 0 ]; [ u 1; u 2; u 3 ] ]
+
+let serial_phase adapter =
+  Harness.run_phase Explore.serial_config ~adapter ~test:(phase1_test adapter)
+    ~on_history:(fun _ -> `Continue)
+
+let inline_ops (adapter : Adapter.t) ~times =
+  let ops = List.concat (Array.to_list (phase1_test adapter).Test_matrix.columns) in
+  for _ = 1 to times do
+    try
+      Lineup_runtime.Rt.run_inline (fun () ->
+          let inst = adapter.create () in
+          List.iter (fun inv -> ignore (inst.invoke inv)) ops)
+    with Failure _ -> ()
+  done
+
+let phase1_case (adapter : Adapter.t) what = Fmt.str "phase1 %s: %s" adapter.name what
+let phase1_parts = [ "Check.synthesize"; "Harness.run_phase"; "create + 9 ops inline" ]
+
+(* [classes]: each class with its test's number of serial executions. *)
+let phase1_cases classes =
+  List.concat_map
+    (fun ((adapter : Adapter.t), executions) ->
+      List.map2
+        (fun what body -> Test.make ~name:(phase1_case adapter what) (Staged.stage body))
+        phase1_parts
+        [
+          (fun () -> ignore (Check.synthesize adapter (phase1_test adapter)));
+          (fun () -> ignore (serial_phase adapter));
+          (fun () -> inline_ops adapter ~times:executions);
+        ])
+    classes
+
+(* The unit some cases are also reported per, and how many of them one run
+   holds: steps for the explorer cases, serial executions for phase 1. *)
+let per_unit classes =
+  [
+    "bare-step 2x400 reads, pb 1 (explorer)", ("step", (bare_step ()).Explore.total_steps);
+    "dekker-fenced-tso execution (explorer)", ("step", (dekker_tso ()).Explore.total_steps);
+  ]
+  @ List.concat_map
+      (fun (adapter, executions) ->
+        List.map
+          (fun what -> phase1_case adapter what, ("serial execution", executions))
+          phase1_parts)
+      classes
 
 let tests =
   [
@@ -116,20 +180,23 @@ let run () =
   hr "Bechamel micro-benchmarks (per-table/figure drivers)";
   let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 1.0) ~kde:None () in
   let instances = Instance.[ monotonic_clock; minor_allocated ] in
-  let raw = Benchmark.all cfg instances (Test.make_grouped ~name:"lineup" tests) in
+  let phase1 = List.map (fun a -> a, (serial_phase a).Explore.executions) phase1_classes in
+  let raw =
+    Benchmark.all cfg instances (Test.make_grouped ~name:"lineup" (tests @ phase1_cases phase1))
+  in
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
   in
   let results = Analyze.all ols Instance.monotonic_clock raw in
   let words = Analyze.all ols Instance.minor_allocated raw in
   let per_run ols = match Analyze.OLS.estimates ols with Some (e :: _) -> e | _ -> Float.nan in
-  let per_step = per_step () in
+  let per_unit = per_unit phase1 in
   let rows =
     Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) results []
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
-  Fmt.pr "%-45s %15s %12s %10s@." "benchmark" "time/run" "words/run" "r²";
-  Fmt.pr "%s@." (String.make 85 '-');
+  Fmt.pr "%-60s %15s %12s %10s@." "benchmark" "time/run" "words/run" "r²";
+  Fmt.pr "%s@." (String.make 100 '-');
   List.iter
     (fun (name, ols) ->
       let estimate = per_run ols in
@@ -141,12 +208,12 @@ let run () =
         else if ns > 1e3 then Fmt.str "%.2f us" (ns /. 1e3)
         else Fmt.str "%.0f ns" ns
       in
-      Fmt.pr "%-45s %15s %12.0f %10.4f@." name (time_str estimate) minor r2;
+      Fmt.pr "%-60s %15s %12.0f %10.4f@." name (time_str estimate) minor r2;
       List.iter
-        (fun (case, steps) ->
+        (fun (case, (unit, n)) ->
           if name = "lineup/" ^ case then
-            Fmt.pr "  per step (%d steps): %.0f ns, %.1f minor words@." steps
-              (estimate /. float steps)
-              (minor /. float steps))
-        per_step)
+            Fmt.pr "  per %s (%d): %.0f ns, %.1f minor words@." unit n
+              (estimate /. float n)
+              (minor /. float n))
+        per_unit)
     rows

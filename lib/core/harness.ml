@@ -18,7 +18,7 @@ let callbacks ~(adapter : Adapter.t) ~(test : Test_matrix.t) ~on_history =
   let record e = events := e :: !events in
   let run_op (inst : Adapter.instance) ~tid ~op_index inv =
     record (Event.call ~tid ~op_index inv);
-    Exec_ctx.log (Exec_ctx.Op_start { tid; op_index });
+    if Exec_ctx.logging_enabled () then Exec_ctx.log (Exec_ctx.Op_start { tid; op_index });
     let resp = inst.invoke inv in
     (* The return marker is its own scheduling point (no-op in serial mode):
        the step recording the return event then carries an event footprint,
@@ -26,7 +26,7 @@ let callbacks ~(adapter : Adapter.t) ~(test : Test_matrix.t) ~on_history =
        stayed inside the operation's last access step, two independent
        accesses' steps would swap and silently reorder the history. *)
     Rt.sched Rt.Return_boundary;
-    Exec_ctx.log (Exec_ctx.Op_end { tid; op_index });
+    if Exec_ctx.logging_enabled () then Exec_ctx.log (Exec_ctx.Op_end { tid; op_index });
     record (Event.return ~tid ~op_index resp)
   in
   let column_body inst tid invs () =

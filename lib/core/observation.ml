@@ -87,15 +87,11 @@ let trie_insert root (s : Serial_history.t) =
 (* Observation sets                                                    *)
 (* ------------------------------------------------------------------ *)
 
-type key = (int * (Invocation.t * Value.t option) list) list
-
-(* The hash reads the whole key: a test's keys share their leading words,
-   which is all the default [Hashtbl.hash] would read. *)
 module Key = Hashtbl.Make (struct
-  type t = key
+  type t = Witness.key
 
-  let equal : t -> t -> bool = ( = )
-  let hash k = Hashtbl.hash_param 256 256 k
+  let equal = Witness.key_equal
+  let hash = Witness.key_hash
 end)
 
 (* One kind of history (full or stuck). Each indexed serial history carries
@@ -129,11 +125,10 @@ let record obs s =
   let g = if Serial_history.is_stuck s then obs.stuck else obs.full in
   g.count <- g.count + 1;
   g.recorded <- s :: g.recorded;
-  let key = Serial_history.thread_key s in
-  let entry = s, Witness.positions s in
+  let key, pos = Witness.index s in
   match Key.find_opt g.index key with
-  | Some l -> l := entry :: !l
-  | None -> Key.replace g.index key (ref [ entry ])
+  | Some l -> l := (s, pos) :: !l
+  | None -> Key.add g.index key (ref [ s, pos ])
 
 (* A conflicting history is recorded too, once, as a duplicate set would:
    its re-add walks into the same conflict and must read as seen. *)
@@ -160,10 +155,10 @@ let stuck_histories obs = List.rev obs.stuck.recorded
    condition 3 alone, on [q] prepared once. *)
 let witness ?probes obs q =
   let g = if History.is_stuck q then obs.stuck else obs.full in
-  match Key.find_opt g.index (History.thread_key q) with
+  let key, events = Witness.prepare q in
+  match Key.find_opt g.index key with
   | None -> None
   | Some candidates ->
-    let events = Witness.prepare q in
     List.find_map
       (fun (serial, pos) ->
         (match probes with Some p -> incr p | None -> ());

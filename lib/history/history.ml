@@ -7,37 +7,53 @@ type t = {
 
 (* Well-formedness (Section 2.1.1): every thread subhistory is serial. We
    additionally require the [op_index] bookkeeping to be consistent: the i-th
-   operation of thread t carries index i. *)
-let check_well_formed events =
-  let tbl : (int, [ `Expect_call of int | `Expect_return of int * Invocation.t ]) Hashtbl.t =
-    Hashtbl.create 7
-  in
-  let fail fmt = Fmt.kstr invalid_arg ("History.make: " ^^ fmt) in
-  List.iter
-    (fun (e : Event.t) ->
-      let state =
-        match Hashtbl.find_opt tbl e.tid with
-        | Some s -> s
-        | None -> `Expect_call 0
+   operation of thread t carries index i. A thread's state is one int, [2 i]
+   while it expects its i-th call and [2 i + 1] while that operation is
+   pending. [states] holds (tid, state) pairs, searched linearly: histories
+   have few threads, and a tid may be any int. *)
+let rec state_slot (states : int array) tid i n =
+  if i >= n then -1
+  else if states.(2 * i) = tid then (2 * i) + 1
+  else state_slot states tid (i + 1) n
+
+let fail fmt = Fmt.kstr invalid_arg ("History.make: " ^^ fmt)
+
+(* Event [e] of a thread in state [states.(at)]. *)
+let step states at (e : Event.t) =
+  let state = states.(at) in
+  let idx = state lsr 1 in
+  (match e.dir with
+   | Event.Call inv ->
+     if state land 1 = 1 then
+       fail "thread %d: call %a while an operation is pending" e.tid Invocation.pp inv;
+     if e.op_index <> idx then
+       fail "thread %d: call %a has op_index %d, expected %d" e.tid Invocation.pp inv e.op_index
+         idx
+   | Event.Return v ->
+     if state land 1 = 0 then fail "thread %d: return %a without a pending call" e.tid Value.pp v;
+     if e.op_index <> idx then
+       fail "thread %d: return has op_index %d, expected %d" e.tid e.op_index idx);
+  states.(at) <- state + 1
+
+let rec check_well_formed states threads = function
+  | [] -> ()
+  | (e : Event.t) :: rest -> (
+    match state_slot states e.tid 0 threads with
+    | -1 ->
+      let states =
+        if 2 * threads < Array.length states then states
+        else Array.append states (Array.make (2 * threads) 0)
       in
-      match e.dir, state with
-      | Event.Call inv, `Expect_call idx ->
-        if e.op_index <> idx then
-          fail "thread %d: call %a has op_index %d, expected %d" e.tid Invocation.pp inv
-            e.op_index idx;
-        Hashtbl.replace tbl e.tid (`Expect_return (idx, inv))
-      | Event.Call inv, `Expect_return _ ->
-        fail "thread %d: call %a while an operation is pending" e.tid Invocation.pp inv
-      | Event.Return v, `Expect_call _ ->
-        fail "thread %d: return %a without a pending call" e.tid Value.pp v
-      | Event.Return _, `Expect_return (idx, _) ->
-        if e.op_index <> idx then
-          fail "thread %d: return has op_index %d, expected %d" e.tid e.op_index idx;
-        Hashtbl.replace tbl e.tid (`Expect_call (idx + 1)))
-    events
+      states.(2 * threads) <- e.tid;
+      states.((2 * threads) + 1) <- 0;
+      step states ((2 * threads) + 1) e;
+      check_well_formed states (threads + 1) rest
+    | at ->
+      step states at e;
+      check_well_formed states threads rest)
 
 let make ?(stuck = false) events =
-  check_well_formed events;
+  check_well_formed (Array.make 8 0) 0 events;
   { events; stuck }
 
 let events h = h.events

@@ -25,18 +25,55 @@ let suite =
   [
     test "well-formed accepts fig2" (fun () ->
         Alcotest.(check int) "events" 7 (History.length fig2));
-    test "rejects double call" (fun () ->
-        match history [ call 0 0 "A" (); call 0 1 "B" () ] with
-        | exception Invalid_argument _ -> ()
-        | _ -> Alcotest.fail "expected rejection");
-    test "rejects return without call" (fun () ->
-        match history [ ret 0 0 Value.unit ] with
-        | exception Invalid_argument _ -> ()
-        | _ -> Alcotest.fail "expected rejection");
-    test "rejects bad op_index" (fun () ->
-        match history [ call 0 3 "A" () ] with
-        | exception Invalid_argument _ -> ()
-        | _ -> Alcotest.fail "expected rejection");
+    test "accepts any int tids, beyond four threads" (fun () ->
+        let tids = [ 3; -1; max_int; min_int; 0; 7; 42; -9; 5 ] in
+        let h =
+          history
+            (List.concat_map (fun t -> [ call t 0 "A" () ]) tids
+            @ List.concat_map
+                (fun t -> [ ret t 0 Value.unit; call t 1 "B" (); ret t 1 Value.unit ])
+                tids)
+        in
+        Alcotest.(check int) "events" (4 * List.length tids) (History.length h));
+  ]
+  (* Each of [History.make]'s four messages, on a thread of each tid: alone,
+     so the bad thread is the history's first, and after a call of a
+     well-formed thread 7, so it is met as a second thread. *)
+  @ List.map
+      (fun (what, events, message) ->
+        test ("rejects " ^ what) (fun () ->
+            List.iter
+              (fun tid ->
+                List.iter
+                  (fun (shape, h) ->
+                    let what = Fmt.str "tid %d, %s" tid shape in
+                    match history h with
+                    | _ -> Alcotest.failf "%s: accepted" what
+                    | exception Invalid_argument m ->
+                      Alcotest.(check string) what ("History.make: " ^ message tid) m)
+                  [
+                    "alone", events tid;
+                    "after thread 7", [ call 7 0 "X" () ] @ events tid @ [ ret 7 0 Value.unit ];
+                  ])
+              [ 0; 3; -1; max_int ]))
+      [
+        ( "double call",
+          (fun t -> [ call t 0 "A" (); call t 1 "B" () ]),
+          Fmt.str "thread %d: call B while an operation is pending" );
+        ( "return without call",
+          (fun t -> [ ret t 0 Value.unit ]),
+          Fmt.str "thread %d: return unit without a pending call" );
+        ( "a return after the thread's operations completed",
+          (fun t -> [ call t 0 "A" (); ret t 0 Value.unit; ret t 1 (Value.int 2) ]),
+          Fmt.str "thread %d: return 2 without a pending call" );
+        ( "bad op_index",
+          (fun t -> [ call t 3 "A" () ]),
+          Fmt.str "thread %d: call A has op_index 3, expected 0" );
+        ( "a return with a bad op_index",
+          (fun t -> [ call t 0 "A" (); ret t 1 Value.unit ]),
+          Fmt.str "thread %d: return has op_index 1, expected 0" );
+      ]
+  @ [
     test "threads of fig2" (fun () ->
         Alcotest.(check (list int)) "threads" [ 0; 1 ] (History.threads fig2));
     test "thread subhistory lengths" (fun () ->

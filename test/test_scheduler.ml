@@ -488,4 +488,111 @@ let suite =
   ]
   @ kill_and_replay_contract
 
-let tests = suite
+(* Effects the scheduler does not expect. Outside any exploration an [Rt]
+   effect meets no handler, also right after an exploration that returned
+   or raised: no handler outlives it. The scheduler evaluates wake
+   predicates itself, outside every thread: one that raises, or that
+   performs an effect, must end the exploration the same way in both
+   modes. *)
+let unhandled_outside () =
+  let v = Var.make 0 in
+  List.iter
+    (fun (what, f) ->
+      match f () with
+      | () -> Alcotest.failf "%s outside any scheduler returned" what
+      | exception Effect.Unhandled _ -> ())
+    [
+      "a read", (fun () -> ignore (Var.read v));
+      "a yield", Rt.yield;
+      "a return boundary", (fun () -> Rt.sched Rt.Return_boundary);
+      "a fence", Rt.fence;
+    ]
+
+let modes = [ "serial", Explore.serial_config; "concurrent", Explore.default_config ]
+
+(* One thread that blocks on [wake], at its start (the scheduler first
+   evaluates [wake] right after start fusion) or after an operation
+   boundary (after the blocking step). *)
+let blocked_on ~boundary wake () =
+  [|
+    (fun () ->
+      if boundary then Rt.op_boundary ();
+      Rt.block ~wake "w");
+  |]
+
+(* False at its first evaluation, the blocking thread's own; raises at the
+   second, the scheduler's. *)
+let raises_second () =
+  let calls = ref 0 in
+  fun () ->
+    incr calls;
+    if !calls > 1 then raise Exit;
+    false
+
+(* Explore [setup] in every mode and shape; each must raise. *)
+let each_raises ~expected setup =
+  List.iter
+    (fun (mode, config) ->
+      List.iter
+        (fun boundary ->
+          match explore_all config ~setup:(setup ~boundary) ~on_execution:(fun _ -> `Continue) with
+          | _ -> Alcotest.failf "%s (boundary %b): the exploration returned" mode boundary
+          | exception e when expected e -> ()
+          | exception e ->
+            Alcotest.failf "%s (boundary %b): raised %s" mode boundary (Printexc.to_string e))
+        [ false; true ])
+    modes
+
+let effects_contract =
+  [
+    test "an Rt effect outside any scheduler is unhandled, also after a serial exploration"
+      (fun () ->
+        within 20. (fun () ->
+            unhandled_outside ();
+            ignore
+              (explore_all Explore.serial_config
+                 ~setup:(accesses_program ~threads:2 ~accesses:2)
+                 ~on_execution:(fun _ -> `Continue));
+            unhandled_outside ();
+            (match
+               explore_all Explore.serial_config
+                 ~setup:(fun () -> blocked_on ~boundary:true (raises_second ()) ())
+                 ~on_execution:(fun _ -> `Continue)
+             with
+             | _ -> Alcotest.fail "the exploration returned"
+             | exception Exit -> ());
+            unhandled_outside ()));
+    test "serial: a killed thread that swallows Killed and reads forever is dropped" (fun () ->
+        (* serial mode resumes a live thread's reads at once, but a killed
+           thread's count against the kill's budget *)
+        let ends =
+          within 20. (fun () ->
+              execution_ends Explore.serial_config (fun () ->
+                  let v = Var.make 0 in
+                  [|
+                    (fun () ->
+                      try Rt.block ~wake:(fun () -> false) "w"
+                      with _ ->
+                        while true do
+                          ignore (Var.read v)
+                        done);
+                  |]))
+        in
+        Alcotest.(check (list (triple exec_end_t int int)))
+          "ends" [ Explore.Serial_stuck 0, 0, 0 ] ends);
+    test "a wake predicate that raises ends the exploration alike in both modes" (fun () ->
+        within 20. (fun () ->
+            each_raises
+              ~expected:(function Exit -> true | _ -> false)
+              (fun ~boundary () -> blocked_on ~boundary (raises_second ()) ())));
+    test "a wake predicate that reads a shared variable is unhandled in both modes" (fun () ->
+        within 20. (fun () ->
+            each_raises
+              ~expected:(function Effect.Unhandled Rt.Access -> true | _ -> false)
+              (fun ~boundary () ->
+                let v = Var.make 0 in
+                blocked_on ~boundary (fun () -> Var.read v = 1) ());
+            unhandled_outside ()));
+  ]
+
+let tests = suite @ effects_contract

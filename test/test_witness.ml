@@ -321,11 +321,11 @@ let search_props =
            (* condition 3 on every serial history with the query's thread
               subhistories, stuck or full *)
            let order_agrees =
-             let events = Witness.prepare h in
+             let _, events = Witness.prepare h in
              List.for_all
                (fun s ->
                  (not (same_threads s h))
-                 || Witness.preserves_order (Witness.positions s) events = respects_order s h)
+                 || Witness.preserves_order (snd (Witness.index s)) events = respects_order s h)
                distinct
            in
            if not (same && !probes = want_probes && order_agrees) then
@@ -334,4 +334,105 @@ let search_props =
            else true));
   ]
 
-let tests = suite @ search_props
+(* ------------------------------------------------------------------ *)
+(* The flat key against the nested thread key                          *)
+(* ------------------------------------------------------------------ *)
+
+(* Per-thread operations over up to 4 threads, a name and a response each,
+   and whether the thread's last one is left pending; from a small alphabet,
+   so that two draws often share thread keys. *)
+let gen_threads rng =
+  List.init
+    (1 + Random.State.int rng 4)
+    (fun _ ->
+      let ops =
+        List.init (Random.State.int rng 3) (fun _ ->
+            (if Random.State.bool rng then "A" else "B"), Random.State.int rng 2)
+      in
+      ops, ops <> [] && Random.State.int rng 4 = 0)
+
+(* The same threads; or some responses changed; or the pending calls'
+   names swapped, which keeps every complete operation; or a fresh draw. *)
+let vary rng threads =
+  let swap n = if n = "A" then "B" else "A" in
+  match Random.State.int rng 4 with
+  | 0 -> threads
+  | 1 ->
+    List.map
+      (fun (ops, pending) ->
+        List.map (fun (n, r) -> n, if Random.State.int rng 4 = 0 then 1 - r else r) ops, pending)
+      threads
+  | 2 ->
+    List.map
+      (fun (ops, pending) ->
+        let last = List.length ops - 1 in
+        List.mapi (fun i (n, r) -> (if pending && i = last then swap n else n), r) ops, pending)
+      threads
+  | _ -> gen_threads rng
+
+let history_of rng threads =
+  interleave rng
+    (List.mapi
+       (fun t (ops, pending) ->
+         let last = List.length ops - 1 in
+         List.concat
+           (List.mapi
+              (fun i (n, r) ->
+                if pending && i = last then [ call t i n () ]
+                else [ call t i n (); ret t i (Value.int r) ])
+              ops))
+       threads)
+  |> history
+
+(* A serial history with the same threads, when at most one is pending. *)
+let serial_of rng threads =
+  let pending = List.filter (fun (_, (_, p)) -> p) (List.mapi (fun t x -> t, x) threads) in
+  match pending with
+  | _ :: _ :: _ -> None
+  | _ ->
+    let entries =
+      List.mapi
+        (fun t (ops, p) ->
+          List.filteri (fun i _ -> not (p && i = List.length ops - 1)) ops
+          |> List.map (fun (n, r) -> { Serial_history.tid = t; inv = inv n; resp = Value.int r }))
+        threads
+    in
+    let stuck =
+      List.map (fun (t, (ops, _)) -> t, inv (fst (List.nth ops (List.length ops - 1)))) pending
+    in
+    Some (Serial_history.make ~stuck:(List.nth_opt stuck 0) (interleave rng entries))
+
+(* Each draw as a history and, when it can be one, as a serial history:
+   (name, flat key, nested key). *)
+let keyed rng threads =
+  let h = history_of rng threads in
+  ("history", fst (Witness.prepare h), History.thread_key h)
+  :: Option.fold ~none:[]
+       ~some:(fun s -> [ "serial", fst (Witness.index s), Serial_history.thread_key s ])
+       (serial_of rng threads)
+
+let key_props =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"flat keys are equal exactly when thread keys are, and hash alike"
+         ~count:2000
+         (QCheck.make (fun rng ->
+              let a = gen_threads rng in
+              let b = vary rng a in
+              keyed rng a, keyed rng b))
+         (fun (xs, ys) ->
+           List.for_all
+             (fun (nx, kx, tx) ->
+               List.for_all
+                 (fun (ny, ky, ty) ->
+                   let flat = Witness.key_equal kx ky and nested = tx = ty in
+                   if flat <> nested then
+                     QCheck.Test.fail_reportf "%s vs %s: flat %b, nested %b" nx ny flat nested
+                   else if flat && Witness.key_hash kx <> Witness.key_hash ky then
+                     QCheck.Test.fail_reportf "%s vs %s: equal keys hash apart" nx ny
+                   else true)
+                 ys)
+             xs));
+  ]
+
+let tests = suite @ search_props @ key_props
