@@ -1,8 +1,9 @@
 (* Bechamel micro-benchmarks: one Test.make per table/figure driver, timing
    the hot paths that regenerate them — phase 1 (serial enumeration), the
    two-phase check, witness search, and the direct WGL checker used as the
-   oracle — two of the explorer's own executions, reported per step, and
-   phase 1 of seven classes, reported per serial execution. *)
+   oracle — two of the explorer's own executions, reported per step,
+   phase 1 of seven classes, reported per serial execution, and the
+   monitor's parse of one rendered call line and one return line. *)
 
 open Bench_common
 module Conc = Lineup_conc
@@ -82,8 +83,7 @@ let dekker_tso () =
    observation set), and as [create] plus the nine operations run inline in
    column order (an operation that would block ends that run). The inline
    case runs once per serial execution of the test, so all three read per
-   serial execution; it also runs long enough for the minor-word count,
-   which moves only at minor collections. *)
+   serial execution. *)
 let phase1_classes =
   [
     Conc.Concurrent_stack.correct;
@@ -146,6 +146,14 @@ let per_unit classes =
           phase1_parts)
       classes
 
+(* The two lines of a queue operation as [lineup check --trace] writes
+   them, which the monitor's parse reads on its fast path. *)
+let call_line =
+  Lineup_history.(Trace_event.render ~t:0.000123 (Event.call ~tid:0 ~op_index:1 (inv_int "Enqueue" 200)))
+
+let ret_line =
+  Lineup_history.(Trace_event.render ~t:0.000150 (Event.return ~tid:1 ~op_index:1 (Value.int 200)))
+
 let tests =
   [
     Test.make ~name:"bare-step 2x400 reads, pb 1 (explorer)"
@@ -169,6 +177,10 @@ let tests =
     Test.make ~name:"wgl-direct-check (oracle)" (Staged.stage (fun () ->
         let _, h = witness_fixture in
         ignore (Lin_check.decide Specs.counter h)));
+    Test.make ~name:"parse a rendered call line (monitor)"
+      (Staged.stage (fun () -> ignore (Lineup_history.Trace_event.parse call_line)));
+    Test.make ~name:"parse a rendered return line (monitor)"
+      (Staged.stage (fun () -> ignore (Lineup_history.Trace_event.parse ret_line)));
     (* Figure 9 driver: generalized (stuck-history) check *)
     Test.make ~name:"check-fig9-mre (F9)" (Staged.stage (fun () ->
         ignore
@@ -176,10 +188,26 @@ let tests =
              (Test_matrix.make [ [ inv "Wait" ]; [ inv "Set" ] ]))));
   ]
 
+(* Bechamel's own [minor_allocated] reads [Gc.quick_stat], whose
+   [minor_words] moves only at a minor collection on OCaml 5.1, so it reads
+   0 for a run shorter than one. [Gc.minor_words ()] counts every word. *)
+module Minor_words = struct
+  type witness = unit
+
+  let load () = ()
+  let unload () = ()
+  let make () = ()
+  let get () = Gc.minor_words ()
+  let label () = "minor-words"
+  let unit () = "mnw"
+end
+
+let minor_words = Measure.instance (module Minor_words) (Measure.register (module Minor_words))
+
 let run () =
   hr "Bechamel micro-benchmarks (per-table/figure drivers)";
   let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 1.0) ~kde:None () in
-  let instances = Instance.[ monotonic_clock; minor_allocated ] in
+  let instances = [ Instance.monotonic_clock; minor_words ] in
   let phase1 = List.map (fun a -> a, (serial_phase a).Explore.executions) phase1_classes in
   let raw =
     Benchmark.all cfg instances (Test.make_grouped ~name:"lineup" (tests @ phase1_cases phase1))
@@ -188,7 +216,7 @@ let run () =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
   in
   let results = Analyze.all ols Instance.monotonic_clock raw in
-  let words = Analyze.all ols Instance.minor_allocated raw in
+  let words = Analyze.all ols minor_words raw in
   let per_run ols = match Analyze.OLS.estimates ols with Some (e :: _) -> e | _ -> Float.nan in
   let per_unit = per_unit phase1 in
   let rows =

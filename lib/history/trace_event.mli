@@ -37,7 +37,21 @@ val parse : string -> line
     in [test/]), accepts it after [String.trim], a failure reads as that
     reader's message and offset, and a field repeated in the object reads
     as its first occurrence. Only [ev], [tid], [op], [name], [arg], [val]
-    and [hist] are decoded. *)
+    and [hist] are decoded.
+
+    It tries {!parse_rendered} first. *)
+
+val parse_rendered : string -> line option
+(** The fast path that {!parse}, {!read} and {!finish} try first on every
+    line: [Some (parse s)] for a line in exactly the shape {!render}
+    writes, decoded in one pass, and [None] for any other line, which the
+    general scanner then reads from its start. The shape: nothing around
+    the braces, keys in {!render}'s order with no whitespace between the
+    tokens and no backslash in a string, a [t] that is a JSON number,
+    [tid], [op] and an optional [hist] of at most 15 digits, and as [arg]
+    or [val] only [unit], [Fail], [true], [false] or an int of at most 18
+    digits. So it decides only lines that the general scanner decodes
+    identically. *)
 
 type reader
 (** Lines of a channel, read a chunk at a time into one reused buffer. *)

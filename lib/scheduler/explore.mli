@@ -105,7 +105,12 @@ type mode =
 type config = {
   mode : mode;
   preemption_bound : int option;  (** [None] = unbounded *)
-  max_steps : int;  (** per-execution step budget (divergence backstop) *)
+  max_steps : int;
+      (** per-execution step budget (divergence backstop). In serial mode
+          the accesses, yields, return boundaries and fences that an
+          operation runs at once are no steps, but they count against it
+          too, so an operation that spins waiting for another thread ends
+          [Diverged]. *)
   max_executions : int option;  (** exploration budget; [None] = exhaustive *)
   por : bool;
       (** dynamic partial-order reduction (concurrent mode only; ignored —

@@ -67,7 +67,13 @@ let rec pp ppf = function
   | Opt (Some v) -> Fmt.pf ppf "Some %a" pp v
   | Fail -> Fmt.string ppf "Fail"
 
-let to_string v = Fmt.str "%a" pp v
+(* The scalars directly: they are most of what a trace line carries. *)
+let to_string = function
+  | Unit -> "unit"
+  | Fail -> "Fail"
+  | Bool b -> Bool.to_string b
+  | Int i -> Int.to_string i
+  | (Str _ | Pair _ | List _ | Opt _) as v -> Fmt.str "%a" pp v
 
 (* Hand-rolled recursive-descent parser for the concrete syntax of [pp].
    Kept total on the image of [to_string] so observation files round-trip. *)

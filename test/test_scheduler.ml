@@ -580,6 +580,32 @@ let effects_contract =
         in
         Alcotest.(check (list (triple exec_end_t int int)))
           "ends" [ Explore.Serial_stuck 0, 0, 0 ] ends);
+    test "serial: an operation that spins on another thread's flag diverges" (fun () ->
+        (* the spin's reads and yields are no steps in serial mode, but they
+           count against [max_steps]: the order that runs the spinner first
+           ends [Diverged], the other finishes *)
+        let config = { Explore.serial_config with max_steps = 1000 } in
+        let setup () =
+          let flag = Var.make false in
+          [|
+            (fun () ->
+              Rt.op_boundary ();
+              while not (Var.read flag) do
+                Rt.yield ()
+              done);
+            (fun () ->
+              Rt.op_boundary ();
+              Var.write flag true);
+          |]
+        in
+        let ends, stats =
+          within 20. (fun () ->
+              let ends = List.map (fun (e, _, errors) -> e, errors) (execution_ends config setup) in
+              ends, explore_all config ~setup ~on_execution:(fun _ -> `Continue))
+        in
+        Alcotest.(check (list (pair exec_end_t int)))
+          "ends" [ Explore.Diverged, 0; Explore.All_finished, 0 ] ends;
+        Alcotest.(check int) "divergences" 1 stats.Explore.divergences);
     test "a wake predicate that raises ends the exploration alike in both modes" (fun () ->
         within 20. (fun () ->
             each_raises

@@ -64,6 +64,12 @@ let props =
       (QCheck.Test.make ~name:"value print/parse roundtrip" ~count:500 value_arb (fun v ->
            Value.equal v (Value.of_string (Value.to_string v))));
     QCheck_alcotest.to_alcotest
+      (let ints = QCheck.Gen.(map Value.int (oneof [ oneofl [ min_int; max_int; 0 ]; int ])) in
+       let any = QCheck.Gen.(frequency [ 3, value_gen; 1, ints; 1, map2 Value.pair ints value_gen ]) in
+       QCheck.Test.make ~name:"to_string writes what pp prints, scalars and min_int/max_int too"
+         ~count:500 (QCheck.make ~print:Value.to_string any) (fun v ->
+           Value.to_string v = Fmt.str "%a" Value.pp v));
+    QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"value equal agrees with compare" ~count:500
          (QCheck.pair value_arb value_arb) (fun (v1, v2) ->
            Value.equal v1 v2 = (Value.compare v1 v2 = 0)));
